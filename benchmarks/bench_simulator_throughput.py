@@ -27,9 +27,8 @@ from repro.machines import (
     simulate_treadmarks,
 )
 from repro.machines import cache as cache_mod
-from repro.machines import hardware as hw
 from repro.machines.params import origin2000_scaled
-from repro.trace.layout import Layout
+from repro.trace.layout import Layout, decode_memo
 
 
 @pytest.fixture(scope="module")
@@ -83,24 +82,23 @@ def test_hlrc_replay_throughput(benchmark, trace):
 
 
 def _decode_streams(trace, params, layout):
-    """Decode every (epoch, proc) burst list into line/page/written arrays.
+    """Decode every (epoch, proc) access stream into line/page/written arrays.
 
     This is the shared front end both engines pay inside
     ``simulate_hardware``; pre-extracting it isolates the cache *replay*
     cost, which is what the kernel layer vectorizes.
     """
-    shift = params.line_size.bit_length() - 1
-    nlines = (layout.total_bytes >> shift) + 1
+    memo = decode_memo(trace)
     streams = []
-    for epoch in trace.epochs:
-        streams.append(
-            [
-                hw._proc_streams(
-                    epoch, layout, params.line_size, params.page_size, p, nlines
-                )
-                for p in range(trace.nprocs)
-            ]
-        )
+    for ei, epoch in enumerate(trace.epochs):
+        decoded = memo.epoch(layout, params.line_size, ei)
+        per_proc = []
+        for p in range(trace.nprocs):
+            lines = decoded.units[p]
+            written = np.unique(lines[decoded.expand(p, epoch.write_flags(p))])
+            pages = lines * params.line_size // params.page_size
+            per_proc.append((lines, pages, written))
+        streams.append(per_proc)
     return streams
 
 

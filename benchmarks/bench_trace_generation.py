@@ -58,7 +58,6 @@ import time
 import pytest
 
 from repro.apps import AppConfig, BarnesHut, FMM, Moldyn
-from repro.trace import builder as builder_mod
 from repro.trace.io import save_trace
 
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
@@ -125,18 +124,14 @@ def _measure(app_cls, cfg_kw, mode):
 @pytest.mark.slow
 def test_trace_generation_speedup(emit):
     """Acceptance: ragged staging >= 3x faster than per-object loops on BH."""
-    prev = builder_mod.set_packed_default(True)
-    try:
-        results = {}
-        for name, app_cls, cfg_kw in APPS:
-            loop, loop_bytes = _measure(app_cls, cfg_kw, "loop")
-            ragged, ragged_bytes = _measure(app_cls, cfg_kw, "ragged")
-            assert loop_bytes == ragged_bytes, (
-                f"{name}: ragged .npt bundle differs from the per-burst loop's"
-            )
-            results[name] = {"loop": loop, "ragged": ragged, "cfg": cfg_kw}
-    finally:
-        builder_mod.set_packed_default(prev)
+    results = {}
+    for name, app_cls, cfg_kw in APPS:
+        loop, loop_bytes = _measure(app_cls, cfg_kw, "loop")
+        ragged, ragged_bytes = _measure(app_cls, cfg_kw, "ragged")
+        assert loop_bytes == ragged_bytes, (
+            f"{name}: ragged .npt bundle differs from the per-burst loop's"
+        )
+        results[name] = {"loop": loop, "ragged": ragged, "cfg": cfg_kw}
 
     rows = [
         f"{'app':<12} {'mode':<7} {'staging s':>10} {'+seal s':>8} "
@@ -243,24 +238,20 @@ def _measure_generate(app_cls, cfg_kw, extra, engine, emit_mode):
 @pytest.mark.slow
 def test_generate_engine_speedup(emit):
     """Acceptance: batch numerics >= 3x faster end-to-end on BH and FMM."""
-    prev = builder_mod.set_packed_default(True)
-    try:
-        results = {}
-        for name, app_cls, cfg_kw, extra in ENGINE_APPS:
-            loop, loop_bytes = _measure_generate(app_cls, cfg_kw, extra, "loop", "loop")
-            batch, batch_bytes = _measure_generate(
-                app_cls, cfg_kw, extra, "batch", "ragged"
-            )
-            assert loop_bytes == batch_bytes, (
-                f"{name}: batch-engine .npt bundle differs from the loop engine's"
-            )
-            results[name] = {
-                "loop": loop,
-                "batch": batch,
-                "cfg": {**cfg_kw, **extra},
-            }
-    finally:
-        builder_mod.set_packed_default(prev)
+    results = {}
+    for name, app_cls, cfg_kw, extra in ENGINE_APPS:
+        loop, loop_bytes = _measure_generate(app_cls, cfg_kw, extra, "loop", "loop")
+        batch, batch_bytes = _measure_generate(
+            app_cls, cfg_kw, extra, "batch", "ragged"
+        )
+        assert loop_bytes == batch_bytes, (
+            f"{name}: batch-engine .npt bundle differs from the loop engine's"
+        )
+        results[name] = {
+            "loop": loop,
+            "batch": batch,
+            "cfg": {**cfg_kw, **extra},
+        }
 
     rows = [
         f"{'app':<12} {'engine':<7} {'wall s':>8} {'physics':>8} {'emit':>6} "

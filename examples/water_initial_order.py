@@ -23,7 +23,7 @@ import numpy as np
 from repro.apps import AppConfig, WaterSpatial
 from repro.experiments.report import render_table
 from repro.machines import simulate_treadmarks
-from repro.machines.cache import LRUCache, collapse_runs
+from repro.machines.cache import LRUCache
 from repro.trace import Layout
 
 rows = []
@@ -56,10 +56,11 @@ for initial in ("lattice", "random"):
         layout = Layout.for_trace(t1, align=16384)
         tlb = LRUCache(8)
         for epoch in t1.epochs:
-            for b in epoch.bursts[0]:
-                tlb.access_stream(
-                    collapse_runs(layout.units(b.region, b.indices, 16384))
-                )
+            regs, idx, _ = epoch.flat(0)
+            if idx.shape[0]:
+                # Repeated pages always hit an LRU TLB, so replaying the
+                # whole page stream at once gives the per-burst miss count.
+                tlb.access_stream(layout.units_batch(regs, idx, 16384))
         rows.append(
             [initial, version, tm.messages, round(tm.data_mbytes, 1), tlb.misses]
         )

@@ -207,22 +207,13 @@ def sequential_locality(
         misses = 0
         accesses = 0
         for epoch in trace.epochs:
-            # One batched unit conversion per epoch (packed traces hand
-            # over their columns view-only); runs are collapsed within
-            # each burst exactly as the per-burst loop did, so the
-            # access count is unchanged.
+            # One batched unit conversion per epoch over the column views;
+            # runs are collapsed within each burst, never across bursts.
             regs, idx, _ = epoch.flat(0)
             if regs.shape[0] == 0:
                 continue
-            if hasattr(epoch, "burst_length"):
-                b0, b1 = int(epoch.burst_offsets[0]), int(epoch.burst_offsets[1])
-                lens = np.asarray(epoch.burst_length[b0:b1], dtype=np.int64)
-            else:
-                lens = np.fromiter(
-                    (len(b) for b in epoch.bursts[0]),
-                    dtype=np.int64,
-                    count=len(epoch.bursts[0]),
-                )
+            b0, b1 = int(epoch.burst_offsets[0]), int(epoch.burst_offsets[1])
+            lens = np.asarray(epoch.burst_length[b0:b1], dtype=np.int64)
             pages, counts = layout.units_batch(
                 regs, idx, page_size, return_counts=True
             )

@@ -37,9 +37,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from ..errors import SimulationInputError
-from ..trace.events import Trace
+from ..trace.events import PackedEpoch, Trace
 from ..trace.layout import DecodedEpoch, Layout, decode_memo
-from ..trace.packed import PackedTrace
 from .cache import LRUCache, SetAssocCache
 from .kernels import SetAssocSweep
 from .params import HardwareParams
@@ -101,59 +100,23 @@ class HardwareResult:
         }
 
 
-def _proc_streams(
-    epoch, layout: Layout, line_size: int, page_size: int, proc: int, nlines: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Line stream, page stream and written-line set for one processor.
-
-    One batched line-id conversion covers every burst; the written-line
-    set is collected through a dense line mask rather than a hash-based
-    ``np.unique`` over the (much longer) expanded write stream.
-    """
-    bursts = epoch.bursts[proc]
-    empty = np.empty(0, dtype=np.int64)
-    if not bursts:
-        return empty, empty, empty
-    per_burst = [len(b.indices) for b in bursts]
-    regs = np.repeat(
-        np.fromiter((b.region for b in bursts), dtype=np.int64, count=len(bursts)),
-        per_burst,
-    )
-    idx = np.concatenate([np.asarray(b.indices, dtype=np.int64) for b in bursts])
-    lines, counts = layout.units_batch(regs, idx, line_size, return_counts=True)
-    wflags = np.repeat(
-        np.fromiter((b.is_write for b in bursts), dtype=bool, count=len(bursts)),
-        per_burst,
-    )
-    if wflags.any():
-        wmask = np.zeros(nlines, dtype=bool)
-        wmask[lines[np.repeat(wflags, counts)]] = True
-        written = np.flatnonzero(wmask)
-    else:
-        written = empty
-    shift = line_size.bit_length() - 1
-    pshift = page_size.bit_length() - 1
-    pages = (lines << shift) >> pshift
-    return lines, pages, written
-
-
 def _proc_streams_packed(
-    epoch,
+    epoch: PackedEpoch,
     decoded: DecodedEpoch,
     proc: int,
     line_size: int,
     page_size: int,
     nlines: int,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Packed-trace counterpart of :func:`_proc_streams`.
+    """Line stream, page stream and written-line set for one processor.
 
-    The line stream comes straight from the (memoized) decoded epoch —
-    no per-burst concatenation, and the decode is shared across platforms
-    and sweep points.  Write flags are expanded from the burst columns for
-    this processor only (``epoch.write_flags``), so the whole-epoch derived
-    ``region``/``is_write`` columns are never materialized — that
-    materialization was what made the packed path slower than the
-    burst-list baseline.  Counts must match :func:`_proc_streams` exactly.
+    The line stream comes straight from the (memoized) decoded epoch, so
+    the decode is shared across platforms and sweep points.  Write flags
+    are expanded from the burst columns for this processor only
+    (``epoch.write_flags``), so the whole-epoch derived
+    ``region``/``is_write`` columns are never materialized.  The
+    written-line set is collected through a dense line mask rather than a
+    hash-based ``np.unique`` over the (much longer) expanded write stream.
     """
     lines = decoded.units[proc]
     empty = np.empty(0, dtype=np.int64)
@@ -255,26 +218,21 @@ def simulate_hardware(
     work_time = params.work_cycles * params.cycle_time
     total_time = 0.0
 
-    # Packed traces decode through the per-trace memo: one units_batch pass
-    # per (epoch, geometry), shared with the DSM simulators and any sweep
-    # re-running this trace under the same line size.
-    memo = decode_memo(trace) if isinstance(trace, PackedTrace) else None
+    # Decode through the per-trace memo: one pass per (epoch, geometry),
+    # shared with the DSM simulators and any sweep re-running this trace
+    # under the same line size.
+    memo = decode_memo(trace)
 
     for ei, epoch in enumerate(trace.epochs):
         epoch_written: list[np.ndarray] = []
         proc_time = np.zeros(nprocs, dtype=np.float64)
         epoch_l2 = np.zeros(nprocs, dtype=np.int64)
         epoch_tlb = np.zeros(nprocs, dtype=np.int64)
-        decoded = None if memo is None else memo.epoch(layout, params.line_size, ei)
+        decoded = memo.epoch(layout, params.line_size, ei)
         for p in range(nprocs):
-            if decoded is not None:
-                lines, pages, written = _proc_streams_packed(
-                    epoch, decoded, p, params.line_size, params.page_size, nlines
-                )
-            else:
-                lines, pages, written = _proc_streams(
-                    epoch, layout, params.line_size, params.page_size, p, nlines
-                )
+            lines, pages, written = _proc_streams_packed(
+                epoch, decoded, p, params.line_size, params.page_size, nlines
+            )
             epoch_written.append(written)
             if lines.shape[0]:
                 epoch_l2[p] = caches[p].access_stream(lines)
@@ -414,17 +372,12 @@ def _sweep_line_family(
     labels: list[str] = []
 
     for ei, epoch in enumerate(trace.epochs):
-        decoded = None if memo is None else memo.epoch(layout, line_size, ei)
+        decoded = memo.epoch(layout, line_size, ei)
         epoch_written: list[np.ndarray] = []
         for p in range(nprocs):
-            if decoded is not None:
-                lines, pages, written = _proc_streams_packed(
-                    epoch, decoded, p, line_size, base.page_size, nlines
-                )
-            else:
-                lines, pages, written = _proc_streams(
-                    epoch, layout, line_size, base.page_size, p, nlines
-                )
+            lines, pages, written = _proc_streams_packed(
+                epoch, decoded, p, line_size, base.page_size, nlines
+            )
             epoch_written.append(written)
             if lines.shape[0]:
                 g_hists[ei, p] = sweeps[p].access_stream(lines)
@@ -528,7 +481,7 @@ def simulate_hardware_sweep(
     one-pass miss curve exact; see ``DESIGN.md``.  The base point
     ``(base.line_size, base.l2_bytes)`` reproduces ``base`` itself.
 
-    Each distinct line size decodes the packed trace once through the
+    Each distinct line size decodes the trace once through the
     shared :class:`repro.trace.layout.DecodeMemo`; every ``l2_bytes``
     point at that line size is then read off the stack-distance curve
     instead of re-replaying.
@@ -545,7 +498,7 @@ def simulate_hardware_sweep(
         raise SimulationInputError("sweep axes must be non-empty")
     if layout is None:
         layout = Layout.for_trace(trace, align=base.page_size)
-    memo = decode_memo(trace) if isinstance(trace, PackedTrace) else None
+    memo = decode_memo(trace)
     results: list[HardwareResult] = []
     for line_size in line_list:
         results.extend(

@@ -48,7 +48,6 @@ from ..errors import SimulationInputError
 from ..runtime.executor import ExecutorConfig, Task, run_tasks
 from ..trace.io import load_trace
 from ..trace.layout import DecodeMemo, Layout, decode_memo
-from ..trace.packed import PackedTrace
 from .cache import LRUCache, SetAssocCache
 from .hardware import HardwareResult, _invalidation_targets, simulate_hardware
 from .params import HardwareParams
@@ -195,7 +194,7 @@ def simulate_hardware_parallel(
     trace_path = os.fspath(trace_path)
     trace = load_trace(trace_path, mmap=True, validate=False)
     nprocs = trace.nprocs
-    if jobs <= 1 or nprocs == 1 or not isinstance(trace, PackedTrace):
+    if jobs <= 1 or nprocs == 1:
         return simulate_hardware(trace, params)
 
     blocks = _proc_blocks(nprocs, jobs)
@@ -321,7 +320,7 @@ def build_intervals_parallel(
     if trace is None:
         trace = load_trace(trace_path, mmap=True, validate=False)
     E = len(trace.epochs)
-    if jobs <= 1 or E <= 1 or not isinstance(trace, PackedTrace):
+    if jobs <= 1 or E <= 1:
         return build_intervals(trace, None, page_size)
 
     layout = Layout.for_trace(trace, align=page_size)

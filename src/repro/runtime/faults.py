@@ -11,8 +11,8 @@ degradation paths:
   after ``k`` tasks have completed — the "kill a run mid-matrix" scenario
   the resume tests exercise.
 
-* **file faults** — helpers that damage a trace file (packed ``.npt``
-  bundle or legacy ``.npz``) in the ways a real crash or bad disk would:
+* **file faults** — helpers that damage a packed ``.npt`` trace bundle in
+  the ways a real crash or bad disk would:
   :func:`truncate_file` (partial write), :func:`garble_file` (bit rot in
   the payload), :func:`corrupt_header` (structurally intact container,
   unparseable JSON header), and :func:`write_with_version` (a well-formed
@@ -39,8 +39,8 @@ from __future__ import annotations
 
 import json
 import os
+import struct
 import time
-import zipfile
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
 
@@ -179,45 +179,22 @@ def garble_file(path, seed: int = 0, nbytes: int = 64) -> None:
 
 
 def corrupt_header(path) -> None:
-    """Rewrite the file so its JSON header is unparseable.
+    """Rewrite the bundle so its JSON header is unparseable.
 
-    The container stays structurally valid (magic/preamble intact for a
-    packed ``.npt`` bundle, valid zip for a legacy ``.npz``) — this models
-    logical corruption rather than byte rot, and must still be caught as
-    ``TraceCorruptError``.
+    The magic and preamble stay intact — this models logical corruption
+    rather than byte rot, and must still be caught as ``TraceCorruptError``.
     """
-    with open(path, "rb") as fh:
-        magic = fh.read(8)
-    if magic == b"REPROTRC":
-        # Scribble into the JSON header region (preamble = 8-byte magic +
-        # 8-byte header length, header follows).
-        with open(path, "r+b") as fh:
-            fh.seek(16)
-            fh.write(b"{not json!")
-        return
-    with np.load(path) as data:
-        arrays = {k: data[k] for k in data.files}
-    arrays["header"] = np.frombuffer(b"{not json!", dtype=np.uint8)
-    # Write through a handle: np.savez_compressed would append ".npz" to a
-    # bare path, missing the original file.
-    with open(path, "wb") as fh:
-        np.savez_compressed(fh, **arrays)
+    # Scribble into the JSON header region (preamble = 8-byte magic +
+    # 8-byte header length, header follows).
+    with open(path, "r+b") as fh:
+        fh.seek(16)
+        fh.write(b"{not json!")
 
 
 def write_with_version(path, version: int, nprocs: int = 1) -> None:
-    """Write a minimal well-formed trace file claiming ``version``."""
-    header = {"version": version, "nprocs": nprocs, "regions": [], "epochs": []}
+    """Write a minimal well-formed bundle preamble claiming ``version``."""
+    header = json.dumps(
+        {"version": version, "nprocs": nprocs, "regions": [], "labels": []}
+    ).encode("utf-8")
     with open(path, "wb") as fh:
-        np.savez_compressed(
-            fh,
-            header=np.frombuffer(json.dumps(header).encode("utf-8"), dtype=np.uint8),
-        )
-
-
-def is_valid_zip(path) -> bool:
-    """Cheap structural check used in tests (not a content check)."""
-    try:
-        with zipfile.ZipFile(path) as zf:
-            return zf.testzip() is None
-    except (zipfile.BadZipFile, OSError):
-        return False
+        fh.write(b"REPROTRC" + struct.pack("<Q", len(header)) + header)

@@ -5,14 +5,11 @@ shared regions once, then inside each parallel phase record read/write bursts
 per simulated processor, and call :meth:`TraceBuilder.barrier` where the real
 benchmark has a barrier.
 
-By default the builder produces a columnar :class:`repro.trace.packed.PackedTrace`:
-recorded bursts are *staged* as raw ``(region, is_write, indices)`` tuples and
-sealed into :class:`PackedEpoch` columns at each barrier — one concatenation
-per column, after which every consumer works on zero-copy views.  Pass
-``packed=False`` (or flip :func:`set_packed_default`) to build the legacy
-burst-list :class:`repro.trace.events.Trace` instead; the benchmark suite uses
-that to measure the packed pipeline against the burst-list baseline through
-unchanged application code.
+Recorded bursts are *staged* as raw ``(region, is_write, indices)`` tuples
+(or CSR :class:`repro.trace.events.RaggedBatch` groups) and sealed into
+:class:`repro.trace.events.PackedEpoch` columns at each barrier — one
+concatenation per column, after which every consumer works on zero-copy
+views.
 """
 
 from __future__ import annotations
@@ -21,10 +18,9 @@ from time import perf_counter
 
 import numpy as np
 
-from .events import Burst, Epoch, RaggedBatch, RegionSpec, Trace
-from .packed import PackedEpoch, PackedTrace
+from .events import PackedEpoch, RaggedBatch, RegionSpec, Trace
 
-__all__ = ["TraceBuilder", "set_packed_default"]
+__all__ = ["TraceBuilder"]
 
 
 def _normalize_indices(indices) -> np.ndarray:
@@ -42,16 +38,6 @@ def _normalize_indices(indices) -> np.ndarray:
             idx = idx.reshape(-1)
     return idx
 
-_PACKED_DEFAULT = True
-
-
-def set_packed_default(value: bool) -> bool:
-    """Set whether new builders produce packed traces; returns the old value."""
-    global _PACKED_DEFAULT
-    previous = _PACKED_DEFAULT
-    _PACKED_DEFAULT = bool(value)
-    return previous
-
 
 class TraceBuilder:
     """Builds a :class:`Trace` epoch by epoch.
@@ -62,20 +48,15 @@ class TraceBuilder:
         Number of simulated processors.
     label:
         Label for the first epoch (see :meth:`barrier` for later ones).
-    packed:
-        ``True`` to seal epochs into columnar :class:`PackedEpoch` storage
-        (the default), ``False`` for legacy burst lists, ``None`` to follow
-        :func:`set_packed_default`.
     """
 
-    def __init__(self, nprocs: int, label: str = "", packed: bool | None = None):
+    def __init__(self, nprocs: int, label: str = ""):
         if nprocs <= 0:
             raise ValueError("nprocs must be positive")
-        self._packed = _PACKED_DEFAULT if packed is None else bool(packed)
-        self._trace = PackedTrace(nprocs=nprocs) if self._packed else Trace(nprocs=nprocs)
+        self._trace = Trace(nprocs=nprocs)
         self._label = label
         # Each staged entry is a plain (region, is_write, indices) tuple or
-        # a RaggedBatch; PackedEpoch.seal and the legacy path handle both.
+        # a RaggedBatch; PackedEpoch.seal handles both.
         self._staged: list[list[tuple[int, bool, np.ndarray] | RaggedBatch]] = [
             [] for _ in range(nprocs)
         ]
@@ -104,9 +85,8 @@ class TraceBuilder:
             raise RuntimeError("trace already finished")
 
     def _record(self, proc: int, region: int, indices: np.ndarray, write: bool) -> None:
-        # The single dtype conversion of the pipeline: downstream code
-        # (Burst.__post_init__, PackedEpoch.seal) asserts/keeps int64 and
-        # never copies again.  Already-contiguous int64 input stages as-is.
+        # The single dtype conversion of the pipeline: PackedEpoch.seal
+        # keeps int64 and never converts again.  Already-contiguous int64 input stages as-is.
         idx = _normalize_indices(indices)
         if idx.shape[0]:
             self._staged[proc].append((region, write, idx))
@@ -234,21 +214,7 @@ class TraceBuilder:
     def _seal_epoch(self):
         t0 = perf_counter()
         n = self.nprocs
-        if self._packed:
-            epoch = PackedEpoch.seal(n, self._label, self._staged, self._work, self._locks)
-        else:
-            epoch = Epoch(nprocs=n, label=self._label)
-            for p in range(n):
-                bl: list[Burst] = []
-                for entry in self._staged[p]:
-                    if type(entry) is tuple:
-                        region, write, idx = entry
-                        bl.append(Burst(region, idx, is_write=write))
-                    else:
-                        bl.extend(entry.iter_bursts())
-                epoch.bursts[p] = bl
-            epoch.work = self._work
-            epoch.lock_acquires = self._locks
+        epoch = PackedEpoch.seal(n, self._label, self._staged, self._work, self._locks)
         self._staged = [[] for _ in range(n)]
         self._work = np.zeros(n, dtype=np.float64)
         self._locks = np.zeros(n, dtype=np.int64)

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .events import RegionSpec, Trace
+from .events import PackedEpoch, RegionSpec, Trace
 
 __all__ = ["Layout", "DecodedEpoch", "DecodeMemo", "decode_epoch", "decode_memo"]
 
@@ -67,36 +67,6 @@ class Layout:
         idx = np.asarray(indices, dtype=np.int64)
         return self.bases[region] + idx * spec.object_size
 
-    def units(
-        self, region: int, indices: np.ndarray, unit: int, expand: bool = True
-    ) -> np.ndarray:
-        """Consistency-unit id of each object access.
-
-        With ``expand=True`` (default), an object spanning ``k`` units
-        contributes ``k`` consecutive entries, preserving order; with
-        ``expand=False`` only the unit of the object's first byte is
-        returned (cheaper; exact when ``object_size`` divides ``unit``
-        alignment).
-        """
-        if not _is_pow2(unit):
-            raise ValueError("unit must be a power of two")
-        spec = self.regions[region]
-        start = self.addresses(region, indices)
-        first = start >> unit.bit_length() - 1
-        if not expand:
-            return first
-        last = (start + spec.object_size - 1) >> unit.bit_length() - 1
-        span = last - first
-        if not span.any():
-            return first
-        max_span = int(span.max()) + 1
-        # Expand: for each access emit units first..last.  Vectorized via a
-        # (n, max_span) grid masked to each object's true span.
-        n = first.shape[0]
-        grid = first[:, None] + np.arange(max_span, dtype=np.int64)[None, :]
-        mask = np.arange(max_span, dtype=np.int64)[None, :] <= span[:, None]
-        return grid[mask]
-
     def _object_sizes(self) -> np.ndarray:
         return np.fromiter(
             (r.object_size for r in self.regions),
@@ -111,13 +81,11 @@ class Layout:
         unit: int,
         return_counts: bool = False,
     ) -> np.ndarray | tuple[np.ndarray, np.ndarray]:
-        """Unit ids for a mixed-region access stream, fully vectorized.
+        """Consistency-unit ids for a mixed-region access stream, vectorized.
 
-        Equivalent to concatenating :meth:`units` over per-burst slices —
-        ``regions`` gives each access's region id — but runs as one numpy
-        pass, so decoding an epoch is not bound by per-burst call
-        overhead.  Order is preserved; objects straddling unit boundaries
-        expand to consecutive entries exactly as :meth:`units` does.
+        ``regions`` gives each access's region id.  Order is preserved; an
+        object spanning ``k`` units contributes ``k`` consecutive entries
+        (a 680-byte molecule covers six 128-byte lines).
         With ``return_counts=True`` also returns how many units each
         access expanded to, so callers can propagate per-access metadata
         (e.g. write flags) onto the expanded stream.
@@ -148,9 +116,8 @@ class Layout:
 
         Equivalent to ``units_batch(np.repeat(burst_region, burst_length),
         indices, unit)`` but the region attributes are gathered at burst
-        granularity and repeated — the packed trace's per-access ``region``
-        column never has to be materialized, which is what keeps the packed
-        replay path ahead of the burst-list one.
+        granularity and repeated, so an epoch's per-access ``region``
+        column never has to be materialized.
         """
         if not _is_pow2(unit):
             raise ValueError("unit must be a power of two")
@@ -167,14 +134,6 @@ class Layout:
         start >>= shift
         span = start - first
         return _expand_units(first, span, return_counts)
-
-    def lines(self, region: int, indices: np.ndarray, line_size: int) -> np.ndarray:
-        """Cache-line ids touched by the accesses (order-preserving, expanded)."""
-        return self.units(region, indices, line_size, expand=True)
-
-    def pages(self, region: int, indices: np.ndarray, page_size: int) -> np.ndarray:
-        """Page ids touched by the accesses (order-preserving, expanded)."""
-        return self.units(region, indices, page_size, expand=True)
 
     def region_pages(self, region: int, page_size: int) -> np.ndarray:
         """All page ids covered by a region, in address order."""
@@ -246,41 +205,30 @@ class DecodedEpoch:
         return values if c is None else np.repeat(values, c)
 
 
-def decode_epoch(epoch, layout: Layout, unit: int) -> DecodedEpoch:
+def decode_epoch(epoch: PackedEpoch, layout: Layout, unit: int) -> DecodedEpoch:
     """Decode every processor's access stream of one epoch to unit ids.
 
-    Packed epochs decode at burst granularity (:meth:`Layout.units_batch_bursts`
-    over zero-copy column slices) — the derived per-access ``region`` and
-    ``is_write`` columns are never materialized.  Burst-list epochs fall
-    back to the per-access ``flat``/``units_batch`` path.
+    Decodes at burst granularity (:meth:`Layout.units_batch_bursts` over
+    zero-copy column slices) — the derived per-access ``region`` and
+    ``is_write`` columns are never materialized.
     """
     units: list[np.ndarray] = []
     counts: list[np.ndarray | None] = []
-    packed = hasattr(epoch, "burst_offsets")
     for p in range(epoch.nprocs):
-        if packed:
-            lo, hi = int(epoch.offsets[p]), int(epoch.offsets[p + 1])
-            if hi == lo:
-                units.append(np.empty(0, dtype=np.int64))
-                counts.append(None)
-                continue
-            b0, b1 = int(epoch.burst_offsets[p]), int(epoch.burst_offsets[p + 1])
-            u, c = layout.units_batch_bursts(
-                epoch.burst_region[b0:b1],
-                epoch.burst_length[b0:b1],
-                epoch.index[lo:hi],
-                unit,
-                return_counts=True,
-            )
-            n = hi - lo
-        else:
-            regs, idx, _writes = epoch.flat(p)
-            if idx.shape[0] == 0:
-                units.append(np.empty(0, dtype=np.int64))
-                counts.append(None)
-                continue
-            u, c = layout.units_batch(regs, idx, unit, return_counts=True)
-            n = idx.shape[0]
+        lo, hi = int(epoch.offsets[p]), int(epoch.offsets[p + 1])
+        if hi == lo:
+            units.append(np.empty(0, dtype=np.int64))
+            counts.append(None)
+            continue
+        b0, b1 = int(epoch.burst_offsets[p]), int(epoch.burst_offsets[p + 1])
+        u, c = layout.units_batch_bursts(
+            epoch.burst_region[b0:b1],
+            epoch.burst_length[b0:b1],
+            epoch.index[lo:hi],
+            unit,
+            return_counts=True,
+        )
+        n = hi - lo
         units.append(u)
         # All-ones counts mean the stream is access-aligned; storing None
         # lets ``expand`` skip the np.repeat copy entirely.

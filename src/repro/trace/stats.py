@@ -9,9 +9,9 @@ These implement the paper's diagnostic figures directly:
 
 plus generic helpers reused by the machine models.
 
-All helpers consume traces through ``epoch.flat(proc)`` — an O(1) view on
-packed traces — and the trace-level accumulators share decoded unit
-streams with the simulators through the per-trace decode memo
+All helpers consume traces through ``epoch.flat(proc)`` — an O(1) view —
+and the trace-level accumulators share decoded unit streams with the
+simulators through the per-trace decode memo
 (:func:`repro.trace.layout.decode_memo`).
 """
 
@@ -21,9 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .events import Epoch, Trace
+from .events import PackedEpoch, Trace
 from .layout import Layout, decode_memo
-from .packed import PackedTrace
 
 __all__ = [
     "page_write_sets",
@@ -38,7 +37,7 @@ __all__ = [
 
 
 def proc_unit_sets(
-    epoch: Epoch,
+    epoch: PackedEpoch,
     layout: Layout,
     unit: int,
     *,
@@ -68,27 +67,17 @@ def proc_unit_sets(
 def _accumulate_sharers(
     trace: Trace, layout: Layout, page_size: int, writes_only: bool
 ) -> dict[int, set[int]]:
-    # Packed traces reuse the memoized full-stream decode (shared with the
-    # simulators) and filter writes on the expanded stream; burst-list
-    # traces fall back to per-epoch decoding.
-    memo = decode_memo(trace) if isinstance(trace, PackedTrace) else None
+    # Reuse the memoized full-stream decode (shared with the simulators)
+    # and filter writes on the expanded stream.
+    memo = decode_memo(trace)
     sharers: dict[int, set[int]] = {}
     for ei, epoch in enumerate(trace.epochs):
-        if memo is None:
-            sets = proc_unit_sets(epoch, layout, page_size, writes_only=writes_only)
-        else:
-            decoded = memo.epoch(layout, page_size, ei)
-            sets = []
-            for p in range(trace.nprocs):
-                units = decoded.units[p]
-                if writes_only and units.shape[0]:
-                    _regs, _idx, writes = epoch.flat(p)
-                    units = units[decoded.expand(p, writes)]
-                sets.append(
-                    np.unique(units) if units.shape[0] else np.empty(0, dtype=np.int64)
-                )
-        for p, pages in enumerate(sets):
-            for pg in pages.tolist():
+        decoded = memo.epoch(layout, page_size, ei)
+        for p in range(trace.nprocs):
+            units = decoded.units[p]
+            if writes_only and units.shape[0]:
+                units = units[decoded.expand(p, epoch.write_flags(p))]
+            for pg in np.unique(units).tolist():
                 sharers.setdefault(pg, set()).add(p)
     return sharers
 

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from oracles import bursts as oracle
 
 from repro.apps.barnes_hut import BarnesHut
 from repro.apps.base import AppConfig
@@ -57,10 +58,10 @@ class TestTrace:
         upd = t.epochs_labelled("update")[0]
         written = np.concatenate(
             [
-                b.indices
+                idx
                 for p in range(app.nprocs)
-                for b in upd.bursts[p]
-                if b.is_write and b.region == t.region_id("bodies")
+                for region, write, idx in oracle.bursts(upd, p)
+                if write and region == t.region_id("bodies")
             ]
         )
         assert np.array_equal(np.sort(written), np.arange(app.n))
@@ -72,9 +73,9 @@ class TestTrace:
         bodies = t.region_id("bodies")
         owners = {}
         for p in range(app.nprocs):
-            for b in forces.bursts[p]:
-                if b.is_write and b.region == bodies:
-                    for i in b.indices.tolist():
+            for region, write, idx in oracle.bursts(forces, p):
+                if write and region == bodies:
+                    for i in idx.tolist():
                         assert owners.setdefault(i, p) == p
 
     def test_work_balanced_by_cost(self):

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from oracles import bursts as oracle
 
 from repro.apps import fmm_math as fm
 from repro.apps.base import AppConfig
@@ -75,10 +76,10 @@ class TestStructure:
         pr = t.region_id("particles")
         written = np.concatenate(
             [
-                b.indices
+                idx
                 for p in range(app.nprocs)
-                for b in other.bursts[p]
-                if b.is_write and b.region == pr
+                for region, write, idx in oracle.bursts(other, p)
+                if write and region == pr
             ]
         )
         assert np.array_equal(np.sort(written), np.arange(app.n))

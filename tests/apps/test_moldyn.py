@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from oracles import bursts as oracle
 
 from repro.apps.base import AppConfig
 from repro.apps.moldyn import Moldyn, build_interaction_list
@@ -84,9 +85,9 @@ class TestTrace:
         t = app.run()
         upd = t.epochs_labelled("update")[0]
         for p in range(app.nprocs):
-            for b in upd.bursts[p]:
-                if b.is_write:
-                    assert np.array_equal(b.indices, app.parts[p])
+            for _region, write, idx in oracle.bursts(upd, p):
+                if write:
+                    assert np.array_equal(idx, app.parts[p])
 
     def test_forces_write_remote_partners(self):
         """Category 2 signature: symmetric updates write other blocks."""
@@ -96,8 +97,8 @@ class TestTrace:
         found_remote = False
         for p in range(app.nprocs):
             lo, hi = app.parts[p][0], app.parts[p][-1]
-            for b in forces.bursts[p]:
-                if b.is_write and ((b.indices < lo) | (b.indices > hi)).any():
+            for _region, write, idx in oracle.bursts(forces, p):
+                if write and ((idx < lo) | (idx > hi)).any():
                     found_remote = True
         assert found_remote
 

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from oracles import bursts as oracle
 
 from repro.apps.base import AppConfig
 from repro.apps.unstructured import Unstructured
@@ -66,10 +67,10 @@ class TestTrace:
         nodes = t.region_id("nodes")
         reads = np.concatenate(
             [
-                b.indices
+                idx
                 for p in range(app.nprocs)
-                for b in e.bursts[p]
-                if not b.is_write and b.region == nodes
+                for region, write, idx in oracle.bursts(e, p)
+                if not write and region == nodes
             ]
         )
         assert reads.shape[0] == 2 * app.mesh.edges.shape[0]

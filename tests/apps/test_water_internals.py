@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from oracles import bursts as oracle
 
 from repro.apps.base import AppConfig
 from repro.apps.water_spatial import WaterSpatial
@@ -77,7 +78,11 @@ class TestConsistencyWithPhysics:
         mol = trace.region_id("molecules")
         read = np.unique(
             np.concatenate(
-                [b.indices for b in forces.bursts[0] if b.region == mol and not b.is_write]
+                [
+                    idx
+                    for region, write, idx in oracle.bursts(forces, 0)
+                    if region == mol and not write
+                ]
             )
         )
         # With one processor every molecule is scanned.

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from oracles import bursts as oracle
 
 from repro.apps.base import AppConfig
 from repro.apps.water_spatial import WaterSpatial, _grid_blocks
@@ -79,10 +80,10 @@ class TestRun:
         mol = t.region_id("molecules")
         written = np.concatenate(
             [
-                b.indices
+                idx
                 for p in range(app.nprocs)
-                for b in upd.bursts[p]
-                if b.is_write and b.region == mol
+                for region, write, idx in oracle.bursts(upd, p)
+                if write and region == mol
             ]
         )
         assert np.array_equal(np.sort(written), np.arange(app.n))
@@ -99,9 +100,9 @@ class TestRun:
         move = t.epochs_labelled("move")[0]
         cells = t.region_id("cells")
         assert any(
-            b.region == cells and b.is_write
+            region == cells and write
             for p in range(app.nprocs)
-            for b in move.bursts[p]
+            for region, write, idx in oracle.bursts(move, p)
         )
 
     def test_trace_validates(self):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import bursts as oracle
 
 from repro.machines.cache import LRUCache, SetAssocCache, collapse_runs
 from repro.machines.dsm import simulate_hlrc, simulate_treadmarks
@@ -169,20 +170,22 @@ def test_simulators_are_deterministic(trace):
 def test_burst_splitting_invariance_for_dsm(trace):
     """DSM accounting depends on per-epoch page sets, not burst shapes:
     splitting every burst in two must not change messages or bytes."""
-    from repro.trace.events import Burst, Epoch, Trace
-
-    split = Trace(nprocs=trace.nprocs, regions=list(trace.regions))
-    for e in trace.epochs:
-        ne = Epoch(nprocs=e.nprocs, label=e.label)
-        ne.work = e.work.copy()
-        ne.lock_acquires = e.lock_acquires.copy()
+    tb = TraceBuilder(trace.nprocs, label=trace.epochs[0].label)
+    for spec in trace.regions:
+        tb.add_region(spec.name, spec.num_objects, spec.object_size)
+    for ei, e in enumerate(trace.epochs):
+        if ei:
+            tb.barrier(e.label)
         for p in range(e.nprocs):
-            for b in e.bursts[p]:
-                half = max(len(b) // 2, 1)
-                ne.bursts[p].append(Burst(b.region, b.indices[:half], b.is_write))
-                if len(b) > half:
-                    ne.bursts[p].append(Burst(b.region, b.indices[half:], b.is_write))
-        split.epochs.append(ne)
+            for region, write, idx in oracle.bursts(e, p):
+                emit = tb.write if write else tb.read
+                half = max(len(idx) // 2, 1)
+                emit(p, region, idx[:half])
+                emit(p, region, idx[half:])  # an empty half is dropped
+            tb.work(p, e.work[p])
+            tb.lock(p, int(e.lock_acquires[p]))
+    split = tb.finish()
+    assert len(split.epochs) == len(trace.epochs)
     params = cluster_scaled(nprocs=max(trace.nprocs, 2))
     a = simulate_treadmarks(trace, params)
     b = simulate_treadmarks(split, params)

@@ -81,6 +81,19 @@ class TestQuarantine:
         assert cache.load(KEY) is None
         assert cache.quarantined == 1
 
+    def test_legacy_npz_entry_quarantined(self, cache):
+        """A zip/.npz archive under an entry's name is a typed format
+        rejection: quarantined, counted as a miss, then regenerated."""
+        cache.store(KEY, make_trace())
+        np.savez_compressed(cache.path(KEY).with_suffix(".npz"), x=np.zeros(3))
+        cache.path(KEY).with_suffix(".npz").replace(cache.path(KEY))
+        assert cache.load(KEY) is None
+        assert cache.stats() == {"hits": 0, "misses": 1, "quarantined": 1}
+        reason = next(cache.quarantine_dir.glob("*.reason.txt")).read_text()
+        assert "zip archive" in reason and "supported formats" in reason
+        cache.store(KEY, make_trace())
+        assert cache.load(KEY) is not None
+
     def test_key_mismatch_quarantined(self, cache):
         """A tampered sidecar (entry stored under another key) is refused."""
         cache.store(KEY, make_trace())
@@ -92,7 +105,7 @@ class TestQuarantine:
         assert cache.quarantined == 1
 
     def test_missing_sidecar_quarantined(self, cache):
-        """An interrupted store (npz but no sidecar) is regenerated."""
+        """An interrupted store (trace but no sidecar) is regenerated."""
         cache.store(KEY, make_trace())
         cache._sidecar(KEY).unlink()
         assert cache.load(KEY) is None

@@ -28,8 +28,7 @@ class TestTraceBuilder:
         r = tb.add_region("objs", 4, 8)
         tb.update(0, r, [0, 1])
         t = tb.finish()
-        bursts = t.epochs[0].bursts[0]
-        assert [b.is_write for b in bursts] == [False, True]
+        assert t.epochs[0].burst_write.tolist() == [False, True]
 
     def test_empty_bursts_dropped(self):
         tb = TraceBuilder(1)

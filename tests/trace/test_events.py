@@ -3,7 +3,18 @@
 import numpy as np
 import pytest
 
-from repro.trace.events import Burst, Epoch, RegionSpec, Trace
+from repro.trace.builder import TraceBuilder
+from repro.trace.events import PackedEpoch, RegionSpec, Trace
+
+
+def empty_epoch(nprocs: int) -> PackedEpoch:
+    return PackedEpoch.seal(
+        nprocs,
+        "",
+        [[] for _ in range(nprocs)],
+        np.zeros(nprocs, dtype=np.float64),
+        np.zeros(nprocs, dtype=np.int64),
+    )
 
 
 class TestRegionSpec:
@@ -19,57 +30,65 @@ class TestRegionSpec:
 
 class TestBurst:
     def test_coerces_indices(self):
-        b = Burst(0, [3, 1, 2], is_write=False)
-        assert b.indices.dtype == np.int64
-        assert len(b) == 3
-
-    def test_rejects_2d(self):
-        with pytest.raises(ValueError):
-            Burst(0, np.zeros((2, 2)), is_write=True)
+        tb = TraceBuilder(1)
+        tb.add_region("o", 4, 8)
+        tb.read(0, 0, [3, 1, 2])
+        e = tb.finish().epochs[0]
+        assert e.index.dtype == np.int64
+        assert e.burst_length.tolist() == [3]
 
 
 class TestEpoch:
     def test_default_arrays(self):
-        e = Epoch(nprocs=4)
-        assert len(e.bursts) == 4
+        e = empty_epoch(4)
+        assert e.offsets.tolist() == [0] * 5
         assert e.work.shape == (4,)
         assert e.lock_acquires.shape == (4,)
+        e.check_structure()
 
     def test_accesses_counts_multiplicity(self):
-        e = Epoch(nprocs=2)
-        e.bursts[0].append(Burst(0, [1, 1, 2], is_write=False))
-        e.bursts[0].append(Burst(0, [3], is_write=True))
+        e = PackedEpoch.seal(
+            2,
+            "",
+            [[(0, False, np.array([1, 1, 2])), (0, True, np.array([3]))], []],
+            np.zeros(2),
+            np.zeros(2, dtype=np.int64),
+        )
         assert e.accesses(0) == 4
         assert e.accesses(1) == 0
 
     def test_flat_preserves_order(self):
-        e = Epoch(nprocs=1)
-        e.bursts[0].append(Burst(0, [5, 6], is_write=False))
-        e.bursts[0].append(Burst(1, [7], is_write=True))
+        e = PackedEpoch.seal(
+            1,
+            "",
+            [[(0, False, np.array([5, 6])), (1, True, np.array([7]))]],
+            np.zeros(1),
+            np.zeros(1, dtype=np.int64),
+        )
         regions, indices, writes = e.flat(0)
         assert regions.tolist() == [0, 0, 1]
         assert indices.tolist() == [5, 6, 7]
         assert writes.tolist() == [False, False, True]
 
     def test_flat_empty(self):
-        regions, indices, writes = Epoch(nprocs=1).flat(0)
+        regions, indices, writes = empty_epoch(1).flat(0)
         assert regions.shape == (0,)
 
     def test_rejects_zero_procs(self):
         with pytest.raises(ValueError):
-            Epoch(nprocs=0)
+            empty_epoch(0)
 
 
 class TestTrace:
-    def make(self) -> Trace:
-        t = Trace(nprocs=2)
-        t.regions.append(RegionSpec("bodies", 10, 8))
-        t.regions.append(RegionSpec("cells", 4, 16))
-        e = Epoch(nprocs=2, label="forces")
-        e.bursts[0].append(Burst(0, [0, 1], is_write=True))
-        e.work[0] = 5.0
-        t.epochs.append(e)
-        return t
+    def make(self, extra=None) -> Trace:
+        tb = TraceBuilder(2, label="forces")
+        tb.add_region("bodies", 10, 8)
+        tb.add_region("cells", 4, 16)
+        tb.write(0, 0, [0, 1])
+        tb.work(0, 5.0)
+        if extra is not None:
+            tb.read(1, *extra)  # a burst for the corruption tests to damage
+        return tb.finish()
 
     def test_region_id(self):
         t = self.make()
@@ -88,19 +107,19 @@ class TestTrace:
         assert t.epochs_labelled("nope") == []
 
     def test_validate_catches_bad_region(self):
-        t = self.make()
-        t.epochs[0].bursts[1].append(Burst(9, [0], is_write=False))
+        t = self.make(extra=(0, [0]))
+        t.epochs[0].burst_region[-1] = 9
         with pytest.raises(ValueError, match="unknown region"):
             t.validate()
 
     def test_validate_catches_out_of_range_index(self):
-        t = self.make()
-        t.epochs[0].bursts[1].append(Burst(0, [99], is_write=False))
+        t = self.make(extra=(0, [0]))
+        t.epochs[0].index[-1] = 99
         with pytest.raises(ValueError, match="out of range"):
             t.validate()
 
     def test_validate_catches_nproc_mismatch(self):
         t = self.make()
-        t.epochs.append(Epoch(nprocs=3))
+        t.epochs.append(empty_epoch(3))
         with pytest.raises(ValueError, match="mismatch"):
             t.validate()

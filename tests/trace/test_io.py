@@ -1,11 +1,17 @@
-"""Tests for trace serialization (packed ``.npt`` bundles + legacy ``.npz``)."""
+"""Tests for trace serialization (packed ``.npt`` bundles)."""
+
+import io
+import json
+import struct
+import zipfile
 
 import numpy as np
 import pytest
 
+from repro.errors import TraceCorruptError, TraceVersionError
 from repro.trace.builder import TraceBuilder
-from repro.trace.io import load_trace, save_trace, save_trace_npz
-from repro.trace.packed import PackedTrace
+from repro.trace.events import Trace
+from repro.trace.io import load_trace, save_trace
 
 
 def roundtrip(trace, tmp_path, mmap=True):
@@ -39,7 +45,7 @@ class TestRoundtrip:
 
     def test_loads_as_packed_views(self, tmp_path):
         t2 = roundtrip(make_trace(), tmp_path)
-        assert isinstance(t2, PackedTrace)
+        assert isinstance(t2, Trace)
         # flat() is a view into the mapped columns, not a copy.
         regs, idx, writes = t2.epochs[0].flat(0)
         assert np.shares_memory(idx, t2.epochs[0].index)
@@ -47,13 +53,11 @@ class TestRoundtrip:
     def test_bursts_identical(self, tmp_path):
         t = make_trace()
         t2 = roundtrip(t, tmp_path)
-        for e, e2 in zip(t.epochs, t2.epochs):
-            for p in range(t.nprocs):
-                assert len(e.bursts[p]) == len(e2.bursts[p])
-                for b, b2 in zip(e.bursts[p], e2.bursts[p]):
-                    assert b.region == b2.region
-                    assert b.is_write == b2.is_write
-                    assert np.array_equal(b.indices, b2.indices)
+        columns = ("offsets", "index", "burst_offsets", "burst_region",
+                   "burst_write", "burst_length")
+        for e, e2 in zip(t.epochs, t2.epochs, strict=True):
+            for name in columns:
+                assert np.array_equal(getattr(e, name), getattr(e2, name))
 
     def test_work_and_locks_preserved(self, tmp_path):
         t = make_trace()
@@ -77,7 +81,6 @@ class TestRoundtrip:
     def test_mmap_false_loads_in_memory(self, tmp_path):
         t = make_trace()
         t2 = roundtrip(t, tmp_path, mmap=False)
-        assert isinstance(t2, PackedTrace)
         assert not isinstance(t2.epochs[0].index, np.memmap)
         assert t2.total_accesses == t.total_accesses
 
@@ -90,13 +93,8 @@ class TestRoundtrip:
         assert t2.nprocs == 2
 
     def test_version_check(self, tmp_path):
-        import json
-
-        path = tmp_path / "bad.npz"
-        header = np.frombuffer(
-            json.dumps({"version": 99}).encode(), dtype=np.uint8
-        )
-        np.savez_compressed(path, header=header)
+        path = tmp_path / "bad.npt"
+        path.write_bytes(bundle_claiming_version(99))
         with pytest.raises(ValueError, match="version"):
             load_trace(path)
 
@@ -105,28 +103,38 @@ class TestRoundtrip:
         t2.validate()
 
 
-class TestLegacyNpz:
-    """The legacy compressed format stays readable (and writable)."""
+class TestLegacyRejection:
+    """Only ``.npt`` bundles are read; anything else is a typed error
+    raised before any parsing."""
 
-    def test_roundtrip_via_legacy_writer(self, tmp_path):
-        t = make_trace()
+    def test_npz_archive_rejected(self, tmp_path, monkeypatch):
         path = tmp_path / "t.npz"
-        save_trace_npz(t, path)
-        t2 = load_trace(path)
-        assert not isinstance(t2, PackedTrace)  # eager burst lists
-        assert t2.nprocs == t.nprocs
-        assert t2.total_accesses == t.total_accesses
-        for e, e2 in zip(t.epochs, t2.epochs):
-            for p in range(t.nprocs):
-                for b, b2 in zip(e.bursts[p], e2.bursts[p]):
-                    assert b.region == b2.region
-                    assert b.is_write == b2.is_write
-                    assert np.array_equal(b.indices, b2.indices)
+        np.savez_compressed(path, header=np.zeros(4, dtype=np.uint8))
+        monkeypatch.setattr(np, "load", _never_called)
+        with pytest.raises(TraceVersionError, match=r"zip archive.*\.npt"):
+            load_trace(path)
+        with pytest.raises(TraceVersionError, match="zip archive"):
+            load_trace(io.BytesIO(path.read_bytes()))
 
-    def test_appends_npz_suffix_like_numpy(self, tmp_path):
-        save_trace_npz(make_trace(), tmp_path / "bare")
-        assert (tmp_path / "bare.npz").exists()
-        load_trace(tmp_path / "bare.npz").validate()
+    def test_foreign_bytes_rejected(self, tmp_path):
+        path = tmp_path / "t.npt"
+        for blob in (b"", b"REPRO", b"not a trace file at all"):
+            path.write_bytes(blob)
+            with pytest.raises(TraceVersionError, match="supported formats"):
+                load_trace(path)
+            with pytest.raises(TraceVersionError, match="supported formats"):
+                load_trace(io.BytesIO(blob))
+
+
+def _never_called(*args, **kwargs):
+    raise AssertionError("the trace loader must not hand files to np.load")
+
+
+def bundle_claiming_version(version: int) -> bytes:
+    header = json.dumps(
+        {"version": version, "nprocs": 1, "regions": [], "labels": []}
+    ).encode()
+    return b"REPROTRC" + struct.pack("<Q", len(header)) + header
 
 
 class TestAtomicity:
@@ -161,8 +169,6 @@ class TestAtomicity:
 
 class TestCorruption:
     def test_truncated_file_is_structured_error(self, tmp_path):
-        from repro.errors import TraceCorruptError
-
         path = tmp_path / "t.npt"
         save_trace(make_trace(), path)
         data = path.read_bytes()
@@ -171,13 +177,13 @@ class TestCorruption:
             load_trace(path)
 
     def test_truncated_legacy_npz(self, tmp_path):
-        from repro.errors import TraceCorruptError
-
+        """A damaged zip archive is still a typed format rejection."""
         path = tmp_path / "t.npz"
-        save_trace_npz(make_trace(), path)
+        with zipfile.ZipFile(path, "w") as zf:
+            zf.writestr("header.npy", b"x" * 256)
         data = path.read_bytes()
         path.write_bytes(data[: len(data) // 2])
-        with pytest.raises(TraceCorruptError):
+        with pytest.raises(TraceVersionError):
             load_trace(path)
 
     def test_corruption_error_is_value_error(self, tmp_path):
@@ -187,15 +193,8 @@ class TestCorruption:
             load_trace(path)
 
     def test_version_mismatch_is_structured(self, tmp_path):
-        import json
-
-        from repro.errors import TraceVersionError
-
-        path = tmp_path / "bad.npz"
-        header = np.frombuffer(
-            json.dumps({"version": 99}).encode(), dtype=np.uint8
-        )
-        np.savez_compressed(path, header=header)
+        path = tmp_path / "bad.npt"
+        path.write_bytes(bundle_claiming_version(1))
         with pytest.raises(TraceVersionError, match="version"):
             load_trace(path)
 
@@ -206,25 +205,17 @@ class TestCorruption:
     def test_out_of_range_indices_are_corruption(self, tmp_path):
         """A structurally valid file whose payload violates the trace
         invariants is corruption too (validate() runs on load)."""
-        from repro.errors import TraceCorruptError
-
-        path = tmp_path / "t.npz"
-        save_trace_npz(make_trace(), path)
-        with np.load(path) as data:
-            arrays = {k: data[k] for k in data.files}
+        t = make_trace()
         # Point some burst indices far outside every region.
-        for k in arrays:
-            if k.endswith("_indices"):
-                arrays[k] = arrays[k] + 10_000_000
-        with open(path, "wb") as fh:
-            np.savez_compressed(fh, **arrays)
+        t.epochs[0].index[:] += 10_000_000
+        path = tmp_path / "t.npt"
+        save_trace(t, path)
         with pytest.raises(TraceCorruptError):
             load_trace(path)
 
     def test_out_of_range_indices_packed(self, tmp_path):
         """Same invariant check on a packed bundle: scribble the index
         column with huge values, keep the structure intact."""
-        from repro.errors import TraceCorruptError
         from repro.trace.io import _MAGIC, _parse_packed_header
 
         path = tmp_path / "t.npt"

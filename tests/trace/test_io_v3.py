@@ -16,16 +16,16 @@ import pytest
 
 from repro.errors import ConfigError, TraceCorruptError
 from repro.trace.builder import TraceBuilder
+from repro.trace.events import Trace
 from repro.trace.io import (
     COMPRESSION_CODECS,
-    LazyPackedTrace,
+    LazyTrace,
     _delta_encode,
     _lz4,
     _narrow_int,
     load_trace,
     save_trace,
 )
-from repro.trace.packed import PackedTrace
 
 
 def make_trace(nprocs=4, nobj=512, epochs=3, seed=0):
@@ -74,7 +74,7 @@ class TestRoundtrip:
         save_trace(t, p2)
         save_trace(t, p3, compression=codec)
         t2, t3 = load_trace(p2), load_trace(p3)
-        assert isinstance(t3, LazyPackedTrace)
+        assert isinstance(t3, LazyTrace)
         for c2, c3 in zip(columns_of(t2), columns_of(t3)):
             for k in c2:
                 if k == "label":
@@ -118,7 +118,7 @@ class TestRoundtrip:
         p2 = tmp_path / "v2.npt"
         save_trace(t, p2)
         t2 = load_trace(p2)
-        assert isinstance(t2, PackedTrace) and not isinstance(t2, LazyPackedTrace)
+        assert isinstance(t2, Trace) and not isinstance(t2, LazyTrace)
         assert np.asarray(t2.epochs[0].index).base is not None  # mmap view
 
     def test_buffer_load(self, tmp_path):

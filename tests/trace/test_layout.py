@@ -11,6 +11,11 @@ def make_layout(specs, align=4096):
     return Layout.for_regions([RegionSpec(*s) for s in specs], align=align)
 
 
+def units(lay, region, indices, unit):
+    """Unit ids of a single-region access stream."""
+    return lay.units_batch(np.full(len(indices), region), indices, unit)
+
+
 class TestPlacement:
     def test_regions_page_aligned(self):
         lay = make_layout([("a", 10, 104), ("b", 5, 8)], align=4096)
@@ -35,35 +40,30 @@ class TestPlacement:
 class TestUnits:
     def test_no_expansion_small_objects(self):
         lay = make_layout([("a", 100, 8)])
-        lines = lay.units(0, np.array([0, 15, 16]), 128)
+        lines = units(lay, 0, np.array([0, 15, 16]), 128)
         assert lines.tolist() == [0, 0, 1]
 
     def test_expansion_for_straddling_objects(self):
         """A 680-byte object at offset 0 covers lines 0..5 of 128 bytes."""
         lay = make_layout([("a", 4, 680)])
-        lines = lay.lines(0, np.array([0]), 128)
+        lines = units(lay, 0, np.array([0]), 128)
         assert lines.tolist() == [0, 1, 2, 3, 4, 5]
 
     def test_expansion_preserves_access_order(self):
         lay = make_layout([("a", 100, 104)])
         # Object 39 spans bytes 4056..4159: pages 0 and 1 at 4096.
-        pages = lay.pages(0, np.array([39, 0]), 4096)
+        pages = units(lay, 0, np.array([39, 0]), 4096)
         assert pages.tolist() == [0, 1, 0]
-
-    def test_expand_false_returns_start_unit(self):
-        lay = make_layout([("a", 4, 680)])
-        units = lay.units(0, np.array([0, 1]), 128, expand=False)
-        assert units.tolist() == [0, 5]
 
     def test_unit_must_be_pow2(self):
         lay = make_layout([("a", 4, 8)])
         with pytest.raises(ValueError):
-            lay.units(0, np.array([0]), 100)
+            units(lay, 0, np.array([0]), 100)
 
     def test_units_across_regions_distinct(self):
         lay = make_layout([("a", 10, 104), ("b", 10, 104)], align=4096)
-        pa = lay.pages(0, np.array([0]), 4096)
-        pb = lay.pages(1, np.array([0]), 4096)
+        pa = units(lay, 0, np.array([0]), 4096)
+        pb = units(lay, 1, np.array([0]), 4096)
         assert pa[0] != pb[0]
 
 

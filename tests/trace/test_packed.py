@@ -1,15 +1,14 @@
-"""Unit tests for the columnar packed trace representation."""
+"""Unit tests for the columnar trace representation."""
 
 import numpy as np
 import pytest
 
-from repro.trace.builder import TraceBuilder, set_packed_default
-from repro.trace.events import Burst, Epoch, RegionSpec, Trace
-from repro.trace.packed import PackedEpoch, PackedTrace, pack_trace, unpack_trace
+from repro.trace.builder import TraceBuilder
+from repro.trace.events import PackedEpoch, RegionSpec, Trace
 
 
-def build(packed=True):
-    tb = TraceBuilder(3, label="first", packed=packed)
+def build():
+    tb = TraceBuilder(3, label="first")
     r0 = tb.add_region("bodies", 64, 104)
     r1 = tb.add_region("cells", 16, 216)
     tb.read(0, r0, [1, 2, 3, 2])
@@ -24,32 +23,12 @@ def build(packed=True):
 
 class TestBuilderModes:
     def test_default_is_packed(self):
-        assert isinstance(build(packed=None), PackedTrace)
-
-    def test_packed_false_builds_burst_lists(self):
-        t = build(packed=False)
-        assert isinstance(t, Trace) and not isinstance(t, PackedTrace)
-        assert isinstance(t.epochs[0], Epoch)
-
-    def test_set_packed_default_toggle(self):
-        prev = set_packed_default(False)
-        try:
-            assert not isinstance(build(packed=None), PackedTrace)
-        finally:
-            set_packed_default(prev)
-        assert isinstance(build(packed=None), PackedTrace)
-
-    def test_empty_trailing_epoch_dropped_both_modes(self):
-        for packed in (True, False):
-            tb = TraceBuilder(2, packed=packed)
-            tb.add_region("o", 4, 8)
-            tb.read(0, 0, [0])
-            tb.barrier()
-            t = tb.finish()  # trailing epoch is empty: dropped
-            assert len(t.epochs) == 1
+        t = build()
+        assert type(t) is Trace
+        assert all(isinstance(e, PackedEpoch) for e in t.epochs)
 
     def test_work_only_trailing_epoch_kept(self):
-        tb = TraceBuilder(2, packed=True)
+        tb = TraceBuilder(2)
         tb.add_region("o", 4, 8)
         tb.read(0, 0, [0])
         tb.barrier("tail")
@@ -91,18 +70,6 @@ class TestPackedEpoch:
         # Distinct arrays — mutating one must not alias another.
         assert regs is not idx
 
-    def test_bursts_compat_view(self):
-        t = build()
-        e = t.epochs[0]
-        bl = e.bursts
-        assert [len(bl[p]) for p in range(3)] == [2, 0, 1]
-        b = bl[0][0]
-        assert isinstance(b, Burst)
-        assert b.region == 0 and not b.is_write
-        assert b.indices.tolist() == [1, 2, 3, 2]
-        # The compat Burst indices are views into the packed column.
-        assert np.shares_memory(b.indices, e.index)
-
     def test_work_and_locks(self):
         t = build()
         assert t.epochs[0].work[1] == 2.0
@@ -135,51 +102,24 @@ class TestPackedTrace:
             t.validate()
 
 
-class TestPackUnpack:
-    def test_pack_trace_roundtrip(self):
-        burst = build(packed=False)
-        packed = pack_trace(burst)
-        assert isinstance(packed, PackedTrace)
-        assert packed.total_accesses == burst.total_accesses
-        for e, pe in zip(burst.epochs, packed.epochs):
-            for p in range(burst.nprocs):
-                for a, b in zip(e.flat(p), pe.flat(p)):
-                    assert np.array_equal(a, b)
-
-    def test_pack_is_idempotent(self):
-        t = build()
-        assert pack_trace(t) is t
-
-    def test_unpack_trace(self):
-        packed = build()
-        burst = unpack_trace(packed)
-        assert isinstance(burst, Trace) and not isinstance(burst, PackedTrace)
-        assert burst.total_accesses == packed.total_accesses
-        # No aliasing with the packed columns.
-        for e, pe in zip(burst.epochs, packed.epochs):
-            for p in range(burst.nprocs):
-                for b in e.bursts[p]:
-                    assert not np.shares_memory(b.indices, pe.index)
-
-
 class TestSatelliteFixes:
-    def test_burst_no_copy_for_conforming_array(self):
-        """Burst.__post_init__ must not copy an already-contiguous int64
-        array (the double-conversion fix)."""
-        idx = np.array([1, 2, 3], dtype=np.int64)
-        b = Burst(0, idx, False)
-        assert b.indices is idx
-
     def test_burst_still_converts_lists(self):
-        b = Burst(0, [1, 2, 3], False)
-        assert b.indices.dtype == np.int64
+        """A burst given as a Python list seals into the int64 column."""
+        tb = TraceBuilder(1)
+        tb.add_region("o", 8, 8)
+        tb.read(0, 0, [1, 2, 3])
+        e = tb.finish().epochs[0]
+        assert e.index.dtype == np.int64
+        assert e.index.tolist() == [1, 2, 3]
 
     def test_epoch_flat_empty_distinct_arrays(self):
-        """Epoch.flat() empty case returns three distinct fresh arrays."""
-        e = Epoch(nprocs=2)
-        r1, i1, w1 = e.flat(0)
+        """flat() of an empty epoch returns three distinct arrays."""
+        tb = TraceBuilder(2)
+        tb.add_region("o", 4, 8)
+        tb.work(0, 1.0)
+        r1, i1, w1 = tb.finish().epochs[0].flat(0)
         assert r1.shape == i1.shape == w1.shape == (0,)
-        assert r1 is not i1
+        assert r1 is not i1 and i1 is not w1
 
     def test_region_id_memo(self):
         t = Trace(nprocs=1)

@@ -1,23 +1,30 @@
-"""Property tests: packed-vs-burst equivalence and decode-memo behaviour.
+"""Property tests: the columnar fast paths against per-burst oracles.
 
-The packed representation, the mmap loader, and the simulators' packed
-fast paths must be *invisible*: every counter a simulator or statistic
-produces on a packed trace must equal, byte for byte, what the burst-list
-path produces on the equivalent burst trace — across randomized traces
-with locks, work, empty processors and empty epochs.
+Every decoder that works on whole column slices — the hardware
+simulator's line/page/written streams, the DSM interval summaries (per
+size and through the page-size ladder), and the page read/write sets of
+``trace.stats`` — must equal, byte for byte, what the per-burst oracles
+in ``tests/oracles/bursts.py`` compute from the definitions, across
+randomized traces with locks, work, empty processors and empty epochs.
 """
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import bursts as oracle
 
 from repro.machines import simulate_hardware, simulate_hlrc, simulate_treadmarks
+from repro.machines.dsm.intervals import (
+    _epoch_info_packed,
+    build_interval_ladder,
+    build_intervals,
+)
+from repro.machines.hardware import _proc_streams_packed
 from repro.machines.params import cluster_scaled, origin2000_scaled
 from repro.trace import stats
 from repro.trace.builder import TraceBuilder
 from repro.trace.io import load_trace, save_trace
 from repro.trace.layout import Layout, decode_memo
-from repro.trace.packed import PackedTrace
 
 
 @st.composite
@@ -52,47 +59,51 @@ def trace_ops(draw):
     return nprocs, regions, epochs
 
 
-def build_pair(ops):
-    """Replay one op list through a packed and a burst-list builder."""
+def build(ops):
+    """Replay one op list through a builder, one call per burst."""
     nprocs, regions, epochs = ops
-    traces = []
-    for packed in (True, False):
-        tb = TraceBuilder(nprocs, label="e0", packed=packed)
-        for name, count, size in regions:
-            tb.add_region(name, count, size)
-        for ei, (bursts, work, locks) in enumerate(epochs):
-            for p, region, write, idx in bursts:
-                (tb.write if write else tb.read)(p, region, idx)
-            for p in range(nprocs):
-                if work[p]:
-                    tb.work(p, work[p])
-                if locks[p]:
-                    tb.lock(p, locks[p])
-            if ei < len(epochs) - 1:
-                tb.barrier(f"e{ei + 1}")
-        traces.append(tb.finish())
-    return traces  # [packed, burst]
+    tb = TraceBuilder(nprocs, label="e0")
+    for name, count, size in regions:
+        tb.add_region(name, count, size)
+    for ei, (bursts, work, locks) in enumerate(epochs):
+        for p, region, write, idx in bursts:
+            (tb.write if write else tb.read)(p, region, idx)
+        for p in range(nprocs):
+            if work[p]:
+                tb.work(p, work[p])
+            if locks[p]:
+                tb.lock(p, locks[p])
+        if ei < len(epochs) - 1:
+            tb.barrier(f"e{ei + 1}")
+    return tb.finish()
 
 
 @given(trace_ops())
 @settings(max_examples=100, deadline=None)
 def test_structural_equivalence(ops):
-    packed, burst = build_pair(ops)
-    assert isinstance(packed, PackedTrace)
-    assert packed.total_accesses == burst.total_accesses
-    assert len(packed.epochs) == len(burst.epochs)
-    for pe, be in zip(packed.epochs, burst.epochs):
-        assert pe.label == be.label
-        np.testing.assert_array_equal(pe.work, be.work)
-        np.testing.assert_array_equal(pe.lock_acquires, be.lock_acquires)
-        for p in range(packed.nprocs):
-            assert pe.accesses(p) == be.accesses(p)
-            for a, b in zip(pe.flat(p), be.flat(p)):
-                np.testing.assert_array_equal(a, b)
-            assert len(pe.bursts[p]) == len(be.bursts[p])
-            for ba, bb in zip(pe.bursts[p], be.bursts[p]):
-                assert ba.region == bb.region and ba.is_write == bb.is_write
-                np.testing.assert_array_equal(ba.indices, bb.indices)
+    """The burst columns hold exactly the non-empty recorded bursts."""
+    nprocs, _regions, epochs = ops
+    trace = build(ops)
+    assert trace.total_accesses == sum(
+        len(idx) for bursts, _, _ in epochs for *_, idx in bursts
+    )
+    # An all-empty trailing epoch is dropped by finish(); all others stay.
+    assert len(trace.epochs) in (len(epochs), len(epochs) - 1)
+    for ei, epoch in enumerate(trace.epochs):
+        bursts, work, locks = epochs[ei]
+        assert epoch.label == f"e{ei}"
+        np.testing.assert_array_equal(epoch.work, work)
+        np.testing.assert_array_equal(epoch.lock_acquires, locks)
+        for p in range(nprocs):
+            want = [(r, w, idx) for q, r, w, idx in bursts if q == p and idx]
+            got = oracle.bursts(epoch, p)
+            assert [(r, w, idx.tolist()) for r, w, idx in got] == want
+            regs, idx, writes = epoch.flat(p)
+            assert epoch.accesses(p) == idx.shape[0]
+            assert idx.tolist() == [i for *_, b in want for i in b]
+            assert regs.tolist() == [r for r, _, b in want for _ in b]
+            assert writes.tolist() == [w for _, w, b in want for _ in b]
+            np.testing.assert_array_equal(epoch.write_flags(p), writes)
 
 
 def assert_simulators_agree(a, b):
@@ -114,47 +125,103 @@ def assert_simulators_agree(a, b):
         np.testing.assert_array_equal(ra.time, rb.time)
 
 
+@given(trace_ops(), st.sampled_from([32, 64, 128]), st.sampled_from([256, 4096]))
+@settings(max_examples=50, deadline=None)
+def test_simulator_equivalence(ops, line_size, page_size):
+    """The hardware front end's line/page/written streams match the oracle."""
+    trace = build(ops)
+    layout = Layout.for_trace(trace, align=4096)
+    nlines = (layout.total_bytes // line_size) + 1
+    memo = decode_memo(trace)
+    for ei, epoch in enumerate(trace.epochs):
+        decoded = memo.epoch(layout, line_size, ei)
+        for p in range(trace.nprocs):
+            got = _proc_streams_packed(
+                epoch, decoded, p, line_size, page_size, nlines
+            )
+            want = oracle.proc_streams(epoch, layout, line_size, page_size, p)
+            for g, w in zip(got, want):
+                np.testing.assert_array_equal(g, w)
+
+
+def assert_info_equal(got, want):
+    assert got.label == want.label
+    np.testing.assert_array_equal(got.work, want.work)
+    np.testing.assert_array_equal(got.lock_acquires, want.lock_acquires)
+    for field in ("accesses", "writes", "write_bytes"):
+        for g, w in zip(getattr(got, field), getattr(want, field), strict=True):
+            assert g.dtype == np.int64
+            np.testing.assert_array_equal(g, w)
+
+
 @given(trace_ops())
-@settings(max_examples=25, deadline=None)
-def test_simulator_equivalence(ops):
-    packed, burst = build_pair(ops)
-    assert_simulators_agree(packed, burst)
+@settings(max_examples=50, deadline=None)
+def test_interval_equivalence(ops):
+    """Interval summaries — per epoch, per size and through the page-size
+    ladder — match the oracle."""
+    trace = build(ops)
+    sizes = (256, 512, 1024, 4096)
+    layout = Layout.for_trace(trace, align=max(sizes))
+    memo = decode_memo(trace)
+    for size in sizes:
+        want = [oracle.epoch_info(e, layout, size) for e in trace.epochs]
+        for ei, epoch in enumerate(trace.epochs):
+            got = _epoch_info_packed(
+                epoch, memo.epoch(layout, size, ei), layout, size
+            )
+            assert_info_equal(got, want[ei])
+        ladder, _ = build_interval_ladder(build(ops), sizes, layout)
+        for got, w in zip(ladder[size], want, strict=True):
+            assert_info_equal(got, w)
+        for got, w in zip(build_intervals(trace, layout, size)[0], want, strict=True):
+            assert_info_equal(got, w)
 
 
 @given(trace_ops())
 @settings(max_examples=25, deadline=None)
 def test_stats_equivalence(ops):
-    packed, burst = build_pair(ops)
-    layout_p = Layout.for_trace(packed)
-    layout_b = Layout.for_trace(burst)
-    ws_p = stats.page_write_sets(packed, layout_p, 4096)
-    ws_b = stats.page_write_sets(burst, layout_b, 4096)
-    assert ws_p == ws_b
-    assert stats.page_read_sets(packed, layout_p, 4096) == stats.page_read_sets(
-        burst, layout_b, 4096
-    )
-    np.testing.assert_array_equal(
-        stats.update_map(packed, layout_p, 0), stats.update_map(burst, layout_b, 0)
-    )
-    assert stats.footprint(packed, layout_p, 128) == stats.footprint(
-        burst, layout_b, 128
-    )
-    ca, cb = stats.access_counts(packed), stats.access_counts(burst)
-    np.testing.assert_array_equal(ca.reads, cb.reads)
-    np.testing.assert_array_equal(ca.writes, cb.writes)
+    """Page read/write sets and the other statistics match the oracle."""
+    trace = build(ops)
+    layout = Layout.for_trace(trace)
+    reads: dict[int, set[int]] = {}
+    writes: dict[int, set[int]] = {}
+    owner = np.full(trace.regions[0].num_objects, -1, dtype=np.int64)
+    lines: set[int] = set()
+    nreads = nwrites = 0
+    for epoch in trace.epochs:
+        info = oracle.epoch_info(epoch, layout, 4096)
+        for p in range(trace.nprocs):
+            for pg in info.accesses[p].tolist():
+                reads.setdefault(pg, set()).add(p)
+            for pg in info.writes[p].tolist():
+                writes.setdefault(pg, set()).add(p)
+        for p in reversed(range(trace.nprocs)):
+            for region, write, idx in oracle.bursts(epoch, p):
+                lines.update(oracle.burst_units(layout, region, idx, 128).tolist())
+                nwrites += len(idx) if write else 0
+                nreads += 0 if write else len(idx)
+                if write and region == 0:
+                    owner[idx] = p
+    assert stats.page_read_sets(trace, layout, 4096) == reads
+    assert stats.page_write_sets(trace, layout, 4096) == writes
+    np.testing.assert_array_equal(stats.update_map(trace, layout, 0), owner)
+    assert stats.footprint(trace, layout, 128) == len(lines)
+    counts = stats.access_counts(trace)
+    assert int(counts.reads.sum()) == nreads
+    assert int(counts.writes.sum()) == nwrites
 
 
 @given(ops=trace_ops())
 @settings(max_examples=10, deadline=None)
 def test_mmap_equivalence(ops, tmp_path_factory):
     """A mmap-loaded trace produces identical results to the in-memory one."""
-    packed, _ = build_pair(ops)
+    trace = build(ops)
     path = tmp_path_factory.mktemp("mmap") / "t.npt"
-    save_trace(packed, path)
+    save_trace(trace, path)
     mapped = load_trace(path, mmap=True)
-    assert_simulators_agree(mapped, packed)
+    assert_simulators_agree(mapped, trace)
     in_memory = load_trace(path, mmap=False)
-    assert_simulators_agree(in_memory, packed)
+    assert_simulators_agree(in_memory, trace)
 
 
 class TestDecodeMemo:

@@ -3,8 +3,8 @@
 The contract under test: any sequence of ``emit_ragged`` /
 ``read_ragged`` / ``write_ragged`` / ``update_ragged`` calls produces a
 trace **byte-identical** to the equivalent sequence of per-burst
-``read`` / ``write`` calls — same packed columns, same ``.npt`` bundle,
-same legacy burst lists — with zero-length bursts dropped identically.
+``read`` / ``write`` calls — same columns, same ``.npt`` bundle — with
+zero-length bursts dropped identically.
 That equivalence is what lets the applications swap their per-object
 emit loops for batched CSR staging without perturbing a single
 downstream statistic.
@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import bursts as oracle
 
 from repro.apps import (
     AppConfig,
@@ -66,8 +67,8 @@ def ragged_programs(draw):
     return nprocs, epochs
 
 
-def _build(nprocs, epochs, ragged, packed):
-    tb = TraceBuilder(nprocs, label="e0", packed=packed)
+def _build(nprocs, epochs, ragged):
+    tb = TraceBuilder(nprocs, label="e0")
     for region, size in enumerate(REGION_SIZES):
         tb.add_region(f"r{region}", size, 8 * (region + 1))
     for e, calls in enumerate(epochs):
@@ -105,33 +106,15 @@ def _build(nprocs, epochs, ragged, packed):
 @given(ragged_programs())
 @settings(max_examples=120, deadline=None)
 def test_ragged_matches_loop_packed_bytes(program):
-    """Packed traces serialize to identical .npt bundles."""
+    """Ragged and per-burst emission serialize to identical .npt bundles."""
     nprocs, epochs = program
     bufs = []
     for ragged in (False, True):
-        trace = _build(nprocs, epochs, ragged, packed=True)
+        trace = _build(nprocs, epochs, ragged)
         buf = io.BytesIO()
         save_trace(trace, buf)
         bufs.append(buf.getvalue())
     assert bufs[0] == bufs[1]
-
-
-@given(ragged_programs())
-@settings(max_examples=60, deadline=None)
-def test_ragged_matches_loop_legacy_bursts(program):
-    """The legacy burst-list path expands ragged batches identically."""
-    nprocs, epochs = program
-    a = _build(nprocs, epochs, False, packed=False)
-    b = _build(nprocs, epochs, True, packed=False)
-    assert len(a.epochs) == len(b.epochs)
-    for ea, eb in zip(a.epochs, b.epochs):
-        assert ea.label == eb.label
-        for p in range(nprocs):
-            assert len(ea.bursts[p]) == len(eb.bursts[p])
-            for ba, bb in zip(ea.bursts[p], eb.bursts[p]):
-                assert ba.region == bb.region
-                assert ba.is_write == bb.is_write
-                assert np.array_equal(ba.indices, bb.indices)
 
 
 # ---- API validation ------------------------------------------------------
@@ -180,13 +163,13 @@ def test_uniform_width_offsets():
 
 def test_update_ragged_interleaves_read_write():
     """update_ragged gives R0 W0 R1 W1 ..., not bulk read then bulk write."""
-    tb = TraceBuilder(1, packed=False)
+    tb = TraceBuilder(1)
     tb.add_region("r", 100, 8)
     tb.update_ragged(0, 0, np.array([1, 2, 3]), np.array([0, 2, 3]))
     trace = tb.finish()
     (ep,) = trace.epochs
-    flags = [b.is_write for b in ep.bursts[0]]
-    runs = [b.indices.tolist() for b in ep.bursts[0]]
+    flags = [w for _, w, _ in oracle.bursts(ep, 0)]
+    runs = [idx.tolist() for _, _, idx in oracle.bursts(ep, 0)]
     assert flags == [False, True, False, True]
     assert runs == [[1, 2], [1, 2], [3], [3]]
 
