@@ -27,6 +27,15 @@ class TestBuilderModes:
         assert type(t) is Trace
         assert all(isinstance(e, PackedEpoch) for e in t.epochs)
 
+    def test_empty_trailing_epoch_dropped_both_modes(self):
+        """A barrier followed by nothing leaves no empty last epoch."""
+        tb = TraceBuilder(2)
+        tb.add_region("o", 4, 8)
+        tb.read(0, 0, [0])
+        tb.barrier()
+        t = tb.finish()  # trailing epoch is empty: dropped
+        assert len(t.epochs) == 1
+
     def test_work_only_trailing_epoch_kept(self):
         tb = TraceBuilder(2)
         tb.add_region("o", 4, 8)
@@ -103,6 +112,14 @@ class TestPackedTrace:
 
 
 class TestSatelliteFixes:
+    def test_burst_no_copy_for_conforming_array(self):
+        """Staging an already-contiguous int64 array must not copy it."""
+        tb = TraceBuilder(1)
+        tb.add_region("o", 8, 8)
+        idx = np.array([1, 2, 3], dtype=np.int64)
+        tb.read(0, 0, idx)
+        assert tb._staged[0][0][2] is idx
+
     def test_burst_still_converts_lists(self):
         """A burst given as a Python list seals into the int64 column."""
         tb = TraceBuilder(1)
