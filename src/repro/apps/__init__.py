@@ -6,13 +6,11 @@ interaction lists): :class:`Moldyn`, :class:`Unstructured`.
 """
 
 from .base import (
-    ENGINES,
     AppConfig,
     Application,
     block_partition,
     reorder_cycles,
     reorder_work_units,
-    resolve_engine,
     scatter_add,
 )
 from .barnes_hut import BarnesHut
@@ -31,10 +29,8 @@ APP_REGISTRY: dict[str, type[Application]] = {
 }
 
 __all__ = [
-    "ENGINES",
     "AppConfig",
     "Application",
-    "resolve_engine",
     "scatter_add",
     "block_partition",
     "reorder_cycles",

@@ -32,7 +32,7 @@ from ..trace.builder import TraceBuilder
 from ..trace.events import Trace
 from .base import AppConfig, Application
 from .distributions import two_plummer
-from .numerics import bh_forces_batch, bh_walk_forces_loop, subtree_spans
+from .numerics import bh_forces_batch, subtree_spans
 from .octree import build_octree, walk
 
 __all__ = ["BarnesHut"]
@@ -55,6 +55,7 @@ class BarnesHut(Application):
     sync = "b"
     object_size = 104
     orderings = ("hilbert", "morton", "gray", "peano")
+    knobs = ("dt", "eps", "leaf_capacity", "theta")
 
     def __init__(self, config: AppConfig):
         super().__init__(config)
@@ -107,22 +108,7 @@ class BarnesHut(Application):
         # the subtree's body range.  Body ranges per cell follow from DFS
         # creation order: a leaf's range is its slice of leaf_bodies; an
         # internal node spans its children.
-        if self.engine == "batch":
-            lo, hi = subtree_spans(tree)
-        else:
-            lo = np.full(tree.ncells, np.iinfo(np.int64).max, dtype=np.int64)
-            hi = np.zeros(tree.ncells, dtype=np.int64)
-            for c in range(tree.ncells - 1, -1, -1):
-                if tree.is_leaf[c]:
-                    lo[c] = tree.leaf_start[c]
-                    hi[c] = tree.leaf_start[c] + tree.leaf_count[c]
-                else:
-                    kids = tree.children[c][tree.children[c] >= 0]
-                    if kids.size:
-                        lo[c] = lo[kids].min()
-                        hi[c] = hi[kids].max()
-                    else:  # pragma: no cover - empty internal nodes don't occur
-                        lo[c] = hi[c] = 0
+        lo, hi = subtree_spans(tree)
         inner_bounds = bounds[1:-1]
         visited = []
         stack = [0]
@@ -137,34 +123,20 @@ class BarnesHut(Application):
     # -- trace emission ----------------------------------------------------
 
     def _emit_forces(self, tb, csr, parts, cost, bodies, cells, max_cells) -> None:
-        """Stage the force-phase access pattern (loop or ragged mode).
+        """Stage the force-phase access pattern.
 
-        Both modes consume the same rank-sorted CSR interaction streams:
-        row ``j`` of the CSR covers the body at in-order position ``j``, so
-        each processor's bursts are a contiguous slice.  The loop mode is
-        the original per-object staging — four builder calls per body; the
-        ragged mode stages the same four lanes (cell reads, direct-body
-        reads, self read, self write) of a whole partition in one call and
-        produces a byte-identical trace.
+        Consumes the rank-sorted CSR interaction streams: row ``j`` of the
+        CSR covers the body at in-order position ``j``, so each
+        processor's bursts are a contiguous slice.  The four lanes of a
+        whole partition — cell reads, direct-body reads, self read, self
+        write — go out in one ragged call, the same trace as four builder
+        calls per body.
         """
         P = self.nprocs
         ci, cbounds, do, dbounds = csr
         sizes = np.array([parts[p].shape[0] for p in range(P)], dtype=np.int64)
         pb = np.zeros(P + 1, dtype=np.int64)
         np.cumsum(sizes, out=pb[1:])
-        if self.emit_mode == "loop":
-            for p in range(P):
-                for j, b in zip(range(pb[p], pb[p + 1]), parts[p].tolist()):
-                    cs, ce = cbounds[j], cbounds[j + 1]
-                    ds, de = dbounds[j], dbounds[j + 1]
-                    if ce > cs:
-                        tb.read(p, cells, np.minimum(ci[cs:ce], max_cells - 1))
-                    if de > ds:
-                        tb.read(p, bodies, do[ds:de])
-                    tb.read(p, bodies, np.array([b]))
-                    tb.write(p, bodies, np.array([b]))
-                tb.work(p, float(cost[parts[p]].sum()))
-            return
         ci = np.minimum(ci, max_cells - 1)
         for p in range(P):
             lo, hi = pb[p], pb[p + 1]
@@ -196,82 +168,62 @@ class BarnesHut(Application):
             if self._prev_cost is not None
             else np.ones(n, dtype=np.float64)
         )
-        emit = self.emit_mode != "none"
         self.emit_seconds = 0.0
         self.physics_seconds = 0.0
         self.physics_stages = {}
         for it in range(cfg.iterations):
             with self._phys("tree_build"):
                 tree = build_octree(
-                    self.pos,
-                    self.mass,
-                    leaf_capacity=self.leaf_capacity,
-                    engine=self.engine,
+                    self.pos, self.mass, leaf_capacity=self.leaf_capacity
                 )
             nc = min(tree.ncells, max_cells)
             # 1. Sequential tree build: proc 0 reads every particle in
             # array order and writes the cell array in creation order.
-            if emit:
-                t0 = perf_counter()
-                tb.read(0, bodies, np.arange(n))
-                tb.write(0, cells, np.arange(nc))
-                tb.work(0, n + tree.ncells)
-                tb.barrier("partition")
-                self.emit_seconds += perf_counter() - t0
+            t0 = perf_counter()
+            tb.read(0, bodies, np.arange(n))
+            tb.write(0, cells, np.arange(nc))
+            tb.work(0, n + tree.ncells)
+            tb.barrier("partition")
+            self.emit_seconds += perf_counter() - t0
 
             # 2. In-order traversal partition; every processor walks the
             # boundary cells of the costzone split (read-only).
             with self._phys("partition"):
                 parts, visited = self._partition(tree, cost)
-            if emit:
-                t0 = perf_counter()
-                visited = np.minimum(visited, max_cells - 1)
-                for p in range(P):
-                    tb.read(p, cells, visited)
-                    tb.work(p, visited.shape[0])
-                tb.barrier("forces")
-                self.emit_seconds += perf_counter() - t0
+            t0 = perf_counter()
+            visited = np.minimum(visited, max_cells - 1)
+            for p in range(P):
+                tb.read(p, cells, visited)
+                tb.work(p, visited.shape[0])
+            tb.barrier("forces")
+            self.emit_seconds += perf_counter() - t0
 
-            # 3. Force evaluation.  The per-body CSR interaction streams
-            # are the access pattern itself — every emit mode computes
-            # them; the modes differ only in how they are staged.  The
-            # loop engine is the paper's formulation — one recursive walk
-            # and force fold per particle; the batch engine runs the
-            # vectorized frontier walk and column-wise bincount forces.
-            # Both produce bitwise-identical accelerations, costs, and
-            # interaction streams (tests/apps/test_numerics.py).
+            # 3. Force evaluation: the vectorized frontier walk, then
+            # column-wise bincount forces.  The per-body CSR interaction
+            # streams are the access pattern itself.
             order = np.concatenate(parts) if P > 1 else parts[0]
-            if self.engine == "batch":
-                with self._phys("walk"):
-                    wr = walk(tree, self.pos, self.theta)
-                with self._phys("forces"):
-                    acc = bh_forces_batch(tree, self.pos, self.mass, wr, self.eps)
-                    cost = wr.interactions_per_body(n).astype(np.float64)
-                    csr = wr.per_body_csr(n, order=order)
-            else:
-                with self._phys("walk_forces"):
-                    acc, icount, csr = bh_walk_forces_loop(
-                        tree, self.pos, self.mass, self.theta, self.eps, order
-                    )
-                    cost = icount.astype(np.float64)
-            if emit:
-                t0 = perf_counter()
-                self._emit_forces(tb, csr, parts, cost, bodies, cells, max_cells)
-                tb.barrier("update")
-                self.emit_seconds += perf_counter() - t0
+            with self._phys("walk"):
+                wr = walk(tree, self.pos, self.theta)
+            with self._phys("forces"):
+                acc = bh_forces_batch(tree, self.pos, self.mass, wr, self.eps)
+                cost = wr.interactions_per_body(n).astype(np.float64)
+                csr = wr.per_body_csr(n, order=order)
+            t0 = perf_counter()
+            self._emit_forces(tb, csr, parts, cost, bodies, cells, max_cells)
+            tb.barrier("update")
+            self.emit_seconds += perf_counter() - t0
 
             # 4. Leapfrog update of owned particles, in partition order.
             with self._phys("integrate"):
                 self.acc = acc
                 self.vel += self.dt * acc
                 self.pos += self.dt * self.vel
-            if emit:
-                t0 = perf_counter()
-                for p in range(P):
-                    tb.read(p, bodies, parts[p])
-                    tb.write(p, bodies, parts[p])
-                    tb.work(p, parts[p].shape[0])
-                self.emit_seconds += perf_counter() - t0
+            t0 = perf_counter()
+            for p in range(P):
+                tb.read(p, bodies, parts[p])
+                tb.write(p, bodies, parts[p])
+                tb.work(p, parts[p].shape[0])
+            self.emit_seconds += perf_counter() - t0
 
             # Policy check at the iteration boundary.  The costzone weights
             # ride along with the bodies: _apply_reordering permutes
@@ -283,13 +235,12 @@ class BarnesHut(Application):
             if it + 1 < cfg.iterations:
                 info = self._policy_rereorder(self._steps_total)
             cost = self._prev_cost
-            if emit:
-                t0 = perf_counter()
-                if info is not None:
-                    tb.barrier("reorder")
-                    self._emit_reorder_epoch(tb, bodies, info)
-                tb.barrier("build_tree")
-                self.emit_seconds += perf_counter() - t0
+            t0 = perf_counter()
+            if info is not None:
+                tb.barrier("reorder")
+                self._emit_reorder_epoch(tb, bodies, info)
+            tb.barrier("build_tree")
+            self.emit_seconds += perf_counter() - t0
         self._prev_cost = cost
         trace = tb.finish()
         self.seal_seconds = tb.seal_seconds

@@ -33,12 +33,11 @@ from ..errors import ConfigError
 from ..trace.events import Trace
 
 __all__ = [
+    "ADAPT_KNOBS",
     "ADAPT_POLICIES",
     "AdaptivePolicy",
     "AppConfig",
     "Application",
-    "EMIT_MODES",
-    "ENGINES",
     "HALF_STENCIL",
     "block_partition",
     "counts_to_offsets",
@@ -47,44 +46,19 @@ __all__ = [
     "ragged_take",
     "reorder_cycles",
     "reorder_work_units",
-    "resolve_engine",
     "scatter_add",
 ]
-
-#: Trace emission modes an application accepts via ``config.extra["emit"]``:
-#: ``"ragged"`` (default) builds CSR columns and stages them through
-#: ``TraceBuilder.emit_ragged``; ``"loop"`` keeps the per-object emit loops
-#: (the reference the ragged path must match byte-for-byte); ``"none"``
-#: skips trace emission entirely — physics only, which is how the
-#: generation benchmark isolates emission cost.
-EMIT_MODES = ("ragged", "loop", "none")
-
-#: Physics-engine selectors an application accepts via
-#: ``config.extra["engine"]``, mirroring ``repro.machines.kernels``:
-#: ``"loop"`` runs the per-object / per-cell reference formulations (the
-#: property-tested oracle), ``"batch"`` the vectorized compute engine in
-#: :mod:`repro.apps.numerics`, and ``"auto"`` (default) picks ``"batch"``.
-#: Both engines produce byte-identical trace bundles — the invariant the
-#: ``tests/apps/test_numerics.py`` suite asserts for all five apps.
-ENGINES = ("loop", "batch", "auto")
-
-
-def resolve_engine(value: str) -> str:
-    """Validate an engine selector and resolve ``"auto"`` to ``"batch"``."""
-    if value not in ENGINES:
-        raise ValueError(f"unknown engine {value!r}; expected one of {ENGINES}")
-    return "batch" if value == "auto" else value
 
 
 def scatter_add(out: np.ndarray, idx: np.ndarray, vals: np.ndarray) -> None:
     """``out[idx] += vals`` with duplicate indices, via ``np.bincount``.
 
-    Bitwise-identical to ``np.add.at`` on a freshly-zeroed accumulator —
+    Bitwise-identical to numpy's ``add.at`` on a freshly-zeroed accumulator —
     both fold each bin's contributions sequentially in stream order
     (verified by ``tests/apps/test_numerics.py``; onto a *nonzero*
     accumulator the two interleave differently and agree only to
     rounding) — but several times faster on multi-million-element
-    streams, because ``np.add.at`` dispatches one indexed inner loop per
+    streams, because ``add.at`` dispatches one indexed inner loop per
     element while ``bincount`` is a single pass.  Bins that receive no
     contribution are left untouched (``add.at`` semantics: a ``-0.0``
     there must not flip to ``+0.0``).  Columns of 2-D ``vals`` are
@@ -208,6 +182,17 @@ def ragged_cross(
 #: fire only when the boundary-crosser fraction reaches
 #: ``adapt_threshold``, and then migrate only the crossers).
 ADAPT_POLICIES = ("never", "every", "adaptive")
+
+#: The ``config.extra`` keys :meth:`AdaptivePolicy.from_extra` reads;
+#: every application accepts them on top of its own :attr:`Application.knobs`.
+ADAPT_KNOBS = (
+    "adapt_bits",
+    "adapt_every",
+    "adapt_method",
+    "adapt_policy",
+    "adapt_threshold",
+    "rereorder_every",
+)
 
 
 @dataclass(frozen=True)
@@ -385,25 +370,25 @@ class Application(ABC):
     object_size: int = 0
     #: Orderings worth evaluating for this app (paper section 5).
     orderings: tuple[str, ...] = ("hilbert",)
+    #: The ``config.extra`` keys this app's ``__init__`` reads.  Any other
+    #: key except the shared :data:`ADAPT_KNOBS` is rejected, so a
+    #: misspelled knob fails loudly instead of silently running defaults.
+    knobs: tuple[str, ...] = ()
 
     def __init__(self, config: AppConfig):
+        accepted = set(self.knobs) | set(ADAPT_KNOBS)
+        unknown = set(config.extra) - accepted
+        if unknown:
+            raise ConfigError(
+                f"unknown {self.name} config.extra key(s) {sorted(unknown)};"
+                f" accepted: {sorted(accepted)}"
+            )
         self.config = config
         self.reordered_by: str | None = None
         self._rng = np.random.default_rng(config.seed)
-        self.emit_mode = str(config.extra.get("emit", "ragged"))
-        if self.emit_mode not in EMIT_MODES:
-            raise ValueError(
-                f"unknown emit mode {self.emit_mode!r}; expected one of {EMIT_MODES}"
-            )
-        #: Physics engine ("loop" or "batch", resolved from
-        #: ``extra["engine"]``; default "auto" = "batch").  Orthogonal to
-        #: ``emit_mode``: the engine decides how the physics is computed,
-        #: the emit mode how the resulting access streams are staged.
-        self.engine = resolve_engine(str(config.extra.get("engine", "auto")))
         #: Seconds the last :meth:`run` spent staging and sealing trace
         #: events (builder calls + barriers), excluding the physics.  Apps
-        #: accumulate it around their emission blocks; the generation
-        #: benchmark compares it across emit modes.  ``seal_seconds`` is
+        #: accumulate it around their emission blocks.  ``seal_seconds`` is
         #: the portion spent inside epoch sealing (copied from the
         #: builder), so ``emit_seconds - seal_seconds`` is the pure staging
         #: cost of the emit path.
@@ -412,8 +397,8 @@ class Application(ABC):
         #: Seconds the last :meth:`run` spent computing physics (structure
         #: discovery + force math), accumulated by the apps around their
         #: compute blocks via :meth:`_phys`; ``physics_stages`` breaks it
-        #: down by stage label.  Together with ``emit_seconds`` this lets
-        #: the generation benchmark attribute generate-stage time.
+        #: down by stage label.  Together with ``emit_seconds`` this
+        #: attributes generate-stage time.
         self.physics_seconds = 0.0
         self.physics_stages: dict[str, float] = {}
         #: Re-reordering policy for drifting objects (shared by the three
@@ -592,8 +577,6 @@ class Application(ABC):
 
     def _emit_reorder_epoch(self, tb, region: int, info: dict) -> None:
         """Trace the ``reorder`` epoch produced by :meth:`_policy_rereorder`."""
-        if self.emit_mode == "none":
-            return
         tb.read(0, region, info["read"])
         if info["write"].shape[0]:
             tb.write(0, region, info["write"])

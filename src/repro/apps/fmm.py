@@ -88,6 +88,7 @@ class FMM(Application):
     sync = "b,l"
     object_size = 104
     orderings = ("hilbert", "morton", "gray", "peano")
+    knobs = ("dt", "levels", "p")
 
     def __init__(self, config: AppConfig):
         super().__init__(config)
@@ -120,7 +121,7 @@ class FMM(Application):
             rank[np.argsort(keys, kind="stable")] = np.arange(side * side)
             self._morton_rank.append(rank)
         # V-list offsets by cell parity — always 27 per cell, so they pack
-        # into a dense (2, 2, 27, 2) table the ragged emit path can gather
+        # into a dense (2, 2, 27, 2) table the M2L emission can gather
         # for every cell at once.
         self._v_off_table = np.array(
             [[self._v_offsets(px, py) for py in (0, 1)] for px in (0, 1)],
@@ -201,9 +202,6 @@ class FMM(Application):
         particles = tb.add_region("particles", n, self.object_size)
         cells_r = tb.add_region("cells", self.ncells, CELL_BYTES)
         binom = self._binom
-        emit = self.emit_mode != "none"
-        ragged = self.emit_mode == "ragged"
-        batch = self.engine == "batch"
         self.emit_seconds = 0.0
         self.physics_seconds = 0.0
         self.physics_stages = {}
@@ -228,114 +226,81 @@ class FMM(Application):
                     self._morton_rank[L][leaf_rm][sort_order], np.arange(side * side + 1)
                 )
             rank_L = self._morton_rank[L]
-            members = lambda rm: sort_order[  # noqa: E731
-                starts_m[rank_L[rm]] : starts_m[rank_L[rm] + 1]
-            ]
 
             def gather(rms: np.ndarray) -> np.ndarray:
                 """Members of the row-major leaves ``rms``, concatenated."""
-                if not ragged:
-                    return np.concatenate(
-                        [members(rm) for rm in rms.tolist()]
-                        or [np.empty(0, np.int64)]
-                    )
                 return ragged_take(sort_order, starts_m[rank_L[rms]], counts[rms])
 
             with self._phys("partition"):
                 owner_rm, parts = self._partition(counts)
-            if batch:
-                # Occupied finest cells in Morton order; their particles are
-                # exactly `sort_order`, segmented by `occm_cnt`.  Every batch
-                # stage below indexes this layout.
-                morton_rm = np.argsort(rank_L, kind="stable")
-                occm = morton_rm[counts[morton_rm] > 0]
-                occm_cnt = counts[occm]
-                occm_cids = self._cell_id(L, occm % side, occm // side)
-                z0occ = np.empty(occm.shape[0], dtype=np.complex128)
-                z0occ.real = lo[0] + (occm % side + 0.5) * step
-                z0occ.imag = lo[1] + (occm // side + 0.5) * step
-                d_sorted = zpos[sort_order] - np.repeat(z0occ, occm_cnt)
-            if emit:
-                t0 = perf_counter()
-                for pidx in range(P):
-                    mine = gather(parts[pidx])
-                    tb.read(pidx, particles, mine)
-                    ids = self._cell_id(L, parts[pidx] % side, parts[pidx] // side)
-                    tb.write(pidx, cells_r, ids)
-                    tb.work(pidx, mine.shape[0] + ids.shape[0])
-                tb.barrier("partition")
+            # Occupied finest cells in Morton order; their particles are
+            # exactly `sort_order`, segmented by `occm_cnt`.  Every physics
+            # stage below indexes this layout.
+            morton_rm = np.argsort(rank_L, kind="stable")
+            occm = morton_rm[counts[morton_rm] > 0]
+            occm_cnt = counts[occm]
+            occm_cids = self._cell_id(L, occm % side, occm // side)
+            z0occ = np.empty(occm.shape[0], dtype=np.complex128)
+            z0occ.real = lo[0] + (occm % side + 0.5) * step
+            z0occ.imag = lo[1] + (occm // side + 0.5) * step
+            d_sorted = zpos[sort_order] - np.repeat(z0occ, occm_cnt)
+            t0 = perf_counter()
+            for pidx in range(P):
+                mine = gather(parts[pidx])
+                tb.read(pidx, particles, mine)
+                ids = self._cell_id(L, parts[pidx] % side, parts[pidx] // side)
+                tb.write(pidx, cells_r, ids)
+                tb.work(pidx, mine.shape[0] + ids.shape[0])
+            tb.barrier("partition")
 
-                # ---- partition.
-                for pidx in range(P):
-                    ids = self._cell_id(
-                        L, parts[pidx] % side, parts[pidx] // side
-                    )
-                    tb.read(pidx, cells_r, ids)
-                    tb.work(pidx, ids.shape[0])
-                tb.barrier("build_list")
+            # ---- partition.
+            for pidx in range(P):
+                ids = self._cell_id(
+                    L, parts[pidx] % side, parts[pidx] // side
+                )
+                tb.read(pidx, cells_r, ids)
+                tb.work(pidx, ids.shape[0])
+            tb.barrier("build_list")
 
-                # ---- build_list: enumerate V lists (local index math).
-                for pidx in range(P):
-                    ids = self._cell_id(L, parts[pidx] % side, parts[pidx] // side)
-                    tb.read(pidx, cells_r, ids)
-                    tb.write(pidx, cells_r, ids)
-                    tb.work(pidx, ids.shape[0] * 27)
-                tb.barrier("tree_traversal")
-                self.emit_seconds += perf_counter() - t0
+            # ---- build_list: enumerate V lists (local index math).
+            for pidx in range(P):
+                ids = self._cell_id(L, parts[pidx] % side, parts[pidx] // side)
+                tb.read(pidx, cells_r, ids)
+                tb.write(pidx, cells_r, ids)
+                tb.work(pidx, ids.shape[0] * 27)
+            tb.barrier("tree_traversal")
+            self.emit_seconds += perf_counter() - t0
 
             # ---- tree_traversal: the actual FMM math.
             mult = np.zeros((self.ncells, p + 1), dtype=np.complex128)
             local = np.zeros((self.ncells, p + 1), dtype=np.complex128)
 
-            # P2M at owned leaves (reads particles).  The batch engine
-            # builds every occupied leaf's expansion in one call: the
-            # power recurrence is elementwise per particle and the
-            # coefficient segment sums accumulate each cell's particles in
-            # the same (Morton member) order as the per-cell fold.
+            # P2M at owned leaves (reads particles), every occupied leaf's
+            # expansion in one call: the power recurrence is elementwise
+            # per particle and the coefficient segment sums accumulate each
+            # cell's particles in the same (Morton member) order as a
+            # per-cell fold.
             with self._phys("p2m"):
-                if batch:
-                    mult[occm_cids] = p2m_batch(
-                        d_sorted, self.charge[sort_order],
-                        np.repeat(np.arange(occm.shape[0], dtype=np.int64), occm_cnt),
-                        occm.shape[0], p,
+                mult[occm_cids] = p2m_batch(
+                    d_sorted, self.charge[sort_order],
+                    np.repeat(np.arange(occm.shape[0], dtype=np.int64), occm_cnt),
+                    occm.shape[0], p,
+                )
+            t0 = perf_counter()
+            for pidx in range(P):
+                occ = parts[pidx][counts[parts[pidx]] > 0]
+                if occ.shape[0]:
+                    tb.emit_ragged(
+                        pidx,
+                        [
+                            (particles, False, gather(occ),
+                             counts_to_offsets(counts[occ])),
+                            (cells_r, True,
+                             self._cell_id(L, occ % side, occ // side), 1),
+                        ],
                     )
-                else:
-                    for pidx in range(P):
-                        for rm in parts[pidx].tolist():
-                            mem = members(rm)
-                            if mem.shape[0] == 0:
-                                continue
-                            cid = int(self._cell_id(L, np.array([rm % side]), np.array([rm // side]))[0])
-                            z0 = complex(
-                                lo[0] + (rm % side + 0.5) * step,
-                                lo[1] + (rm // side + 0.5) * step,
-                            )
-                            mult[cid] = fm.p2m(zpos[mem], self.charge[mem], z0, p)
-            if emit:
-                t0 = perf_counter()
-                for pidx in range(P):
-                    if ragged:
-                        occ = parts[pidx][counts[parts[pidx]] > 0]
-                        if occ.shape[0]:
-                            tb.emit_ragged(
-                                pidx,
-                                [
-                                    (particles, False, gather(occ),
-                                     counts_to_offsets(counts[occ])),
-                                    (cells_r, True,
-                                     self._cell_id(L, occ % side, occ // side), 1),
-                                ],
-                            )
-                    else:
-                        for rm in parts[pidx].tolist():
-                            mem = members(rm)
-                            if mem.shape[0] == 0:
-                                continue
-                            cid = int(self._cell_id(L, np.array([rm % side]), np.array([rm // side]))[0])
-                            tb.read(pidx, particles, mem)
-                            tb.write(pidx, cells_r, np.array([cid]))
-                    tb.work(pidx, EXPANSION_WORK * float(counts[parts[pidx]].sum()) * (p + 1))
-                self.emit_seconds += perf_counter() - t0
+                tb.work(pidx, EXPANSION_WORK * float(counts[parts[pidx]].sum()) * (p + 1))
+            self.emit_seconds += perf_counter() - t0
 
             # Upward M2M, level L-1 .. 0, vectorized per child quadrant.
             owner_lvl = {L: owner_rm}
@@ -360,24 +325,23 @@ class FMM(Application):
                         child_ids = self._cell_id(l + 1, cxs, cys)
                         mult[parent_ids] += mult[child_ids] @ t.T
                 # Trace: each parent's owner reads children, writes parent.
-                if emit:
-                    t0 = perf_counter()
-                    for pidx in range(P):
-                        mine = np.nonzero(owner_lvl[l] == pidx)[0]
-                        if mine.shape[0] == 0:
-                            continue
-                        mix, miy = mine % sidel, mine // sidel
-                        kid_ids = np.concatenate(
-                            [
-                                self._cell_id(l + 1, mix * 2 + qx, miy * 2 + qy)
-                                for qx in (0, 1)
-                                for qy in (0, 1)
-                            ]
-                        )
-                        tb.read(pidx, cells_r, np.sort(kid_ids))
-                        tb.write(pidx, cells_r, parent_ids[mine])
-                        tb.work(pidx, EXPANSION_WORK * mine.shape[0] * 4 * (p + 1))
-                    self.emit_seconds += perf_counter() - t0
+                t0 = perf_counter()
+                for pidx in range(P):
+                    mine = np.nonzero(owner_lvl[l] == pidx)[0]
+                    if mine.shape[0] == 0:
+                        continue
+                    mix, miy = mine % sidel, mine // sidel
+                    kid_ids = np.concatenate(
+                        [
+                            self._cell_id(l + 1, mix * 2 + qx, miy * 2 + qy)
+                            for qx in (0, 1)
+                            for qy in (0, 1)
+                        ]
+                    )
+                    tb.read(pidx, cells_r, np.sort(kid_ids))
+                    tb.write(pidx, cells_r, parent_ids[mine])
+                    tb.work(pidx, EXPANSION_WORK * mine.shape[0] * 4 * (p + 1))
+                self.emit_seconds += perf_counter() - t0
 
             # M2L per level (2..L), vectorized per (parity, offset).
             for l in range(2, L + 1):
@@ -388,11 +352,9 @@ class FMM(Application):
                 vcount = np.zeros(sidel * sidel, dtype=np.int64)
                 # Enumerate the (parity, offset) interaction groups once
                 # and build all of the level's translation matrices in a
-                # single stacked call.  Matrix construction, like the
-                # matmul/accumulation schedule, is shared between engines
-                # (numpy's vectorized complex multiply uses FMA, so a
-                # per-matrix scalar recurrence would differ by 1 ulp);
-                # `local` and `vcount` are therefore engine-independent.
+                # single stacked call (numpy's vectorized complex multiply
+                # uses FMA, so a per-matrix scalar recurrence would differ
+                # by 1 ulp).
                 vgroups = []
                 zs = []
                 for px in (0, 1):
@@ -416,8 +378,6 @@ class FMM(Application):
                         # Trace: owner of each target reads the source —
                         # emitted below, per cell, to keep traversal order.
                 # Emit per-cell V-list reads in Morton order per owner.
-                if not emit:
-                    continue
                 t0 = perf_counter()
                 own = owner_lvl[l]
                 for pidx in range(P):
@@ -425,39 +385,22 @@ class FMM(Application):
                     if mine_rm.shape[0] == 0:
                         continue
                     mine_rm = mine_rm[np.argsort(self._morton_rank[l][mine_rm])]
-                    if ragged:
-                        tix, tiy = mine_rm % sidel, mine_rm // sidel
-                        offs = self._v_off_table[tix % 2, tiy % 2]
-                        sx = tix[:, None] + offs[:, :, 0]
-                        sy = tiy[:, None] + offs[:, :, 1]
-                        ok = (sx >= 0) & (sx < sidel) & (sy >= 0) & (sy < sidel)
-                        vcnt = ok.sum(axis=1)
-                        kept = vcnt > 0
-                        tb.emit_ragged(
-                            pidx,
-                            [
-                                (cells_r, False, self._cell_id(l, sx[ok], sy[ok]),
-                                 counts_to_offsets(vcnt[kept])),
-                                (cells_r, True,
-                                 self._cell_id(l, tix[kept], tiy[kept]), 1),
-                            ],
-                        )
-                    else:
-                        for rm in mine_rm.tolist():
-                            tix, tiy = rm % sidel, rm // sidel
-                            offs = self._v_offsets(tix % 2, tiy % 2)
-                            sx = np.array([tix + dx for dx, _ in offs])
-                            sy = np.array([tiy + dy for _, dy in offs])
-                            ok = (sx >= 0) & (sx < sidel) & (sy >= 0) & (sy < sidel)
-                            if not ok.any():
-                                continue
-                            sids = self._cell_id(l, sx[ok], sy[ok])
-                            tb.read(pidx, cells_r, sids)
-                            tb.write(
-                                pidx,
-                                cells_r,
-                                self._cell_id(l, np.array([tix]), np.array([tiy])),
-                            )
+                    tix, tiy = mine_rm % sidel, mine_rm // sidel
+                    offs = self._v_off_table[tix % 2, tiy % 2]
+                    sx = tix[:, None] + offs[:, :, 0]
+                    sy = tiy[:, None] + offs[:, :, 1]
+                    ok = (sx >= 0) & (sx < sidel) & (sy >= 0) & (sy < sidel)
+                    vcnt = ok.sum(axis=1)
+                    kept = vcnt > 0
+                    tb.emit_ragged(
+                        pidx,
+                        [
+                            (cells_r, False, self._cell_id(l, sx[ok], sy[ok]),
+                             counts_to_offsets(vcnt[kept])),
+                            (cells_r, True,
+                             self._cell_id(l, tix[kept], tiy[kept]), 1),
+                        ],
+                    )
                     tb.work(pidx, EXPANSION_WORK * float(vcount[mine_rm].sum()) * (p + 1) ** 2 / 4.0)
                 self.emit_seconds += perf_counter() - t0
 
@@ -477,8 +420,6 @@ class FMM(Application):
                     for (qx, qy), t in zip(quads, tmats):
                         child_ids = self._cell_id(l + 1, ix * 2 + qx, iy * 2 + qy)
                         local[child_ids] += local[parent_ids] @ t.T
-                if not emit:
-                    continue
                 t0 = perf_counter()
                 own_child = owner_lvl[l + 1]
                 sidec = sidel * 2
@@ -496,281 +437,173 @@ class FMM(Application):
             # L2P: evaluate local expansions at owned particles.
             with self._phys("l2p"):
                 self.field[:] = 0.0
-                if batch:
-                    # One Horner sweep over all particles: row = the
-                    # particle's cell's local expansion, same multiply-add
-                    # sequence as the per-cell evaluation.
-                    out = eval_local_deriv_batch(
-                        local[np.repeat(occm_cids, occm_cnt)], d_sorted
+                # One Horner sweep over all particles: row = the
+                # particle's cell's local expansion, same multiply-add
+                # sequence as the per-cell evaluation.
+                out = eval_local_deriv_batch(
+                    local[np.repeat(occm_cids, occm_cnt)], d_sorted
+                )
+                self.field[sort_order] += np.conj(out)
+            t0 = perf_counter()
+            for pidx in range(P):
+                occ = parts[pidx][counts[parts[pidx]] > 0]
+                if occ.shape[0]:
+                    moffs = counts_to_offsets(counts[occ])
+                    mem_col = gather(occ)
+                    tb.emit_ragged(
+                        pidx,
+                        [
+                            (cells_r, False,
+                             self._cell_id(L, occ % side, occ // side), 1),
+                            (particles, False, mem_col, moffs),
+                            (particles, True, mem_col, moffs),
+                        ],
                     )
-                    self.field[sort_order] += np.conj(out)
-                else:
-                    for pidx in range(P):
-                        for rm in parts[pidx].tolist():
-                            mem = members(rm)
-                            if mem.shape[0] == 0:
-                                continue
-                            cid = int(self._cell_id(L, np.array([rm % side]), np.array([rm // side]))[0])
-                            z0 = complex(
-                                lo[0] + (rm % side + 0.5) * step,
-                                lo[1] + (rm // side + 0.5) * step,
-                            )
-                            self.field[mem] += np.conj(
-                                fm.eval_local_deriv(local[cid], zpos[mem], z0)
-                            )
-            if emit:
-                t0 = perf_counter()
-                for pidx in range(P):
-                    if ragged:
-                        occ = parts[pidx][counts[parts[pidx]] > 0]
-                        if occ.shape[0]:
-                            moffs = counts_to_offsets(counts[occ])
-                            mem_col = gather(occ)
-                            tb.emit_ragged(
-                                pidx,
-                                [
-                                    (cells_r, False,
-                                     self._cell_id(L, occ % side, occ // side), 1),
-                                    (particles, False, mem_col, moffs),
-                                    (particles, True, mem_col, moffs),
-                                ],
-                            )
-                    else:
-                        for rm in parts[pidx].tolist():
-                            mem = members(rm)
-                            if mem.shape[0] == 0:
-                                continue
-                            cid = int(self._cell_id(L, np.array([rm % side]), np.array([rm // side]))[0])
-                            tb.read(pidx, cells_r, np.array([cid]))
-                            tb.read(pidx, particles, mem)
-                            tb.write(pidx, particles, mem)
-                    tb.work(pidx, EXPANSION_WORK * float(counts[parts[pidx]].sum()) * (p + 1))
-                tb.barrier("inter_particle")
-                self.emit_seconds += perf_counter() - t0
+                tb.work(pidx, EXPANSION_WORK * float(counts[parts[pidx]].sum()) * (p + 1))
+            tb.barrier("inter_particle")
+            self.emit_seconds += perf_counter() - t0
 
             # ---- inter_particle: P2P with the 8 neighbouring leaves.
             # Per-target term order is the stencil-order concatenation of
-            # neighbour members in both engines; the loop engine folds each
-            # row sequentially (cumsum) and the batch engine enumerates all
-            # pairs at once and folds each target's bin with bincount —
-            # the same additions in the same order.
+            # neighbour members; all pairs are enumerated at once and each
+            # target's bin folds with bincount — the same additions in the
+            # same order as a sequential per-row fold.
             with self._phys("p2p_inter"):
-                if batch:
-                    tixo, tiyo = occm % side, occm // side
-                    sxo = tixo[:, None] + _P2P_STENCIL[None, :, 0]
-                    syo = tiyo[:, None] + _P2P_STENCIL[None, :, 1]
-                    okn = (sxo >= 0) & (sxo < side) & (syo >= 0) & (syo < side)
-                    nbrm = (syo * side + sxo)[okn]
-                    nbrm_cnt = counts[nbrm]
-                    grpm = np.repeat(
-                        np.arange(occm.shape[0], dtype=np.int64), okn.sum(axis=1)
+                tixo, tiyo = occm % side, occm // side
+                sxo = tixo[:, None] + _P2P_STENCIL[None, :, 0]
+                syo = tiyo[:, None] + _P2P_STENCIL[None, :, 1]
+                okn = (sxo >= 0) & (sxo < side) & (syo >= 0) & (syo < side)
+                nbrm = (syo * side + sxo)[okn]
+                nbrm_cnt = counts[nbrm]
+                grpm = np.repeat(
+                    np.arange(occm.shape[0], dtype=np.int64), okn.sum(axis=1)
+                )
+                sc = np.bincount(
+                    grpm, weights=nbrm_cnt, minlength=occm.shape[0]
+                ).astype(np.int64)
+                src = ragged_take(sort_order, starts_m[rank_L[nbrm]], nbrm_cnt)
+                s_offs = counts_to_offsets(sc)
+                # Enumerate the pair stream left-major (per target, its
+                # cell's neighbour concatenation) without any integer
+                # division: repeat the targets by their source counts
+                # and gather the pre-gathered source values through one
+                # shared ragged index.
+                scp = np.repeat(sc, occm_cnt)  # sources per target
+                tpart = np.repeat(sort_order, scp)
+                starts_t = np.repeat(s_offs[:-1], occm_cnt)
+                offs_p = counts_to_offsets(scp)
+                gidx = np.repeat(starts_t - offs_p[:-1], scp)
+                gidx += np.arange(gidx.shape[0], dtype=np.int64)
+                zt = np.repeat(zpos[sort_order], scp)
+                terms = self.charge[src][gidx] / (zt - zpos[src][gidx])
+                sums = complex_segsum(tpart, terms, n)
+                tt = sort_order[scp > 0]
+                self.field[tt] += np.conj(sums[tt])
+            t0 = perf_counter()
+            for pidx in range(P):
+                occ = parts[pidx][counts[parts[pidx]] > 0]
+                npairs = 0.0
+                if occ.shape[0]:
+                    tix, tiy = occ % side, occ // side
+                    sx = tix[:, None] + _P2P_STENCIL[None, :, 0]
+                    sy = tiy[:, None] + _P2P_STENCIL[None, :, 1]
+                    ok = (sx >= 0) & (sx < side) & (sy >= 0) & (sy < side)
+                    nbr = (sy * side + sx)[ok]
+                    grp = np.repeat(
+                        np.arange(occ.shape[0], dtype=np.int64),
+                        ok.sum(axis=1),
                     )
-                    sc = np.bincount(
-                        grpm, weights=nbrm_cnt, minlength=occm.shape[0]
+                    tot = np.bincount(
+                        grp, weights=counts[nbr], minlength=occ.shape[0]
                     ).astype(np.int64)
-                    src = ragged_take(sort_order, starts_m[rank_L[nbrm]], nbrm_cnt)
-                    s_offs = counts_to_offsets(sc)
-                    # Enumerate the pair stream left-major (per target, its
-                    # cell's neighbour concatenation) without any integer
-                    # division: repeat the targets by their source counts
-                    # and gather the pre-gathered source values through one
-                    # shared ragged index.
-                    scp = np.repeat(sc, occm_cnt)  # sources per target
-                    tpart = np.repeat(sort_order, scp)
-                    starts_t = np.repeat(s_offs[:-1], occm_cnt)
-                    offs_p = counts_to_offsets(scp)
-                    gidx = np.repeat(starts_t - offs_p[:-1], scp)
-                    gidx += np.arange(gidx.shape[0], dtype=np.int64)
-                    zt = np.repeat(zpos[sort_order], scp)
-                    terms = self.charge[src][gidx] / (zt - zpos[src][gidx])
-                    sums = complex_segsum(tpart, terms, n)
-                    tt = sort_order[scp > 0]
-                    self.field[tt] += np.conj(sums[tt])
-                else:
-                    for pidx in range(P):
-                        for rm in parts[pidx].tolist():
-                            mem = members(rm)
-                            if mem.shape[0] == 0:
-                                continue
-                            tix, tiy = rm % side, rm // side
-                            nb_chunks = []
-                            for dx, dy in _P2P_STENCIL.tolist():
-                                sx, sy = tix + dx, tiy + dy
-                                if 0 <= sx < side and 0 <= sy < side:
-                                    nb = members(sy * side + sx)
-                                    if nb.shape[0]:
-                                        nb_chunks.append(nb)
-                            if not nb_chunks:
-                                continue
-                            nbs = np.concatenate(nb_chunks)
-                            d = zpos[mem][:, None] - zpos[nbs][None, :]
-                            terms = self.charge[nbs][None, :] / d
-                            self.field[mem] += np.conj(
-                                np.cumsum(terms, axis=1)[:, -1]
-                            )
-            if emit:
-                t0 = perf_counter()
-                if ragged:
-                    for pidx in range(P):
-                        occ = parts[pidx][counts[parts[pidx]] > 0]
-                        npairs = 0.0
-                        if occ.shape[0]:
-                            tix, tiy = occ % side, occ // side
-                            sx = tix[:, None] + _P2P_STENCIL[None, :, 0]
-                            sy = tiy[:, None] + _P2P_STENCIL[None, :, 1]
-                            ok = (sx >= 0) & (sx < side) & (sy >= 0) & (sy < side)
-                            nbr = (sy * side + sx)[ok]
-                            grp = np.repeat(
-                                np.arange(occ.shape[0], dtype=np.int64),
-                                ok.sum(axis=1),
-                            )
-                            tot = np.bincount(
-                                grp, weights=counts[nbr], minlength=occ.shape[0]
-                            ).astype(np.int64)
-                            kept = tot > 0
-                            nbo = nbr[counts[nbr] > 0]
-                            tb.emit_ragged(
-                                pidx,
-                                [
-                                    (particles, False,
-                                     ragged_take(sort_order, starts_m[rank_L[nbo]],
-                                                 counts[nbo]),
-                                     counts_to_offsets(tot[kept])),
-                                    (particles, True, gather(occ[kept]),
-                                     counts_to_offsets(counts[occ[kept]])),
-                                ],
-                            )
-                            # Lock per remotely-owned in-bounds neighbour leaf
-                            # of every leaf that emitted a unit.
-                            remote = np.bincount(
-                                grp,
-                                weights=(owner_rm[nbr] != pidx),
-                                minlength=occ.shape[0],
-                            )
-                            nlocks = int(remote[kept].sum())
-                            if nlocks:
-                                tb.lock(pidx, nlocks)
-                            npairs = float((counts[occ] * tot)[kept].sum())
-                        tb.work(pidx, P2P_WORK * npairs)
-                else:
-                    for pidx in range(P):
-                        npairs = 0.0
-                        for rm in parts[pidx].tolist():
-                            mem = members(rm)
-                            if mem.shape[0] == 0:
-                                continue
-                            tix, tiy = rm % side, rm // side
-                            nb_chunks = []
-                            for dx, dy in _P2P_STENCIL.tolist():
-                                sx, sy = tix + dx, tiy + dy
-                                if 0 <= sx < side and 0 <= sy < side:
-                                    nb = members(sy * side + sx)
-                                    if nb.shape[0]:
-                                        nb_chunks.append(nb)
-                            if not nb_chunks:
-                                continue
-                            nbs = np.concatenate(nb_chunks)
-                            npairs += float(mem.shape[0] * nbs.shape[0])
-                            tb.read(pidx, particles, nbs)
-                            tb.write(pidx, particles, mem)
-                            # Lock per remotely-owned neighbour leaf.
-                            remote_leaves = sum(
-                                1
-                                for dx, dy in _P2P_STENCIL.tolist()
-                                if 0 <= tix + dx < side
-                                and 0 <= tiy + dy < side
-                                and owner_rm[(tiy + dy) * side + (tix + dx)] != pidx
-                            )
-                            if remote_leaves:
-                                tb.lock(pidx, remote_leaves)
-                        tb.work(pidx, P2P_WORK * npairs)
-                tb.barrier("intra_particle")
-                self.emit_seconds += perf_counter() - t0
+                    kept = tot > 0
+                    nbo = nbr[counts[nbr] > 0]
+                    tb.emit_ragged(
+                        pidx,
+                        [
+                            (particles, False,
+                             ragged_take(sort_order, starts_m[rank_L[nbo]],
+                                         counts[nbo]),
+                             counts_to_offsets(tot[kept])),
+                            (particles, True, gather(occ[kept]),
+                             counts_to_offsets(counts[occ[kept]])),
+                        ],
+                    )
+                    # Lock per remotely-owned in-bounds neighbour leaf
+                    # of every leaf that emitted a unit.
+                    remote = np.bincount(
+                        grp,
+                        weights=(owner_rm[nbr] != pidx),
+                        minlength=occ.shape[0],
+                    )
+                    nlocks = int(remote[kept].sum())
+                    if nlocks:
+                        tb.lock(pidx, nlocks)
+                    npairs = float((counts[occ] * tot)[kept].sum())
+                tb.work(pidx, P2P_WORK * npairs)
+            tb.barrier("intra_particle")
+            self.emit_seconds += perf_counter() - t0
 
             # ---- intra_particle: P2P within each owned leaf.  Self pairs
             # stay in the term stream as charge/inf = 0 (complex division
-            # by inf is exact), so both engines fold identical sequences.
+            # by inf is exact), so each row folds the same sequence as a
+            # per-leaf loop with its diagonal masked.
             with self._phys("p2p_intra"):
-                if batch:
-                    sel2 = occm_cnt >= 2
-                    occ2 = occm[sel2]
-                    c2 = occm_cnt[sel2]
-                    base2 = starts_m[rank_L[occ2]]
-                    touched = ragged_take(sort_order, base2, c2)
-                    # Same divmod-free pair enumeration as inter_particle:
-                    # each member of a cell interacts with the cell's own
-                    # member list, so the source block per target is its
-                    # group's slice of ``touched``.
-                    scp2 = np.repeat(c2, c2)
-                    tpart = np.repeat(touched, scp2)
-                    g_offs = counts_to_offsets(c2)
-                    offs_p2 = counts_to_offsets(scp2)
-                    gidx = np.repeat(np.repeat(g_offs[:-1], c2) - offs_p2[:-1], scp2)
-                    gidx += np.arange(gidx.shape[0], dtype=np.int64)
-                    zm = zpos[touched]
-                    d = np.repeat(zm, scp2) - zm[gidx]
-                    tpos = np.repeat(
-                        np.arange(touched.shape[0], dtype=np.int64), scp2
+                sel2 = occm_cnt >= 2
+                occ2 = occm[sel2]
+                c2 = occm_cnt[sel2]
+                base2 = starts_m[rank_L[occ2]]
+                touched = ragged_take(sort_order, base2, c2)
+                # Same divmod-free pair enumeration as inter_particle:
+                # each member of a cell interacts with the cell's own
+                # member list, so the source block per target is its
+                # group's slice of ``touched``.
+                scp2 = np.repeat(c2, c2)
+                tpart = np.repeat(touched, scp2)
+                g_offs = counts_to_offsets(c2)
+                offs_p2 = counts_to_offsets(scp2)
+                gidx = np.repeat(np.repeat(g_offs[:-1], c2) - offs_p2[:-1], scp2)
+                gidx += np.arange(gidx.shape[0], dtype=np.int64)
+                zm = zpos[touched]
+                d = np.repeat(zm, scp2) - zm[gidx]
+                tpos = np.repeat(
+                    np.arange(touched.shape[0], dtype=np.int64), scp2
+                )
+                d[gidx == tpos] = np.inf
+                terms = self.charge[touched][gidx] / d
+                sums = complex_segsum(tpart, terms, n)
+                self.field[touched] += np.conj(sums[touched])
+            t0 = perf_counter()
+            for pidx in range(P):
+                sel = parts[pidx][counts[parts[pidx]] >= 2]
+                if sel.shape[0]:
+                    moffs = counts_to_offsets(counts[sel])
+                    mem_col = gather(sel)
+                    tb.emit_ragged(
+                        pidx,
+                        [
+                            (particles, False, mem_col, moffs),
+                            (particles, True, mem_col, moffs),
+                        ],
                     )
-                    d[gidx == tpos] = np.inf
-                    terms = self.charge[touched][gidx] / d
-                    sums = complex_segsum(tpart, terms, n)
-                    self.field[touched] += np.conj(sums[touched])
-                else:
-                    for pidx in range(P):
-                        for rm in parts[pidx].tolist():
-                            mem = members(rm)
-                            if mem.shape[0] < 2:
-                                continue
-                            d = zpos[mem][:, None] - zpos[mem][None, :]
-                            np.fill_diagonal(d, np.inf)
-                            terms = self.charge[mem][None, :] / d
-                            self.field[mem] += np.conj(
-                                np.cumsum(terms, axis=1)[:, -1]
-                            )
-            if emit:
-                t0 = perf_counter()
-                for pidx in range(P):
-                    if ragged:
-                        sel = parts[pidx][counts[parts[pidx]] >= 2]
-                        if sel.shape[0]:
-                            moffs = counts_to_offsets(counts[sel])
-                            mem_col = gather(sel)
-                            tb.emit_ragged(
-                                pidx,
-                                [
-                                    (particles, False, mem_col, moffs),
-                                    (particles, True, mem_col, moffs),
-                                ],
-                            )
-                        npairs = float((counts[sel] * (counts[sel] - 1)).sum())
-                    else:
-                        npairs = 0.0
-                        for rm in parts[pidx].tolist():
-                            mem = members(rm)
-                            if mem.shape[0] < 2:
-                                continue
-                            npairs += float(mem.shape[0] * (mem.shape[0] - 1))
-                            tb.read(pidx, particles, mem)
-                            tb.write(pidx, particles, mem)
-                    tb.work(pidx, P2P_WORK * npairs)
-                tb.barrier("other")
-                self.emit_seconds += perf_counter() - t0
+                npairs = float((counts[sel] * (counts[sel] - 1)).sum())
+                tb.work(pidx, P2P_WORK * npairs)
+            tb.barrier("other")
+            self.emit_seconds += perf_counter() - t0
 
             # ---- other: integrate owned particles.
             with self._phys("integrate"):
                 accel = np.stack([self.field.real, self.field.imag], axis=1)
                 self.vel += self.dt * accel
                 self.pos += self.dt * self.vel
-            if emit:
-                t0 = perf_counter()
-                for pidx in range(P):
-                    mine = gather(parts[pidx])
-                    tb.read(pidx, particles, mine)
-                    tb.write(pidx, particles, mine)
-                    tb.work(pidx, mine.shape[0])
-                tb.barrier("build_tree")
-                self.emit_seconds += perf_counter() - t0
+            t0 = perf_counter()
+            for pidx in range(P):
+                mine = gather(parts[pidx])
+                tb.read(pidx, particles, mine)
+                tb.write(pidx, particles, mine)
+                tb.work(pidx, mine.shape[0])
+            tb.barrier("build_tree")
+            self.emit_seconds += perf_counter() - t0
         trace = tb.finish()
         self.seal_seconds = tb.seal_seconds
         return trace

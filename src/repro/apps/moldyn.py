@@ -45,7 +45,6 @@ from .base import (
     scatter_add,
 )
 from .distributions import lattice_jittered
-from .numerics import interaction_list_loop
 
 __all__ = ["Moldyn", "build_interaction_list"]
 
@@ -126,7 +125,7 @@ class Moldyn(Application):
     ``adapt_policy="every"``) — re-reorder as the molecules drift, an
     extension of the paper's one-shot reordering ("can be called by a
     single processor as often as necessary", section 3.5).  Re-reordering
-    work is charged to processor 0 in a dedicated ``reorder`` epoch,
+    work is charged to processor 0 in a dedicated ``"reorder"`` epoch,
     followed by an interaction-list rebuild.
     """
 
@@ -135,6 +134,7 @@ class Moldyn(Application):
     sync = "b"
     object_size = 72
     orderings = ("column", "hilbert", "gray", "rcm")
+    knobs = ("box", "cutoff_neighbors", "dt", "rebuild_every")
 
     def __init__(self, config: AppConfig):
         super().__init__(config)
@@ -174,17 +174,8 @@ class Moldyn(Application):
     # -- physics ---------------------------------------------------------
 
     def _build_pairs(self) -> np.ndarray:
-        """Interaction list via the engine-selected builder.
-
-        The batch builder is the vectorized cell-sort + half-stencil
-        enumeration; the loop oracle scans each occupied cell with Python
-        loops (the Chaos benchmark's formulation).  Both feed the same
-        distance filter and (i, j) lexsort, so the output array is
-        identical element-for-element.
-        """
-        if self.engine == "batch":
-            return build_interaction_list(self.pos, self.cutoff, self.box)
-        return interaction_list_loop(self.pos, self.cutoff, self.box)
+        """Interaction list: vectorized cell sort + half-stencil enumeration."""
+        return build_interaction_list(self.pos, self.cutoff, self.box)
 
     def _lj_forces(self) -> None:
         """Lennard-Jones forces over the interaction list (both partners)."""
@@ -227,8 +218,6 @@ class Moldyn(Application):
         with self._phys("build_list"):
             self.pairs = self._build_pairs()
         self._steps_since_rebuild = 0
-        if self.emit_mode == "none":
-            return
         t0 = perf_counter()
         bounds = self._owned_pair_bounds()
         for p in range(self.nprocs):
@@ -243,62 +232,40 @@ class Moldyn(Application):
         """Force evaluation: per owned molecule, read partners via the
         interaction list; write both partners of every pair.
 
-        Loop mode stages four builder calls per molecule (the original
-        path); ragged mode stages the same four lanes — self read, partner
-        reads, self write, partner writes — for a whole block at once.
-        The pair list is sorted by first endpoint and the blocks are
-        contiguous, so each block's partner stream is one slice of the
-        ``j`` column and the per-molecule offsets come straight from
-        ``bounds``; molecules without partners are dropped, exactly like
-        the loop's ``hi == lo`` skip."""
+        The four lanes — self read, partner reads, self write, partner
+        writes — of a whole block go out in one ragged call.  The pair
+        list is sorted by first endpoint and the blocks are contiguous, so
+        each block's partner stream is one slice of the ``j`` column and
+        the per-molecule offsets come straight from ``bounds``; molecules
+        without partners stage nothing."""
         with self._phys("forces"):
             self._lj_forces()
-        if self.emit_mode == "none":
-            return
         t0 = perf_counter()
         bounds = self._owned_pair_bounds()
-        if self.emit_mode == "loop":
-            for p in range(self.nprocs):
-                for i in self.parts[p].tolist():
-                    lo, hi = bounds[i], bounds[i + 1]
-                    if hi == lo:
-                        continue
-                    partners = self.pairs[lo:hi, 1]
-                    tb.read(p, mol, np.array([i]))
-                    tb.read(p, mol, partners)
-                    tb.write(p, mol, np.array([i]))
-                    tb.write(p, mol, partners)
-                tb.work(
-                    p,
-                    float(bounds[self.parts[p][-1] + 1] - bounds[self.parts[p][0]]),
-                )
-        else:
-            pj = np.ascontiguousarray(self.pairs[:, 1])
-            for p in range(self.nprocs):
-                mine = self.parts[p]
-                cnt = np.diff(bounds[mine[0] : mine[-1] + 2])
-                mols = mine[cnt > 0]
-                offs = np.zeros(mols.shape[0] + 1, dtype=np.int64)
-                np.cumsum(cnt[cnt > 0], out=offs[1:])
-                part = pj[bounds[mine[0]] : bounds[mine[-1] + 1]]
-                tb.emit_ragged(
-                    p,
-                    [
-                        (mol, False, mols, 1),
-                        (mol, False, part, offs),
-                        (mol, True, mols, 1),
-                        (mol, True, part, offs),
-                    ],
-                )
-                tb.work(p, float(part.shape[0]))
+        pj = np.ascontiguousarray(self.pairs[:, 1])
+        for p in range(self.nprocs):
+            mine = self.parts[p]
+            cnt = np.diff(bounds[mine[0] : mine[-1] + 2])
+            mols = mine[cnt > 0]
+            offs = np.zeros(mols.shape[0] + 1, dtype=np.int64)
+            np.cumsum(cnt[cnt > 0], out=offs[1:])
+            part = pj[bounds[mine[0]] : bounds[mine[-1] + 1]]
+            tb.emit_ragged(
+                p,
+                [
+                    (mol, False, mols, 1),
+                    (mol, False, part, offs),
+                    (mol, True, mols, 1),
+                    (mol, True, part, offs),
+                ],
+            )
+            tb.work(p, float(part.shape[0]))
         self._emit_acc += perf_counter() - t0
 
     def _emit_update(self, tb: TraceBuilder, mol: int) -> None:
         """Leapfrog integration of the owned block."""
         with self._phys("integrate"):
             self._integrate()
-        if self.emit_mode == "none":
-            return
         t0 = perf_counter()
         for p in range(self.nprocs):
             tb.read(p, mol, self.parts[p])
@@ -311,7 +278,6 @@ class Moldyn(Application):
         tb = TraceBuilder(self.nprocs, label="build_list")
         mol = tb.add_region("molecules", self.n, self.object_size)
         first = True
-        emit = self.emit_mode != "none"
         self._emit_acc = 0.0
         self.physics_seconds = 0.0
         self.physics_stages = {}
@@ -322,31 +288,23 @@ class Moldyn(Application):
             # an interaction-list rebuild.
             info = self._policy_rereorder(self._steps_total)
             if info is not None:
-                if not first and emit:
+                if not first:
                     tb.barrier("reorder")
-                if emit:
-                    t0 = perf_counter()
-                    self._emit_reorder_epoch(tb, mol, info)
-                    self._emit_acc += perf_counter() - t0
-                if emit:
-                    tb.barrier("build_list")
+                t0 = perf_counter()
+                self._emit_reorder_epoch(tb, mol, info)
+                self._emit_acc += perf_counter() - t0
+                tb.barrier("build_list")
                 self._emit_build_list(tb, mol)
-                if emit:
-                    tb.barrier("forces")
             elif first or self._steps_since_rebuild >= self.rebuild_every:
-                if not first and emit:
+                if not first:
                     tb.barrier("build_list")
                 self._emit_build_list(tb, mol)
-                if emit:
-                    tb.barrier("forces")
-            elif emit:
-                tb.barrier("forces")
+            tb.barrier("forces")
             first = False
             self._steps_since_rebuild += 1
             self._steps_total += 1
             self._emit_forces(tb, mol)
-            if emit:
-                tb.barrier("update")
+            tb.barrier("update")
             self._emit_update(tb, mol)
         trace = tb.finish()
         self.seal_seconds = tb.seal_seconds

@@ -1,24 +1,20 @@
-"""Batched compute engine for the five apps' physics.
+"""Vectorized compute engine for the five apps' physics.
 
 The generate stage — the physics that produces the access streams the
-paper's tables and figures are built from — was the last big Python-loop
-stronghold in the codebase: per-cell recursive octree construction, FMM's
-per-proc x per-cell x per-V-offset loop nest, per-particle tree walks.
-This module provides vectorized ("batch") formulations of those stages,
-dispatched via ``config.extra["engine"]`` exactly like
-:mod:`repro.machines.kernels`: the per-object / per-cell "loop" paths stay
-in the apps as the property-tested oracle, and both engines must produce
-**byte-identical** packed trace bundles (asserted for all five apps in
-``tests/apps/test_numerics.py`` and in the generation benchmark).
+paper's tables and figures are built from — is written here as batch
+formulations of what the original benchmarks do per cell or per
+particle: the level-synchronous octree build, the Barnes-Hut frontier
+forces, FMM's P2M/translation/L2P stacks.  Each stays bitwise-equal to
+the scalar per-object formulation it replaces; those scalar loop
+oracles live in ``tests/oracles/numerics.py``, and
+``tests/apps/test_numerics.py`` checks every batch function against
+them.
 
-Byte identity holds because a trace depends on the physics floats only
-through each iteration's positions (and, for Barnes-Hut, the tree built
-from them), so it suffices that both engines produce bitwise-identical
-floats.  The batch formulations are therefore built exclusively from
-*order-matched* primitives:
+Bitwise equality holds because the batch formulations are built
+exclusively from *order-matched* primitives:
 
 * ``np.bincount`` accumulates each bin sequentially in stream order —
-  bitwise-identical to ``np.add.at`` and to a per-object Python fold
+  bitwise-identical to numpy's ``add.at`` and to a per-object Python fold
   (``np.cumsum(x)[-1]``), unlike ``np.sum``/``np.add.reduceat`` which
   reduce pairwise.  All scatter/segment reductions here use it (via
   :func:`repro.apps.base.scatter_add` and :func:`complex_segsum`).
@@ -34,34 +30,22 @@ See DESIGN.md section 5.13 for the creation-order preservation argument.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
-from .base import (
-    ENGINES,
-    HALF_STENCIL,
-    counts_to_offsets,
-    resolve_engine,
-    scatter_add,
-)
+from .base import counts_to_offsets, scatter_add
 from .octree import Octree, WalkResult
 
 __all__ = [
-    "ENGINES",
-    "resolve_engine",
     "scatter_add",
     "build_octree_batch",
     "subtree_spans",
     "bh_forces_batch",
-    "bh_walk_forces_loop",
     "complex_segsum",
     "p2m_batch",
     "m2m_stack",
     "m2l_stack",
     "l2l_stack",
     "eval_local_deriv_batch",
-    "interaction_list_loop",
 ]
 
 _I64_MAX = np.iinfo(np.int64).max
@@ -266,12 +250,12 @@ def bh_forces_batch(
 ) -> np.ndarray:
     """Accelerations from the walk's interaction lists, column-wise.
 
-    Same math as the per-body oracle in :func:`bh_walk_forces_loop`:
+    Same math as the per-body recursive walk and force fold:
     column-wise distance terms (bitwise-equal to a row reduce over 3
     columns, and far faster) and per-column ``bincount`` scatters whose
     per-body accumulation order is the walk's visit order — the pair
     streams are emitted in ascending step order, which per body *is* the
-    DFS visit order, so the bincount fold matches the oracle's sequential
+    DFS visit order, so the bincount fold matches a per-body sequential
     fold exactly.
     """
     n = pos.shape[0]
@@ -300,109 +284,6 @@ def bh_forces_batch(
         acc[:, 1] += np.bincount(db, weights=mag * dy, minlength=n)
         acc[:, 2] += np.bincount(db, weights=mag * dz, minlength=n)
     return acc
-
-
-def bh_walk_forces_loop(
-    tree: Octree,
-    pos: np.ndarray,
-    mass: np.ndarray,
-    theta: float,
-    eps: float,
-    order: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
-    """The per-particle recursive walk + force oracle.
-
-    This is the benchmark's own formulation — "each processor walks the
-    tree for each of its particles" — in scalar Python: one DFS per body
-    with the opening criterion evaluated in Python floats (IEEE-identical
-    to the vectorized frontier walk's elementwise numpy ops), followed by
-    a per-body force fold (``cumsum[-1]`` — the sequential reduction the
-    batch engine's bincount matches bin-for-bin).  Returns
-    ``(acc, cost, csr)`` where ``csr`` rows follow ``order``, exactly like
-    ``WalkResult.per_body_csr``.
-    """
-    n = pos.shape[0]
-    eps2 = eps * eps
-    children = tree.children.tolist()
-    is_leaf = tree.is_leaf.tolist()
-    com_l = tree.com.tolist()
-    center_l = tree.center.tolist()
-    half_l = tree.half.tolist()
-    leaf_start = tree.leaf_start.tolist()
-    leaf_count = tree.leaf_count.tolist()
-    leaf_bodies = tree.leaf_bodies.tolist()
-    pos_l = pos.tolist()
-    poscols = [np.ascontiguousarray(pos[:, k]) for k in range(3)]
-    comcols = [np.ascontiguousarray(tree.com[:, k]) for k in range(3)]
-    tmass = tree.mass
-
-    acc = np.zeros((n, 3))
-    cost = np.zeros(n, dtype=np.int64)
-    ci_rows: list[np.ndarray] = []
-    do_rows: list[np.ndarray] = []
-    cbounds = np.zeros(n + 1, dtype=np.int64)
-    dbounds = np.zeros(n + 1, dtype=np.int64)
-    for j, b in enumerate(order.tolist()):
-        bx, by, bz = pos_l[b]
-        cells_b: list[int] = []
-        others_b: list[int] = []
-        stack = [0]
-        while stack:
-            c = stack.pop()
-            if is_leaf[c]:
-                s = leaf_start[c]
-                for o in leaf_bodies[s : s + leaf_count[c]]:
-                    if o != b:
-                        others_b.append(o)
-                continue
-            cx, cy, cz = com_l[c]
-            dx = bx - cx
-            dy = by - cy
-            dz = bz - cz
-            dist = math.sqrt(dx * dx + dy * dy + dz * dz)
-            ox, oy, oz = center_l[c]
-            h = half_l[c]
-            inside = max(abs(bx - ox), abs(by - oy), abs(bz - oz)) <= h
-            if (2.0 * h < theta * dist) and not inside:
-                cells_b.append(c)
-            else:
-                for k in reversed(children[c]):
-                    if k >= 0:
-                        stack.append(k)
-        cost[b] = len(cells_b) + len(others_b)
-        ax = ay = az = 0.0
-        if cells_b:
-            kc = np.array(cells_b, dtype=np.int64)
-            dx = comcols[0].take(kc) - bx
-            dy = comcols[1].take(kc) - by
-            dz = comcols[2].take(kc) - bz
-            d2 = dx * dx + dy * dy + dz * dz + eps2
-            mag = tmass.take(kc) * d2 ** -1.5
-            ax = np.cumsum(mag * dx)[-1]
-            ay = np.cumsum(mag * dy)[-1]
-            az = np.cumsum(mag * dz)[-1]
-            ci_rows.append(kc)
-        if others_b:
-            ko = np.array(others_b, dtype=np.int64)
-            dx = poscols[0].take(ko) - bx
-            dy = poscols[1].take(ko) - by
-            dz = poscols[2].take(ko) - bz
-            d2 = dx * dx + dy * dy + dz * dz + eps2
-            mag = mass.take(ko) * d2 ** -1.5
-            ax = ax + np.cumsum(mag * dx)[-1]
-            ay = ay + np.cumsum(mag * dy)[-1]
-            az = az + np.cumsum(mag * dz)[-1]
-            do_rows.append(ko)
-        acc[b, 0] = ax
-        acc[b, 1] = ay
-        acc[b, 2] = az
-        cbounds[j + 1] = cbounds[j] + len(cells_b)
-        dbounds[j + 1] = dbounds[j] + len(others_b)
-
-    def cat(parts: list[np.ndarray]) -> np.ndarray:
-        return np.concatenate(parts) if parts else np.empty(0, dtype=np.int64)
-
-    return acc, cost, (cat(ci_rows), cbounds, cat(do_rows), dbounds)
 
 
 # ---------------------------------------------------------------------------
@@ -456,11 +337,10 @@ def m2m_stack(shifts: np.ndarray, p: int, binom: np.ndarray) -> np.ndarray:
     Entry-for-entry the same recurrences as the scalar constructor, but
     *not* bitwise-identical to it: numpy's vectorized complex multiply
     fuses the cross terms (FMA) while the scalar path does not, so the
-    shift-power chains can differ by an ulp.  That is why the apps build
-    translation matrices through these stacks for **both** engines — the
-    matrices are input-independent structural constants (like the Morton
-    tables), and sharing the constructor keeps the engines bitwise-equal
-    where it matters, in the per-cell accumulations.
+    shift-power chains can differ by an ulp.  The apps build every
+    translation matrix through these stacks; the scalar constructors in
+    :mod:`repro.apps.fmm_math` stay the readable reference, equal to
+    rounding.
     """
     m = shifts.shape[0]
     t = np.zeros((m, p + 1, p + 1), dtype=np.complex128)
@@ -515,62 +395,3 @@ def eval_local_deriv_batch(b: np.ndarray, d: np.ndarray) -> np.ndarray:
     for k in range(p - 1, 0, -1):
         out = out * d + k * b[:, k]
     return out
-
-
-# ---------------------------------------------------------------------------
-# LJ neighbor-list oracle (Moldyn / Water-Spatial)
-# ---------------------------------------------------------------------------
-
-
-def interaction_list_loop(pos: np.ndarray, cutoff: float, box: float) -> np.ndarray:
-    """Per-cell scalar reference for ``build_interaction_list``.
-
-    The original benchmark's formulation: bin molecules into the cell
-    grid, then scan each occupied cell — intra-cell ``i < j`` pairs, then
-    full crosses against the 13 half-stencil neighbour cells — with
-    Python loops.  The tail (distance filter + ``(i, j)`` lexsort) is the
-    same code as the vectorized builder, so the output array is
-    identical element-for-element.
-    """
-    n, ndim = pos.shape
-    if ndim != 3:
-        raise ValueError("interaction_list_loop expects 3-D positions")
-    side = max(1, int(box / cutoff))
-    cell_w = box / side
-    cell = np.clip((pos / cell_w).astype(np.int64), 0, side - 1)
-    cid = (cell[:, 0] * side + cell[:, 1]) * side + cell[:, 2]
-    order = np.argsort(cid, kind="stable")
-    sorted_cid = cid[order]
-    starts = np.searchsorted(sorted_cid, np.arange(side**3 + 1))
-    order_l = order.tolist()
-    starts_l = starts.tolist()
-    stencil = HALF_STENCIL.tolist()
-
-    pairs_i: list[int] = []
-    pairs_j: list[int] = []
-    for c in np.unique(sorted_cid).tolist():
-        mem = order_l[starts_l[c] : starts_l[c + 1]]
-        for a in range(len(mem)):
-            for b in range(a + 1, len(mem)):
-                pairs_i.append(mem[a])
-                pairs_j.append(mem[b])
-        cx, cy, cz = c // (side * side), (c // side) % side, c % side
-        for dx, dy, dz in stencil:
-            nx, ny, nz = cx + dx, cy + dy, cz + dz
-            if not (0 <= nx < side and 0 <= ny < side and 0 <= nz < side):
-                continue
-            d = (nx * side + ny) * side + nz
-            nmem = order_l[starts_l[d] : starts_l[d + 1]]
-            for a in mem:
-                for b in nmem:
-                    pairs_i.append(a)
-                    pairs_j.append(b)
-    if not pairs_i:
-        return np.empty((0, 2), dtype=np.int64)
-    pi = np.array(pairs_i, dtype=np.int64)
-    pj = np.array(pairs_j, dtype=np.int64)
-    d = pos[pi] - pos[pj]
-    keep = (d * d).sum(axis=1) < cutoff * cutoff
-    pi, pj = pi[keep], pj[keep]
-    o = np.lexsort((pj, pi))
-    return np.stack([pi[o], pj[o]], axis=1)

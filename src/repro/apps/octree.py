@@ -148,110 +148,12 @@ class WalkResult:
         return counts
 
 
-class _Builder:
-    def __init__(self, pos: np.ndarray, leaf_capacity: int, max_depth: int):
-        self.pos = pos
-        self.cap = leaf_capacity
-        self.max_depth = max_depth
-        self.ndim = pos.shape[1]
-        self.nchild = 1 << self.ndim
-        self.center: list[np.ndarray] = []
-        self.half: list[float] = []
-        self.mass: list[float] = []
-        self.com: list[np.ndarray] = []
-        self.children: list[np.ndarray] = []
-        self.is_leaf: list[bool] = []
-        self.leaf_start: list[int] = []
-        self.leaf_count: list[int] = []
-        self.leaf_bodies: list[np.ndarray] = []
-        self.level: list[int] = []
-        self.cursor = 0
-        self.depth = 0
-
-    def build(self, idx: np.ndarray, center: np.ndarray, half: float, depth: int) -> int:
-        me = len(self.center)
-        self.center.append(center)
-        self.half.append(half)
-        self.children.append(np.full(self.nchild, -1, dtype=np.int64))
-        self.is_leaf.append(False)
-        self.leaf_start.append(-1)
-        self.leaf_count.append(0)
-        self.level.append(depth)
-        self.depth = max(self.depth, depth)
-
-        pos = self.pos
-        if idx.shape[0] <= self.cap or depth >= self.max_depth:
-            self.is_leaf[me] = True
-            self.leaf_start[me] = self.cursor
-            self.leaf_count[me] = int(idx.shape[0])
-            self.leaf_bodies.append(idx)
-            self.cursor += int(idx.shape[0])
-            return me
-
-        # Octant of each body: bit d set if coordinate d above center.
-        above = pos[idx] > center[None, :]
-        octant = np.zeros(idx.shape[0], dtype=np.int64)
-        for d in range(self.ndim):
-            octant |= above[:, d].astype(np.int64) << d
-        order = np.argsort(octant, kind="stable")
-        sorted_idx = idx[order]
-        sorted_oct = octant[order]
-        bounds = np.searchsorted(sorted_oct, np.arange(self.nchild + 1))
-        qh = half / 2.0
-        for q in range(self.nchild):
-            lo, hi = int(bounds[q]), int(bounds[q + 1])
-            if lo == hi:
-                continue
-            offs = np.array(
-                [qh if (q >> d) & 1 else -qh for d in range(self.ndim)]
-            )
-            child = self.build(sorted_idx[lo:hi], center + offs, qh, depth + 1)
-            self.children[me][q] = child
-        return me
-
-    def finish(self) -> Octree:
-        n = self.pos.shape[0]
-        leaf_bodies = (
-            np.concatenate(self.leaf_bodies)
-            if self.leaf_bodies
-            else np.empty(0, dtype=np.int64)
-        )
-        is_leaf = np.array(self.is_leaf, dtype=bool)
-        leaf_start = np.array(self.leaf_start, dtype=np.int64)
-        leaf_count = np.array(self.leaf_count, dtype=np.int64)
-        # leaf_bodies segments appear in leaf creation order, which is also
-        # ascending leaf id and ascending leaf_start — one repeat scatter
-        # labels every body at once.
-        leaf_ids = np.nonzero(is_leaf)[0]
-        body_leaf = np.full(n, -1, dtype=np.int64)
-        body_leaf[leaf_bodies] = np.repeat(leaf_ids, leaf_count[leaf_ids])
-        ncells = len(self.center)
-        return Octree(
-            ndim=self.ndim,
-            leaf_capacity=self.cap,
-            center=np.array(self.center),
-            half=np.array(self.half, dtype=np.float64),
-            mass=np.zeros(ncells),
-            com=np.zeros((ncells, self.ndim)),
-            children=np.array(self.children, dtype=np.int64),
-            is_leaf=is_leaf,
-            leaf_start=leaf_start,
-            leaf_count=leaf_count,
-            leaf_bodies=leaf_bodies,
-            body_leaf=body_leaf,
-            node_level=np.array(self.level, dtype=np.int64),
-            depth=self.depth,
-        )
-
-
 def _fixup_masses(tree: Octree, pos: np.ndarray, masses: np.ndarray) -> None:
     """Fill mass/COM aggregates bottom-up, one level at a time.
 
-    Shared by both build engines (the structural build leaves mass/com
-    zeroed), so the tree's float fields are identical by construction
-    regardless of engine.  Level-grouped array ops replace the old
-    per-node post-order walk — no recursion, no Python-per-cell cost, and
-    tree depth can't hit any recursion limit.
+    The structural build leaves mass/com zeroed.  Level-grouped array ops
+    replace a per-node post-order walk — no recursion, no Python-per-cell
+    cost, and tree depth can't hit any recursion limit.
     """
     leaf_ids = np.nonzero(tree.is_leaf)[0]
     counts = tree.leaf_count[leaf_ids]
@@ -281,41 +183,40 @@ def _fixup_masses(tree: Octree, pos: np.ndarray, masses: np.ndarray) -> None:
             tree.com[sel, d] = np.where(ok, wx / np.where(ok, m, 1.0), tree.center[sel, d])
 
 
+def _root_cube(pos: np.ndarray) -> tuple[np.ndarray, float]:
+    """Center and half-width of the root cell: the bounding cube of
+    ``pos``, widened slightly so boundary points fall strictly inside."""
+    lo, hi = pos.min(axis=0), pos.max(axis=0)
+    center = (lo + hi) / 2.0
+    half = float((hi - lo).max()) / 2.0
+    half = half if half > 0 else 0.5
+    half *= 1.0 + 1e-9  # keep boundary points strictly inside
+    return center, half
+
+
 def build_octree(
     pos: np.ndarray,
     masses: np.ndarray | None = None,
     *,
     leaf_capacity: int = 8,
     max_depth: int = 24,
-    engine: str = "loop",
 ) -> Octree:
     """Build the tree over the current particle positions.
 
-    The recursion splits the bounding cube by octants; a node with at most
+    The root cube is split by octants; a node with at most
     ``leaf_capacity`` bodies becomes a leaf.  Creation order is DFS, i.e.
-    the order a sequential builder fills the shared cell array.
-
-    ``engine="batch"`` uses the level-synchronous vectorized builder
-    (:func:`repro.apps.numerics.build_octree_batch`), which produces an
-    identical tree — every array equal, floats bitwise — without the
-    per-cell recursion.  Mass/COM aggregation is shared between engines.
+    the order a sequential recursive builder fills the shared cell array.
+    The split runs level-synchronously
+    (:func:`repro.apps.numerics.build_octree_batch`), one vectorized pass
+    per level, and yields the recursive builder's tree exactly.
     """
+    from .numerics import build_octree_batch
+
     pos = np.asarray(pos, dtype=np.float64)
     if pos.ndim != 2 or pos.shape[0] == 0:
         raise ValueError("pos must be a non-empty (n, ndim) array")
-    lo, hi = pos.min(axis=0), pos.max(axis=0)
-    center = (lo + hi) / 2.0
-    half = float((hi - lo).max()) / 2.0
-    half = half if half > 0 else 0.5
-    half *= 1.0 + 1e-9  # keep boundary points strictly inside
-    if engine == "batch":
-        from .numerics import build_octree_batch
-
-        tree = build_octree_batch(pos, center, half, leaf_capacity, max_depth)
-    else:
-        b = _Builder(pos, leaf_capacity, max_depth)
-        b.build(np.arange(pos.shape[0], dtype=np.int64), center, half, 0)
-        tree = b.finish()
+    center, half = _root_cube(pos)
+    tree = build_octree_batch(pos, center, half, leaf_capacity, max_depth)
     unit = masses if masses is not None else np.ones(pos.shape[0])
     _fixup_masses(tree, pos, unit)
     return tree

@@ -52,6 +52,7 @@ class Unstructured(Application):
     sync = "b,l"
     object_size = 32
     orderings = ("column", "hilbert", "gray", "rcm")
+    knobs = ("mesh", "relax", "use_faces")
 
     def __init__(self, config: AppConfig):
         super().__init__(config)
@@ -88,22 +89,14 @@ class Unstructured(Application):
     # -- physics ---------------------------------------------------------
 
     def _edge_relax(self) -> None:
-        # The accumulation is engine-dispatched like the other apps' force
-        # loops: ``np.add.at`` is the element-at-a-time formulation, the
-        # bincount-based :func:`scatter_add` the batched one.  Both fold a
-        # node's contributions in edge-stream order, but ``scatter_add``
-        # sums them before touching the running value while ``add.at``
-        # interleaves, so relaxed values may differ in the last ulp.  The
-        # trace is engine-independent regardless: the mesh is static, and
-        # no address ever depends on the node values.
+        # The bincount-based :func:`scatter_add` folds a node's
+        # contributions in edge-stream order.  The trace never depends on
+        # the node values: the mesh is static, and no address is computed
+        # from a value.
         e = self.mesh.edges
         flux = self.relax * (self.value[e[:, 1]] - self.value[e[:, 0]])
-        if self.engine == "batch":
-            scatter_add(self.value, e[:, 0], flux)
-            scatter_add(self.value, e[:, 1], -flux)
-        else:
-            np.add.at(self.value, e[:, 0], flux)
-            np.add.at(self.value, e[:, 1], -flux)
+        scatter_add(self.value, e[:, 0], flux)
+        scatter_add(self.value, e[:, 1], -flux)
 
     def _face_relax(self) -> None:
         f = self.mesh.faces
@@ -112,10 +105,7 @@ class Unstructured(Application):
         mean = self.value[f].mean(axis=1)
         for k in range(3):
             upd = self.relax * 0.5 * (mean - self.value[f[:, k]])
-            if self.engine == "batch":
-                scatter_add(self.value, f[:, k], upd)
-            else:
-                np.add.at(self.value, f[:, k], upd)
+            scatter_add(self.value, f[:, k], upd)
 
     # -- execution ---------------------------------------------------------
 
@@ -131,13 +121,9 @@ class Unstructured(Application):
             if rows.shape[0] == 0:
                 continue
             stream = rows.ravel()  # interleaved endpoint order, as iterated
-            if self.emit_mode == "loop":
-                tb.read(p, region, stream)
-                tb.write(p, region, stream)
-            else:
-                # The stream is already one batched read-modify-write burst
-                # pair; the ragged API stages it without re-normalizing.
-                tb.update_ragged(p, region, stream, stream.shape[0])
+            # The stream is one read-modify-write burst pair; the ragged
+            # API stages it without re-normalizing.
+            tb.update_ragged(p, region, stream, stream.shape[0])
             tb.work(p, float(rows.shape[0]) * width)
             # Lock-protected remote updates.  Like the Chaos runtime, the
             # benchmark aggregates off-block accumulations and flushes them
@@ -155,7 +141,6 @@ class Unstructured(Application):
         n, P = self.n, self.nprocs
         tb = TraceBuilder(P, label="node_loop")
         nodes = tb.add_region("nodes", n, self.object_size)
-        emit = self.emit_mode != "none"
         self.emit_seconds = 0.0
         self.physics_seconds = 0.0
         self.physics_stages = {}
@@ -163,32 +148,29 @@ class Unstructured(Application):
             # Node loop: local relaxation of the owned block.
             with self._phys("node_loop"):
                 self.value *= 1.0 - 1e-3
-            if emit:
-                t0 = perf_counter()
-                for p in range(P):
-                    blk = self.node_parts[p]
-                    tb.read(p, nodes, blk)
-                    tb.write(p, nodes, blk)
-                    tb.work(p, blk.shape[0])
-                tb.barrier("edge_loop")
-                self.emit_seconds += perf_counter() - t0
+            t0 = perf_counter()
+            for p in range(P):
+                blk = self.node_parts[p]
+                tb.read(p, nodes, blk)
+                tb.write(p, nodes, blk)
+                tb.work(p, blk.shape[0])
+            tb.barrier("edge_loop")
+            self.emit_seconds += perf_counter() - t0
 
             # Edge loop.
             with self._phys("edge_loop"):
                 self._edge_relax()
-            if emit:
-                t0 = perf_counter()
-                self._conn_phase(tb, nodes, self.mesh.edges, "face_loop" if self.use_faces else "node_loop")
-                self.emit_seconds += perf_counter() - t0
+            t0 = perf_counter()
+            self._conn_phase(tb, nodes, self.mesh.edges, "face_loop" if self.use_faces else "node_loop")
+            self.emit_seconds += perf_counter() - t0
 
             # Face loop.
             if self.use_faces:
                 with self._phys("face_loop"):
                     self._face_relax()
-                if emit:
-                    t0 = perf_counter()
-                    self._conn_phase(tb, nodes, self.mesh.faces, "node_loop")
-                    self.emit_seconds += perf_counter() - t0
+                t0 = perf_counter()
+                self._conn_phase(tb, nodes, self.mesh.faces, "node_loop")
+                self.emit_seconds += perf_counter() - t0
         trace = tb.finish()
         self.seal_seconds = tb.seal_seconds
         return trace

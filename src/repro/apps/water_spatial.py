@@ -36,7 +36,6 @@ from ..core.reorder import Reordering
 from ..trace.builder import TraceBuilder
 from ..trace.events import Trace
 from .base import (
-    HALF_STENCIL,
     AppConfig,
     Application,
     counts_to_offsets,
@@ -45,7 +44,6 @@ from .base import (
     scatter_add,
 )
 from .moldyn import build_interaction_list
-from .numerics import interaction_list_loop
 
 __all__ = ["WaterSpatial"]
 
@@ -93,7 +91,8 @@ class WaterSpatial(Application):
     """See module docstring.
 
     ``config.extra`` knobs: ``box`` (default 1.0), ``cell_occupancy``
-    (average molecules per cell, default 6.0 — sets the grid side), ``dt``.
+    (average molecules per cell, default 6.0 — sets the grid side), ``dt``,
+    ``initial_order`` (``"random"``, the default, or ``"lattice"``).
     """
 
     name = "Water-Spatial"
@@ -101,6 +100,7 @@ class WaterSpatial(Application):
     sync = "b,l"
     object_size = 680
     orderings = ("hilbert", "gray", "peano")
+    knobs = ("box", "cell_occupancy", "dt", "initial_order")
 
     def __init__(self, config: AppConfig):
         super().__init__(config)
@@ -148,12 +148,9 @@ class WaterSpatial(Application):
         # same-step consumer (trace emission, reorder diagnostics) share
         # one build instead of recomputing it.
         if self._pairs_cache is None:
-            builder = (
-                build_interaction_list
-                if self.engine == "batch"
-                else interaction_list_loop
+            self._pairs_cache = build_interaction_list(
+                self.pos, self.cutoff, self.box
             )
-            self._pairs_cache = builder(self.pos, self.cutoff, self.box)
         return self._pairs_cache
 
     def _apply_reordering(self, r: Reordering) -> None:
@@ -174,17 +171,6 @@ class WaterSpatial(Application):
         order = np.argsort(cid, kind="stable")
         starts = np.searchsorted(cid[order], np.arange(self.side**3 + 1))
         return order, starts
-
-    def _neighbor_cells(self, c: int) -> list[int]:
-        """Half stencil (13 neighbours) of cell ``c``, in-bounds only."""
-        s = self.side
-        cx, cy, cz = c // (s * s), (c // s) % s, c % s
-        out = []
-        for dx, dy, dz in HALF_STENCIL.tolist():
-            nx, ny, nz = cx + dx, cy + dy, cz + dz
-            if 0 <= nx < s and 0 <= ny < s and 0 <= nz < s:
-                out.append((nx * s + ny) * s + nz)
-        return out
 
     # -- physics ---------------------------------------------------------
 
@@ -220,44 +206,16 @@ class WaterSpatial(Application):
     # -- trace emission ----------------------------------------------------
 
     def _emit_forces(self, tb, order, starts, own_list, mol, cells) -> None:
-        """Stage the force-phase access pattern (loop or ragged mode).
+        """Stage the force-phase access pattern.
 
         The sweep emits one *unit* per occupied own cell (cell-entry read,
         member read, member write) followed by one unit per occupied
         in-bounds half-stencil neighbour (entry read, neighbour read, own
-        write, neighbour write).  The loop mode is the original per-cell
-        staging; the ragged mode builds the same interleaved unit stream as
-        four CSR lanes — the intra-cell units simply carry a zero-length
-        fourth lane, which the builder drops exactly like the loop never
-        emitting it — and produces a byte-identical trace.
+        write, neighbour write).  The interleaved unit stream goes out as
+        four CSR lanes; the intra-cell units carry a zero-length fourth
+        lane, which the builder drops.
         """
         P = self.nprocs
-        if self.emit_mode == "loop":
-            members = lambda c: order[starts[c] : starts[c + 1]]  # noqa: E731
-            for p in range(P):
-                npairs = 0.0
-                for c in own_list[p].tolist():
-                    mem = members(c)
-                    if mem.shape[0] == 0:
-                        continue
-                    tb.read(p, cells, np.array([c]))
-                    tb.read(p, mol, mem)
-                    # Intra-cell pairs update owned molecules only.
-                    tb.write(p, mol, mem)
-                    npairs += mem.shape[0] * (mem.shape[0] - 1) / 2.0
-                    for d in self._neighbor_cells(c):
-                        nmem = members(d)
-                        if nmem.shape[0] == 0:
-                            continue
-                        tb.read(p, cells, np.array([d]))
-                        tb.read(p, mol, nmem)
-                        tb.write(p, mol, mem)
-                        tb.write(p, mol, nmem)
-                        npairs += float(mem.shape[0] * nmem.shape[0])
-                        if self.cell_owner[d] != p:
-                            tb.lock(p, 1)
-                tb.work(p, npairs)
-            return
         cnt_all = np.diff(starts)
         for p in range(P):
             occ = own_list[p]
@@ -304,11 +262,6 @@ class WaterSpatial(Application):
 
     def _owned(self, order, starts, own: np.ndarray) -> np.ndarray:
         """Owned molecules in cell-sweep order (update/move phases)."""
-        if self.emit_mode == "loop":
-            return np.concatenate(
-                [order[starts[c] : starts[c + 1]] for c in own.tolist()]
-                or [np.empty(0, np.int64)]
-            )
         return ragged_take(order, starts[own], starts[own + 1] - starts[own])
 
     # -- execution ---------------------------------------------------------
@@ -320,7 +273,6 @@ class WaterSpatial(Application):
         tb = TraceBuilder(P, label="forces")
         mol = tb.add_region("molecules", n, self.object_size)
         cells = tb.add_region("cells", ncells, CELL_ENTRY_BYTES)
-        emit = self.emit_mode != "none"
         self.emit_seconds = 0.0
         self.physics_seconds = 0.0
         self.physics_stages = {}
@@ -334,42 +286,39 @@ class WaterSpatial(Application):
                 self.interaction_pairs()
             with self._phys("forces"):
                 self._lj_forces()
-            if emit:
-                t0 = perf_counter()
-                self._emit_forces(tb, order, starts, own_list, mol, cells)
-                tb.barrier("update")
-                self.emit_seconds += perf_counter() - t0
+            t0 = perf_counter()
+            self._emit_forces(tb, order, starts, own_list, mol, cells)
+            tb.barrier("update")
+            self.emit_seconds += perf_counter() - t0
 
             # Update: integrate owned molecules, in cell-sweep order.
             with self._phys("integrate"):
                 self._integrate()
-            if emit:
-                t0 = perf_counter()
-                for p in range(P):
-                    mine = self._owned(order, starts, own_list[p])
-                    tb.read(p, mol, mine)
-                    tb.write(p, mol, mine)
-                    tb.work(p, mine.shape[0])
-                tb.barrier("move")
-                self.emit_seconds += perf_counter() - t0
+            t0 = perf_counter()
+            for p in range(P):
+                mine = self._owned(order, starts, own_list[p])
+                tb.read(p, mol, mine)
+                tb.write(p, mol, mine)
+                tb.work(p, mine.shape[0])
+            tb.barrier("move")
+            self.emit_seconds += perf_counter() - t0
 
             # Move: re-bin into cells; crossing into a remote cell takes
             # that cell's lock and writes its list head.
             with self._phys("move"):
                 new_cell = self._cell_of(self.pos)
-            if emit:
-                t0 = perf_counter()
-                for p in range(P):
-                    mine = self._owned(order, starts, own_list[p])
-                    tb.read(p, mol, mine)
-                    if mine.shape[0]:
-                        dest = new_cell[mine]
-                        tb.write(p, cells, dest)
-                        crossed = dest[self.cell_owner[dest] != p]
-                        if crossed.shape[0]:
-                            tb.lock(p, int(crossed.shape[0]))
-                    tb.work(p, mine.shape[0])
-                self.emit_seconds += perf_counter() - t0
+            t0 = perf_counter()
+            for p in range(P):
+                mine = self._owned(order, starts, own_list[p])
+                tb.read(p, mol, mine)
+                if mine.shape[0]:
+                    dest = new_cell[mine]
+                    tb.write(p, cells, dest)
+                    crossed = dest[self.cell_owner[dest] != p]
+                    if crossed.shape[0]:
+                        tb.lock(p, int(crossed.shape[0]))
+                tb.work(p, mine.shape[0])
+            self.emit_seconds += perf_counter() - t0
 
             # Policy check at the iteration boundary: molecules just moved,
             # so re-layout (full or incremental) before the next force
@@ -379,13 +328,12 @@ class WaterSpatial(Application):
             info = None
             if it + 1 < cfg.iterations:
                 info = self._policy_rereorder(self._steps_total)
-            if emit:
-                t0 = perf_counter()
-                if info is not None:
-                    tb.barrier("reorder")
-                    self._emit_reorder_epoch(tb, mol, info)
-                tb.barrier("forces")
-                self.emit_seconds += perf_counter() - t0
+            t0 = perf_counter()
+            if info is not None:
+                tb.barrier("reorder")
+                self._emit_reorder_epoch(tb, mol, info)
+            tb.barrier("forces")
+            self.emit_seconds += perf_counter() - t0
         trace = tb.finish()
         self.seal_seconds = tb.seal_seconds
         return trace

@@ -38,12 +38,11 @@ the same with timing statistics and assertions; the CLI is the quick path.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import logging
 import os
 import sys
 
-from .apps import APP_REGISTRY, ENGINES
+from .apps import APP_REGISTRY
 from .core.keys import ORDERINGS
 from .errors import ReproError, exit_code_for
 from .experiments import (
@@ -97,7 +96,6 @@ _COMMON_DEFAULTS = {
     "resume": True,
     "task_timeout": 300.0,
     "quiet": False,
-    "engine": "auto",
 }
 
 
@@ -130,10 +128,6 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
                         help="wall-clock budget per trace worker (default 300)")
     parser.add_argument("--quiet", action="store_true", default=S,
                         help="suppress progress logging")
-    parser.add_argument("--engine", default=S, choices=list(ENGINES),
-                        help="app-numerics engine: 'batch' (vectorized,"
-                             " default via 'auto') or 'loop' (the per-object"
-                             " oracle); traces are byte-identical either way")
 
 
 def _resolve_common(args) -> argparse.Namespace:
@@ -173,22 +167,19 @@ def _install_runtime(args) -> None:
 
 
 def _scale(args) -> Scale:
-    extra = {"engine": args.engine} if args.engine != "auto" else {}
     if args.paper_scale:
-        s = Scale.paper()
-        return dataclasses.replace(s, extra=extra) if extra else s
-    s = Scale(extra=extra)
+        return Scale.paper()
+    s = Scale()
     if args.n:
         s = Scale(
             n={k: args.n for k in APP_REGISTRY},
             iterations=s.iterations,
             nprocs=args.nprocs,
             hw_scale=max(65536 / args.n, 1.0),
-            extra=extra,
         )
     elif args.nprocs != 16:
         s = Scale(n=s.n, iterations=s.iterations, nprocs=args.nprocs,
-                  hw_scale=s.hw_scale, extra=extra)
+                  hw_scale=s.hw_scale)
     return s
 
 

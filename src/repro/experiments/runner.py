@@ -23,7 +23,7 @@ import logging
 import time
 from dataclasses import dataclass, field
 
-from ..apps import APP_REGISTRY, AppConfig, reorder_cycles, resolve_engine
+from ..apps import APP_REGISTRY, AppConfig, reorder_cycles
 from ..errors import ConfigError, MetricError, UnknownAppError, UnknownPlatformError
 from ..machines.dsm import simulate_hlrc, simulate_treadmarks
 from ..machines.hardware import simulate_hardware
@@ -100,9 +100,6 @@ class Scale:
     nprocs: int = 16
     seed: int = 42
     hw_scale: float = 16.0
-    #: Extra knobs forwarded verbatim to every app's ``AppConfig.extra``
-    #: (e.g. ``{"engine": "loop"}`` to force the per-object numerics).
-    extra: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         unknown = (set(self.n) | set(self.iterations)) - set(APP_REGISTRY)
@@ -125,11 +122,6 @@ class Scale:
             raise ConfigError(
                 f"Scale.hw_scale must be positive, got {self.hw_scale}"
             )
-        if "engine" in self.extra:
-            try:
-                resolve_engine(str(self.extra["engine"]))
-            except ValueError as exc:
-                raise ConfigError(str(exc)) from None
 
     @classmethod
     def paper(cls) -> "Scale":
@@ -167,7 +159,6 @@ class Scale:
             nprocs=self.nprocs if nprocs is None else nprocs,
             iterations=self.iterations[app],
             seed=self.seed,
-            extra=dict(self.extra),
         )
 
     def hardware(self, nprocs: int | None = None) -> HardwareParams:
@@ -249,6 +240,20 @@ def _cache_key_for(
     )
 
 
+def _trace_memo_key(name: str, version: str, scale: Scale, nprocs: int) -> tuple:
+    """In-process memo key of one cell's trace: the :class:`CacheKey`
+    fields, i.e. every :class:`Scale` input that reaches the app."""
+    return ("trace", name, version, scale.n[name], scale.iterations[name],
+            nprocs, scale.seed)
+
+
+def _run_memo_key(name: str, version: str, platform: str, scale: Scale) -> tuple:
+    """In-process memo key of one cell's record: the trace's inputs plus
+    the platform and the machine scaling."""
+    return ("run", name, version, platform, scale.n[name],
+            scale.iterations[name], scale.nprocs, scale.seed, scale.hw_scale)
+
+
 def _trace_compression(rt) -> str:
     return getattr(rt, "trace_compression", "none") if rt is not None else "none"
 
@@ -260,7 +265,7 @@ def _trace_for(name: str, version: str, scale: Scale, nprocs: int):
     what lets the parallel replay backend attach workers to the same file
     instead of pickling columns.
     """
-    key = ("trace", name, version, scale.n[name], scale.iterations[name], nprocs, scale.seed)
+    key = _trace_memo_key(name, version, scale, nprocs)
     if key in _cache:
         return _cache[key]
     rt = get_runtime()
@@ -290,10 +295,7 @@ def _trace_for(name: str, version: str, scale: Scale, nprocs: int):
 
 def _trace_path_for(name: str, version: str, scale: Scale, nprocs: int) -> str | None:
     """The on-disk cache path of a memoized trace, if it has one."""
-    return _cache.get(
-        ("tracepath", name, version, scale.n[name], scale.iterations[name],
-         nprocs, scale.seed)
-    )
+    return _cache.get(("tracepath",) + _trace_memo_key(name, version, scale, nprocs)[1:])
 
 
 def _reorder_time(name: str, version: str, scale: Scale, cycle_time: float) -> float:
@@ -395,7 +397,7 @@ def run_one(
         raise UnknownPlatformError(
             f"unknown platform {platform!r}; expected one of {PLATFORMS}"
         )
-    key = ("run", name, version, platform, scale.n[name], scale.iterations[name], scale.nprocs, scale.seed, scale.hw_scale)
+    key = _run_memo_key(name, version, platform, scale)
     if key in _cache:
         return _cache[key]
     started = time.perf_counter()
@@ -468,8 +470,7 @@ def prefetch_traces(
     compression = _trace_compression(rt)
     tasks = []
     for name, version, nprocs in _matrix_trace_cells(apps, scale):
-        memo_key = ("trace", name, version, scale.n[name],
-                    scale.iterations[name], nprocs, scale.seed)
+        memo_key = _trace_memo_key(name, version, scale, nprocs)
         ck = _cache_key_for(name, version, scale, nprocs, compression)
         if memo_key in _cache:
             continue
@@ -548,8 +549,7 @@ def _run_cells_parallel(
             raise UnknownPlatformError(
                 f"unknown platform {platform!r}; expected one of {PLATFORMS}"
             )
-        key = ("run", name, version, platform, scale.n[name],
-               scale.iterations[name], scale.nprocs, scale.seed, scale.hw_scale)
+        key = _run_memo_key(name, version, platform, scale)
         if key in _cache:
             records[i] = _cache[key]
             continue

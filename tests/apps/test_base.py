@@ -1,10 +1,14 @@
 """Tests for the application base machinery."""
 
+import re
+
 import numpy as np
 import pytest
 
 from repro.apps import APP_REGISTRY
-from repro.apps.base import AppConfig, block_partition, reorder_work_units
+from repro.apps.base import ADAPT_KNOBS, AppConfig, block_partition, reorder_work_units
+from repro.errors import ConfigError
+from repro.experiments.adaptive import ADAPTIVE_POLICIES, DYNAMIC_APPS, AdaptiveSpec
 
 
 class TestAppConfig:
@@ -81,3 +85,40 @@ class TestRegistry:
         d = app.describe()
         assert d["reordered_by"] == "original"
         assert d["n"] == 128
+
+
+def _tiny(name, extra):
+    return APP_REGISTRY[name](AppConfig(n=64, nprocs=2, iterations=1, seed=0, extra=extra))
+
+
+class TestExtraKeys:
+    """``AppConfig.extra`` accepts exactly the knobs an app reads."""
+
+    @pytest.mark.parametrize("name", sorted(APP_REGISTRY))
+    @pytest.mark.parametrize(
+        "extra",
+        [{"leaf_capacty": 2}, {"engine": "loop"}, {"emit": "none"}],
+        ids=["misspelled", "engine", "emit"],
+    )
+    def test_unknown_keys_rejected(self, name, extra):
+        with pytest.raises(ConfigError, match=f"{next(iter(extra))}.*accepted"):
+            _tiny(name, extra)
+
+    @pytest.mark.parametrize("name", DYNAMIC_APPS)
+    @pytest.mark.parametrize("policy", ADAPTIVE_POLICIES)
+    def test_adaptive_experiment_keys_accepted(self, name, policy):
+        spec = AdaptiveSpec(app=name, extra={"adapt_bits": 4})
+        _tiny(name, spec.policy_extra(policy))
+
+    @pytest.mark.parametrize("initial", ["lattice", "random"])
+    def test_example_keys_accepted(self, initial):
+        _tiny("water-spatial", {"initial_order": initial})
+
+    @pytest.mark.parametrize("name", sorted(APP_REGISTRY))
+    def test_documented_knobs_accepted(self, name):
+        cls = APP_REGISTRY[name]
+        doc = cls.__doc__.split("``config.extra`` knobs:", 1)[1]
+        named = set(re.findall(r"``([a-z_]+)``", doc))
+        assert named, cls.__doc__
+        assert named <= set(cls.knobs) | set(ADAPT_KNOBS)
+        assert set(cls.knobs) <= named, "undocumented knob"

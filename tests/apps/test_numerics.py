@@ -1,67 +1,25 @@
-"""Loop-vs-batch engine equivalence for the app numerics.
+"""Batch numerics against their scalar loop oracles.
 
-The contract of ``config.extra["engine"]`` is stronger than numerical
-agreement: the packed trace bundle must be **byte-identical** across
-engines (and across emit modes, which are orthogonal).  These tests pin
-that end-to-end for all five apps, plus the unit-level equivalences the
-contract is built from: the level-synchronous octree builder, the
-frontier-walk forces, the FMM translation stacks, the interaction-list
-oracle, and the shared bincount scatter helper.
+Each vectorized stage of the app physics is checked against the scalar
+formulation in ``tests/oracles/numerics.py`` — the level-synchronous
+octree builder against the recursive one, the frontier-walk forces
+against the per-body walk, the interaction list against the per-cell
+scan — plus the FMM translation stacks and the shared bincount scatter
+helper.  Equality is bitwise wherever the batch form claims it; the
+whole-app consequence (unchanged trace bytes) is pinned by
+``tests/apps/test_golden_traces.py``.
 """
-
-import io
 
 import numpy as np
 import pytest
+from oracles import numerics as oracle
 
 from repro.apps import APP_REGISTRY, AppConfig
 from repro.apps import fmm_math as fm
 from repro.apps import numerics as nx
-from repro.apps.base import ENGINES, resolve_engine, scatter_add
+from repro.apps.base import scatter_add
 from repro.apps.moldyn import build_interaction_list
 from repro.apps.octree import build_octree, walk
-from repro.trace import save_trace
-
-SMALL = {
-    "barnes-hut": 192,
-    "fmm": 256,
-    "water-spatial": 216,
-    "moldyn": 256,
-    "unstructured": 200,
-}
-
-
-def packed(name, *, n, engine, emit, seed=11, iterations=3, nprocs=4):
-    cfg = AppConfig(
-        n=n,
-        nprocs=nprocs,
-        iterations=iterations,
-        seed=seed,
-        extra={"engine": engine, "emit": emit},
-    )
-    app = APP_REGISTRY[name](cfg)
-    trace = app.run()
-    bio = io.BytesIO()
-    save_trace(trace, bio)
-    return bio.getvalue(), app
-
-
-class TestResolveEngine:
-    def test_auto_maps_to_batch(self):
-        assert resolve_engine("auto") == "batch"
-        assert resolve_engine("loop") == "loop"
-        assert resolve_engine("batch") == "batch"
-
-    def test_invalid_rejected(self):
-        with pytest.raises(ValueError, match="engine"):
-            resolve_engine("turbo")
-
-    def test_engines_tuple(self):
-        assert ENGINES == ("loop", "batch", "auto")
-
-    def test_default_is_auto(self):
-        app = APP_REGISTRY["moldyn"](AppConfig(n=64, nprocs=2, iterations=1, seed=0))
-        assert app.engine == "batch"
 
 
 class TestScatterAdd:
@@ -142,8 +100,8 @@ class TestOctreeEngines:
         rng = np.random.default_rng(seed)
         pos = rng.random((n, 3))
         mass = rng.random(n) + 0.1
-        a = build_octree(pos, mass, leaf_capacity=cap, engine="loop")
-        b = build_octree(pos, mass, leaf_capacity=cap, engine="batch")
+        a = oracle.build_octree_recursive(pos, mass, leaf_capacity=cap)
+        b = build_octree(pos, mass, leaf_capacity=cap)
         for f in (
             "center",
             "half",
@@ -163,22 +121,17 @@ class TestOctreeEngines:
     def test_coincident_points_hit_max_depth_identically(self):
         pos = np.zeros((20, 3))
         pos[10:] = 0.75
-        a = build_octree(pos, leaf_capacity=2, max_depth=5, engine="loop")
-        b = build_octree(pos, leaf_capacity=2, max_depth=5, engine="batch")
+        a = oracle.build_octree_recursive(pos, leaf_capacity=2, max_depth=5)
+        b = build_octree(pos, leaf_capacity=2, max_depth=5)
         assert a.ncells == b.ncells and a.depth == b.depth
         assert np.array_equal(a.leaf_bodies, b.leaf_bodies)
 
     def test_subtree_spans_match_reverse_scan(self, rng):
         pos = rng.random((400, 3))
-        tree = build_octree(pos, leaf_capacity=4, engine="batch")
+        tree = build_octree(pos, leaf_capacity=4)
         lo, hi = nx.subtree_spans(tree)
-        for c in range(tree.ncells - 1, -1, -1):
-            if tree.is_leaf[c]:
-                assert lo[c] == tree.leaf_start[c]
-                assert hi[c] == tree.leaf_start[c] + tree.leaf_count[c]
-            else:
-                kids = tree.children[c][tree.children[c] >= 0]
-                assert lo[c] == lo[kids].min() and hi[c] == hi[kids].max()
+        lo_ref, hi_ref = oracle.subtree_spans(tree)
+        assert np.array_equal(lo, lo_ref) and np.array_equal(hi, hi_ref)
 
 
 class TestBarnesHutForces:
@@ -186,9 +139,9 @@ class TestBarnesHutForces:
         n = 300
         pos = rng.random((n, 3))
         mass = rng.random(n) / n + 1e-3
-        tree = build_octree(pos, mass, leaf_capacity=8, engine="batch")
+        tree = build_octree(pos, mass, leaf_capacity=8)
         order = rng.permutation(n)
-        acc_l, cost_l, csr_l = nx.bh_walk_forces_loop(
+        acc_l, cost_l, csr_l = oracle.bh_walk_forces(
             tree, pos, mass, 0.7, 0.05, order
         )
         wr = walk(tree, pos, 0.7)
@@ -269,34 +222,22 @@ class TestInteractionListOracle:
         rng = np.random.default_rng(seed)
         pos = rng.random((n, 3))
         for cutoff in (0.2, 0.34):
-            a = nx.interaction_list_loop(pos, cutoff, 1.0)
+            a = oracle.interaction_list(pos, cutoff, 1.0)
             b = build_interaction_list(pos, cutoff, 1.0)
             assert np.array_equal(a, b)
 
     def test_empty_and_tiny(self):
         pos = np.array([[0.5, 0.5, 0.5]])
-        assert nx.interaction_list_loop(pos, 0.3, 1.0).shape == (0, 2)
+        assert oracle.interaction_list(pos, 0.3, 1.0).shape == (0, 2)
+        assert build_interaction_list(pos, 0.3, 1.0).shape == (0, 2)
 
 
 class TestByteIdenticalBundles:
-    """The headline invariant: engines never change the trace."""
-
-    @pytest.mark.parametrize("name", sorted(SMALL))
-    @pytest.mark.parametrize("seed", [11, 23])
-    def test_bundles_identical_across_engines(self, name, seed):
-        n = SMALL[name] + (32 if seed != 11 else 0)
-        loop, _ = packed(name, n=n, engine="loop", emit="loop", seed=seed)
-        batch, _ = packed(name, n=n, engine="batch", emit="ragged", seed=seed)
-        assert loop == batch
-
-    @pytest.mark.parametrize("name", ["barnes-hut", "fmm"])
-    def test_positions_bitwise_identical(self, name):
-        _, a = packed(name, n=SMALL[name], engine="loop", emit="none")
-        _, b = packed(name, n=SMALL[name], engine="batch", emit="none")
-        assert np.array_equal(a.positions(), b.positions())
-
     def test_physics_stages_populated(self):
-        _, app = packed("barnes-hut", n=SMALL["barnes-hut"], engine="batch", emit="ragged")
+        app = APP_REGISTRY["barnes-hut"](
+            AppConfig(n=192, nprocs=4, iterations=3, seed=11)
+        )
+        app.run()
         assert app.physics_seconds > 0.0
         assert set(app.physics_stages) == {
             "tree_build",

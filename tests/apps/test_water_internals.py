@@ -4,8 +4,14 @@ import numpy as np
 import pytest
 from oracles import bursts as oracle
 
-from repro.apps.base import AppConfig
+from repro.apps.base import AppConfig, half_stencil_neighbors
 from repro.apps.water_spatial import WaterSpatial
+
+
+def neighbor_cells(app, c):
+    """In-bounds half-stencil neighbours of cell ``c``, as a list."""
+    nbrs, _ = half_stencil_neighbors(app.side, np.array([c]))
+    return nbrs.tolist()
 
 
 @pytest.fixture(scope="module")
@@ -39,7 +45,7 @@ class TestHalfStencil:
         seen = {}
         s = app.side
         for c in range(s**3):
-            for d in app._neighbor_cells(c):
+            for d in neighbor_cells(app, c):
                 key = (min(c, d), max(c, d))
                 seen[key] = seen.get(key, 0) + 1
         assert all(v == 1 for v in seen.values())
@@ -58,11 +64,11 @@ class TestHalfStencil:
 
     def test_no_self_in_stencil(self, app):
         for c in range(app.side**3):
-            assert c not in app._neighbor_cells(c)
+            assert c not in neighbor_cells(app, c)
 
     def test_stencil_in_bounds(self, app):
         for c in range(app.side**3):
-            for d in app._neighbor_cells(c):
+            for d in neighbor_cells(app, c):
                 assert 0 <= d < app.side**3
 
 

@@ -1,17 +1,25 @@
 """Tests for the experiment runner."""
 
+import dataclasses
+import json
+
 import numpy as np
 import pytest
 
+from repro.apps import AppConfig
 from repro.experiments.runner import (
     RunRecord,
     Scale,
+    _cache_key_for,
+    _run_memo_key,
+    _trace_memo_key,
     clear_cache,
     make_app,
     run_one,
     run_suite,
     versions_for,
 )
+from repro.service.engine import scale_from_dict
 
 
 @pytest.fixture
@@ -113,6 +121,68 @@ class TestScale:
     def test_hardware_params_scaled(self, tiny):
         hp = tiny.hardware()
         assert hp.l2_bytes < 8 * 1024 * 1024
+
+
+#: One perturbation per :class:`Scale` field, for the key-completeness
+#: checks below.  A new field must be added here before those pass.
+PERTURB = {
+    "n": lambda s, app: {"n": {**s.n, app: s.n[app] + 1}},
+    "iterations": lambda s, app: {"iterations": {**s.iterations, app: s.iterations[app] + 1}},
+    "nprocs": lambda s, app: {"nprocs": s.nprocs + 1},
+    "seed": lambda s, app: {"seed": s.seed + 1},
+    "hw_scale": lambda s, app: {"hw_scale": s.hw_scale * 2},
+}
+
+
+class TestKeyCompleteness:
+    """Every :class:`Scale` input that reaches an app's :class:`AppConfig`
+    changes the trace cache key and both runner memo keys, so no cache
+    can serve a trace generated from different inputs."""
+
+    APP = "moldyn"
+
+    def _keys(self, scale):
+        return (
+            _cache_key_for(self.APP, "hilbert", scale, scale.nprocs),
+            _trace_memo_key(self.APP, "hilbert", scale, scale.nprocs),
+            _run_memo_key(self.APP, "hilbert", "origin", scale),
+        )
+
+    def test_config_carries_no_extra(self, tiny):
+        assert tiny.config(self.APP).extra == {}
+        assert Scale.paper().config(self.APP).extra == {}
+
+    def test_every_scale_field_has_a_perturbation(self):
+        assert set(PERTURB) == {f.name for f in dataclasses.fields(Scale)}
+
+    def test_config_inputs_change_every_key(self, tiny):
+        base_cfg = dataclasses.asdict(tiny.config(self.APP))
+        reached = set()
+        for name, perturb in PERTURB.items():
+            other = dataclasses.replace(tiny, **perturb(tiny, self.APP))
+            cfg = dataclasses.asdict(other.config(self.APP))
+            changed = {f for f in cfg if cfg[f] != base_cfg[f]}
+            if not changed:
+                continue
+            reached |= changed
+            for a, b in zip(self._keys(tiny), self._keys(other)):
+                assert a != b, (name, a)
+        # Every AppConfig field but the (always empty) extra is driven by
+        # some Scale field, so the loop above checked all of them.
+        fields = {f.name for f in dataclasses.fields(AppConfig)}
+        assert reached == fields - {"extra"}
+
+    def test_parent_era_journal_scale_loads(self):
+        # A submit record journaled while Scale still had an ``extra``
+        # field; the field is ignored on load.
+        record = json.loads(
+            '{"extra": {}, "hw_scale": 128.0, "iterations": {"moldyn": 2},'
+            ' "n": {"moldyn": 256}, "nprocs": 4, "seed": 3}'
+        )
+        scale = scale_from_dict(record)
+        assert scale.n["moldyn"] == 256 and scale.iterations["moldyn"] == 2
+        assert (scale.nprocs, scale.seed, scale.hw_scale) == (4, 3, 128.0)
+        assert not hasattr(scale, "extra")
 
 
 class TestVersionsFor:

@@ -5,9 +5,9 @@ The contract under test: any sequence of ``emit_ragged`` /
 trace **byte-identical** to the equivalent sequence of per-burst
 ``read`` / ``write`` calls — same columns, same ``.npt`` bundle — with
 zero-length bursts dropped identically.
-That equivalence is what lets the applications swap their per-object
-emit loops for batched CSR staging without perturbing a single
-downstream statistic.
+That equivalence is what lets the applications stage whole partitions
+as CSR lanes instead of one builder call per object without perturbing a
+single downstream statistic.
 """
 
 import io
@@ -18,14 +18,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import bursts as oracle
 
-from repro.apps import (
-    AppConfig,
-    BarnesHut,
-    FMM,
-    Moldyn,
-    Unstructured,
-    WaterSpatial,
-)
 from repro.trace.builder import TraceBuilder
 from repro.trace.io import save_trace
 
@@ -200,36 +192,3 @@ def test_record_does_not_copy_contiguous_int64():
     # Views that are contiguous also stage as-is.
     tb.read(0, 0, idx[2:7])
     assert np.shares_memory(tb._staged[0][1][2], idx)
-
-
-# ---- application-level equivalence --------------------------------------
-
-APP_CASES = [
-    ("barnes_hut", BarnesHut, dict(n=96, nprocs=4, iterations=2, seed=7)),
-    ("moldyn", Moldyn, dict(n=64, nprocs=4, iterations=3, seed=7)),
-    ("water_spatial", WaterSpatial, dict(n=64, nprocs=4, iterations=2, seed=7)),
-    ("fmm", FMM, dict(n=96, nprocs=4, iterations=1, seed=7)),
-    ("unstructured", Unstructured, dict(n=80, nprocs=4, iterations=2, seed=7)),
-]
-
-
-@pytest.mark.parametrize("name,app_cls,kw", APP_CASES, ids=[c[0] for c in APP_CASES])
-def test_apps_loop_and_ragged_traces_byte_identical(name, app_cls, kw):
-    bundles = []
-    for mode in ("loop", "ragged"):
-        app = app_cls(AppConfig(extra={"emit": mode}, **kw))
-        buf = io.BytesIO()
-        save_trace(app.run(), buf)
-        bundles.append(buf.getvalue())
-    assert bundles[0] == bundles[1]
-
-
-@pytest.mark.parametrize("name,app_cls,kw", APP_CASES, ids=[c[0] for c in APP_CASES])
-def test_apps_emit_none_skips_trace(name, app_cls, kw):
-    app = app_cls(AppConfig(extra={"emit": "none"}, **kw))
-    assert app.run().epochs == []
-
-
-def test_unknown_emit_mode_rejected():
-    with pytest.raises(ValueError, match="unknown emit mode"):
-        BarnesHut(AppConfig(n=16, nprocs=2, iterations=1, extra={"emit": "bogus"}))
