@@ -11,6 +11,7 @@ ragged emission — with one and with two BLAS threads.  A change that
 moves a digest changes a trace; re-record only with a reason.
 """
 
+import functools
 import hashlib
 import io
 
@@ -69,16 +70,32 @@ GOLDEN = [
 ]
 
 
-@pytest.mark.parametrize(
+CASES = pytest.mark.parametrize(
     "app,n,nprocs,iterations,seed,bundle,positions",
     GOLDEN,
     ids=[f"{c[0]}-n{c[1]}-i{c[3]}-s{c[4]}" for c in GOLDEN],
 )
-def test_golden_trace(app, n, nprocs, iterations, seed, bundle, positions):
+
+
+@functools.lru_cache(maxsize=None)
+def _digests(app, n, nprocs, iterations, seed):
+    """Run one case once; return (bundle sha256, positions sha256)."""
     a = APP_REGISTRY[app](
         AppConfig(n=n, nprocs=nprocs, iterations=iterations, seed=seed)
     )
     buf = io.BytesIO()
     save_trace(a.run(), buf)
-    assert hashlib.sha256(buf.getvalue()).hexdigest() == bundle
-    assert hashlib.sha256(a.positions().tobytes()).hexdigest() == positions
+    return (
+        hashlib.sha256(buf.getvalue()).hexdigest(),
+        hashlib.sha256(a.positions().tobytes()).hexdigest(),
+    )
+
+
+@CASES
+def test_golden_trace(app, n, nprocs, iterations, seed, bundle, positions):
+    assert _digests(app, n, nprocs, iterations, seed)[0] == bundle
+
+
+@CASES
+def test_golden_positions(app, n, nprocs, iterations, seed, bundle, positions):
+    assert _digests(app, n, nprocs, iterations, seed)[1] == positions
