@@ -22,6 +22,7 @@ from .runner import (
     clear_cache,
     make_app,
     prefetch_traces,
+    run_cells,
     run_one,
     run_suite,
     versions_for,
@@ -48,6 +49,7 @@ __all__ = [
     "Scale",
     "RunRecord",
     "run_one",
+    "run_cells",
     "run_suite",
     "make_app",
     "versions_for",

@@ -15,6 +15,12 @@ optional **parallel prefetch** (:func:`prefetch_traces`) that fans the
 distinct traces of the evaluation matrix out across worker processes with
 timeouts and retries.  Per-cell progress (cache hit/miss, generation
 duration) is logged on the ``repro.runtime`` logger.
+
+There is one trace path: a trace is named by :func:`_trace_key` (its
+:class:`CacheKey`, also the memo key) and obtained through
+:func:`repro.runtime.worker.load_or_generate`, in this process or in a
+worker; :func:`_generate_missing` is the one prefetch and
+:func:`run_cells` the one serial-or-executor dispatch.
 """
 
 from __future__ import annotations
@@ -34,15 +40,16 @@ from ..machines.params import (
     origin2000_scaled,
 )
 from ..machines.replay import build_intervals_parallel, simulate_hardware_parallel
-from ..runtime.cache import CacheKey, format_version_for
-from ..runtime.context import get_runtime
+from ..runtime.cache import CacheKey, TraceCache, format_version_for
+from ..runtime.context import RuntimeContext, get_runtime
 from ..runtime.executor import Task, run_tasks
-from ..runtime.worker import generate_trace_into_cache
+from ..runtime.worker import generate_trace_into_cache, load_or_generate
 
 __all__ = [
     "Scale",
     "RunRecord",
     "run_suite",
+    "run_cells",
     "make_app",
     "clear_cache",
     "prefetch_traces",
@@ -226,9 +233,25 @@ def clear_cache() -> None:
     _cache.clear()
 
 
-def _cache_key_for(
-    name: str, version: str, scale: Scale, nprocs: int, compression: str = "none"
+def _may_read(rt: RuntimeContext, key: CacheKey) -> bool:
+    """Whether ``rt``'s cache may serve ``key``: always when resuming,
+    otherwise only once this run has rewritten the entry."""
+    return rt.resume or rt.cache is None or key.filename() in rt.cache.written
+
+
+def _trace_key(
+    name: str, version: str, scale: Scale, nprocs: int,
+    compression: str | None = None,
 ) -> CacheKey:
+    """The one name of a cell's trace: its cache key and in-process memo key.
+
+    It holds every :class:`Scale` input that reaches the app, plus the
+    format version that ``compression`` writes — the installed runtime's
+    codec when ``compression`` is ``None``.
+    """
+    if compression is None:
+        rt = get_runtime()
+        compression = rt.trace_compression if rt is not None else "none"
     return CacheKey(
         app=name,
         version=version,
@@ -240,13 +263,6 @@ def _cache_key_for(
     )
 
 
-def _trace_memo_key(name: str, version: str, scale: Scale, nprocs: int) -> tuple:
-    """In-process memo key of one cell's trace: the :class:`CacheKey`
-    fields, i.e. every :class:`Scale` input that reaches the app."""
-    return ("trace", name, version, scale.n[name], scale.iterations[name],
-            nprocs, scale.seed)
-
-
 def _run_memo_key(name: str, version: str, platform: str, scale: Scale) -> tuple:
     """In-process memo key of one cell's record: the trace's inputs plus
     the platform and the machine scaling."""
@@ -254,48 +270,15 @@ def _run_memo_key(name: str, version: str, platform: str, scale: Scale) -> tuple
             scale.iterations[name], scale.nprocs, scale.seed, scale.hw_scale)
 
 
-def _trace_compression(rt) -> str:
-    return getattr(rt, "trace_compression", "none") if rt is not None else "none"
-
-
-def _trace_for(name: str, version: str, scale: Scale, nprocs: int):
-    """Memoized trace for one cell; records its cache path when on disk.
-
-    The on-disk path (stashed in the memo under a ``"tracepath"`` key) is
-    what lets the parallel replay backend attach workers to the same file
-    instead of pickling columns.
-    """
-    key = _trace_memo_key(name, version, scale, nprocs)
-    if key in _cache:
-        return _cache[key]
-    rt = get_runtime()
-    ck = None
-    if rt is not None and rt.cache is not None:
-        ck = _cache_key_for(name, version, scale, nprocs, _trace_compression(rt))
-        if rt.resume:
-            trace = rt.cache.load(ck)
-            if trace is not None:
-                log.info("trace %s: cache hit", ck.filename())
-                _cache[key] = trace
-                _cache[("tracepath",) + key[1:]] = str(rt.cache.path(ck))
-                return trace
-    started = time.perf_counter()
-    app = make_app(name, scale.config(name, nprocs), version)
-    trace = app.run()
-    log.info(
-        "trace %s/%s p=%d n=%d: generated in %.2fs (cache miss)",
-        name, version, nprocs, scale.n[name], time.perf_counter() - started,
-    )
-    if ck is not None:
-        rt.cache.store(ck, trace, compression=_trace_compression(rt))
-        _cache[("tracepath",) + key[1:]] = str(rt.cache.path(ck))
-    _cache[key] = trace
-    return trace
-
-
-def _trace_path_for(name: str, version: str, scale: Scale, nprocs: int) -> str | None:
-    """The on-disk cache path of a memoized trace, if it has one."""
-    return _cache.get(("tracepath",) + _trace_memo_key(name, version, scale, nprocs)[1:])
+def _trace_for(key: CacheKey):
+    """Memoized trace named by ``key``, through the installed runtime's
+    cache."""
+    if key not in _cache:
+        rt = get_runtime() or RuntimeContext()
+        _cache[key] = load_or_generate(
+            rt.cache, key, rt.trace_compression, _may_read(rt, key)
+        )
+    return _cache[key]
 
 
 def _reorder_time(name: str, version: str, scale: Scale, cycle_time: float) -> float:
@@ -314,7 +297,7 @@ def _seq_time(name: str, platform: str, scale: Scale) -> float:
     """Single-processor original run time on the given platform."""
     key = ("seq", name, platform, scale.n[name], scale.iterations[name], scale.seed)
     if key not in _cache:
-        trace = _trace_for(name, "original", scale, nprocs=1)
+        trace = _trace_for(_trace_key(name, "original", scale, 1))
         if platform == "origin":
             params = scale.hardware(nprocs=1)
             _cache[key] = simulate_hardware(trace, params).time
@@ -346,35 +329,27 @@ def _cell_record(
     way, so the record does not depend on which path ran.
     """
     rt = get_runtime()
-    replay_jobs = getattr(rt, "replay_jobs", None) if rt is not None else None
-    fan_out = trace_path is not None and replay_jobs is not None and replay_jobs > 1
+    replay_jobs = (rt.replay_jobs if rt is not None else None) or 0
+    fan_out = trace_path is not None and replay_jobs > 1
     if platform == "origin":
         params = scale.hardware()
         if fan_out:
             res = simulate_hardware_parallel(trace_path, params, jobs=replay_jobs)
         else:
             res = simulate_hardware(trace, params)
-        return RunRecord(
-            app=name,
-            version=version,
-            platform=platform,
-            nprocs=scale.nprocs,
-            time=res.time,
-            reorder_time=_reorder_time(name, version, scale, params.cycle_time),
-            seq_time=seq_time,
-            l2_misses=res.total_l2_misses,
-            tlb_misses=res.total_tlb_misses,
-            phase_times=dict(res.phase_times),
-        )
-    params = scale.cluster()
-    sim = simulate_treadmarks if platform == "treadmarks" else simulate_hlrc
-    if fan_out:
-        # Pre-build the interval summaries across workers; the protocol
-        # model below finds them installed in the trace's decode memo.
-        build_intervals_parallel(
-            trace_path, params.page_size, jobs=replay_jobs, trace=trace
-        )
-    res = sim(trace, params)
+        counters = {"l2_misses": res.total_l2_misses,
+                    "tlb_misses": res.total_tlb_misses}
+    else:
+        params = scale.cluster()
+        if fan_out:
+            # Pre-build the interval summaries across workers; the protocol
+            # model below finds them installed in the trace's decode memo.
+            build_intervals_parallel(
+                trace_path, params.page_size, jobs=replay_jobs, trace=trace
+            )
+        sim = simulate_treadmarks if platform == "treadmarks" else simulate_hlrc
+        res = sim(trace, params)
+        counters = {"messages": res.messages, "data_mbytes": res.data_mbytes}
     return RunRecord(
         app=name,
         version=version,
@@ -383,9 +358,8 @@ def _cell_record(
         time=res.time,
         reorder_time=_reorder_time(name, version, scale, params.cycle_time),
         seq_time=seq_time,
-        messages=res.messages,
-        data_mbytes=res.data_mbytes,
         phase_times=dict(res.phase_times),
+        **counters,
     )
 
 
@@ -401,10 +375,13 @@ def run_one(
     if key in _cache:
         return _cache[key]
     started = time.perf_counter()
-    trace = _trace_for(name, version, scale, scale.nprocs)
+    tkey = _trace_key(name, version, scale, scale.nprocs)
+    trace = _trace_for(tkey)
+    rt = get_runtime()
+    on_disk = rt is not None and rt.cache is not None and rt.cache.contains(tkey)
     rec = _cell_record(
         name, version, platform, scale, trace, _seq_time(name, platform, scale),
-        trace_path=_trace_path_for(name, version, scale, scale.nprocs),
+        trace_path=str(rt.cache.path(tkey)) if on_disk else None,
     )
     _cache[key] = rec
     log.info(
@@ -430,23 +407,31 @@ def versions_for(name: str) -> tuple[str, ...]:
     return ("original", "hilbert")
 
 
-def _matrix_trace_cells(
-    apps: tuple[str, ...], scale: Scale
-) -> list[tuple[str, str, int]]:
-    """Distinct (app, version, nprocs) traces the evaluation matrix needs,
-    including each app's 1-processor original baseline."""
-    cells: list[tuple[str, str, int]] = []
-    for name in apps:
-        for version in versions_for(name):
-            cells.append((name, version, scale.nprocs))
-        cells.append((name, "original", 1))
-    seen: set[tuple[str, str, int]] = set()
-    out = []
-    for cell in cells:
-        if cell not in seen:
-            seen.add(cell)
-            out.append(cell)
-    return out
+def _generate_missing(keys) -> int:
+    """The one prefetch: generate ``keys`` into the installed runtime's cache.
+
+    One executor task per distinct filename, run under the runtime's fault
+    plan.  Entries the cache already holds are skipped when resuming;
+    with ``resume=False`` every entry not yet rewritten in this run is
+    regenerated.  Returns the number of traces generated.
+    """
+    rt = get_runtime()
+    tasks: dict[str, Task] = {}
+    for key in keys:
+        name = key.filename()
+        if name in tasks or (_may_read(rt, key) and rt.cache.contains(key)):
+            continue
+        tasks[name] = Task(
+            key=name,
+            fn=generate_trace_into_cache,
+            args=(str(rt.cache.root), key, rt.trace_compression, rt.resume),
+        )
+    if tasks:
+        log.info("prefetch: generating %d trace(s) with %d job(s)",
+                 len(tasks), rt.executor.jobs)
+        run_tasks(list(tasks.values()), rt.executor, fault_plan=rt.fault_plan)
+        rt.cache.written.update(tasks)
+    return len(tasks)
 
 
 def prefetch_traces(
@@ -455,53 +440,35 @@ def prefetch_traces(
 ) -> int:
     """Generate the matrix's traces in parallel into the persistent cache.
 
-    Requires an installed runtime with a cache; a no-op (returns 0)
-    otherwise.  Cells already cached (or memoized in-process) are skipped
-    when resuming.  Returns the number of traces generated.  Worker
-    crashes, hangs, and timeouts follow the executor's retry/serial-
-    fallback policy; results land in the cache file-by-file, so an
-    interrupt loses at most the cells in flight.
+    The matrix's traces are every app's orderings plus its 1-processor
+    original baseline.  Requires an installed runtime with a cache; a
+    no-op (returns 0) otherwise.  Traces memoized in-process are skipped,
+    and so are cached ones when resuming.  Returns the number of traces
+    generated.  Worker crashes, hangs, and timeouts follow the executor's
+    retry/serial-fallback policy; results land in the cache file-by-file,
+    so an interrupt loses at most the cells in flight.
     """
     rt = get_runtime()
     if rt is None or rt.cache is None:
         return 0
     scale = scale or Scale()
     apps = tuple(APP_REGISTRY) if apps is None else apps
-    compression = _trace_compression(rt)
-    tasks = []
-    for name, version, nprocs in _matrix_trace_cells(apps, scale):
-        memo_key = _trace_memo_key(name, version, scale, nprocs)
-        ck = _cache_key_for(name, version, scale, nprocs, compression)
-        if memo_key in _cache:
-            continue
-        if rt.resume and rt.cache.contains(ck):
-            continue
-        tasks.append(
-            Task(
-                key=ck.filename(),
-                fn=generate_trace_into_cache,
-                args=(str(rt.cache.root), name, version, scale.n[name],
-                      scale.iterations[name], nprocs, scale.seed, compression),
-            )
-        )
-    if not tasks:
-        return 0
-    log.info("prefetch: generating %d trace(s) with %d job(s)",
-             len(tasks), rt.executor.jobs)
-    run_tasks(tasks, rt.executor, fault_plan=rt.fault_plan)
-    return len(tasks)
+    keys = []
+    for name in apps:
+        keys += [_trace_key(name, v, scale, scale.nprocs) for v in versions_for(name)]
+        keys.append(_trace_key(name, "original", scale, 1))
+    return _generate_missing(k for k in keys if k not in _cache)
 
 
 def run_matrix_cell(
     cache_root: str,
-    name: str,
-    version: str,
+    key: CacheKey,
+    compression: str,
     platforms: tuple[str, ...],
     scale: Scale,
     seq_times: dict[str, float],
-    compression: str = "none",
 ) -> tuple[list[RunRecord], tuple[int, int]]:
-    """Executor worker: every platform cell for one (app, version) trace.
+    """Executor worker: every platform cell for one trace.
 
     The trace is mmap-loaded from the persistent ``.npt`` cache (falling
     back to in-place generation if prefetch was skipped); the sequential
@@ -511,39 +478,32 @@ def run_matrix_cell(
     into its own counters — the load happens in this process, invisible
     to the parent's ``TraceCache`` otherwise.
     """
-    from ..runtime.cache import TraceCache
-
     cache = TraceCache(cache_root)
-    ck = _cache_key_for(name, version, scale, scale.nprocs, compression)
-    trace = cache.load(ck)
-    if trace is None:
-        app = make_app(name, scale.config(name), version)
-        trace = app.run()
-        cache.store(ck, trace, compression=compression)
+    trace = load_or_generate(cache, key, compression)
     records = [
-        _cell_record(name, version, p, scale, trace, seq_times[p],
-                     trace_path=str(cache.path(ck)))
+        _cell_record(key.app, key.version, p, scale, trace, seq_times[p],
+                     trace_path=str(cache.path(key)))
         for p in platforms
     ]
     return records, (cache.hits, cache.misses)
 
 
-def _run_cells_parallel(
-    cells: list[tuple[str, str, str, Scale]]
-) -> list[RunRecord]:
-    """Run (app, version, platform, scale) cells through the executor.
+def run_cells(cells: list[tuple[str, str, str, Scale]]) -> list[RunRecord]:
+    """Run (app, version, platform, scale) cells; one record per cell.
 
-    This is the sweep planner's cell-batch path: cells are grouped by
-    trace — one task per (app, version, scale), covering all its
-    platforms — so independent traces run in parallel while each trace
-    is still decoded once per group.  Requires an installed runtime with
-    a cache.  Memoized cells are returned directly and never
-    re-dispatched; fresh records land in the same memo ``run_one`` uses,
-    with identical contents (same simulators, same parameters).
+    Serially through :func:`run_one`, unless the installed runtime has a
+    cache and ``jobs > 1``.  Then cells are grouped by trace — one
+    executor task per (app, version, scale), covering all its platforms —
+    so independent traces run in parallel while each trace is still
+    decoded once per group.  Memoized cells are returned directly and
+    never re-dispatched; fresh records land in the same memo ``run_one``
+    uses, with identical contents (same simulators, same parameters).
     """
     rt = get_runtime()
+    if not (rt is not None and rt.cache is not None and rt.executor.jobs > 1):
+        return [run_one(*cell) for cell in cells]
     records: dict[int, RunRecord] = {}
-    groups: dict[tuple, dict] = {}
+    groups: dict[tuple, tuple[Scale, list]] = {}  # (trace, hw_scale) -> cells
     for i, (name, version, platform, scale) in enumerate(cells):
         if platform not in PLATFORMS:
             raise UnknownPlatformError(
@@ -553,62 +513,39 @@ def _run_cells_parallel(
         if key in _cache:
             records[i] = _cache[key]
             continue
-        gkey = key[1:3] + key[4:]  # drop platform: one group per trace
-        g = groups.setdefault(
-            gkey, {"name": name, "version": version, "scale": scale, "cells": []}
+        tkey = _trace_key(name, version, scale, scale.nprocs)
+        groups.setdefault((tkey, scale.hw_scale), (scale, []))[1].append(
+            (i, platform, key)
         )
-        g["cells"].append((i, platform, key))
 
-    if groups:
-        # Fan out the distinct traces first (matrix cells and their
-        # 1-processor baselines), then one batched task per group.
-        compression = _trace_compression(rt)
-        tasks, seen = [], set()
-        for g in groups.values():
-            name, scale = g["name"], g["scale"]
-            for version, nprocs in ((g["version"], scale.nprocs), ("original", 1)):
-                ck = _cache_key_for(name, version, scale, nprocs, compression)
-                fn = ck.filename()
-                if fn in seen or (rt.resume and rt.cache.contains(ck)):
-                    continue
-                seen.add(fn)
-                tasks.append(Task(
-                    key=fn,
-                    fn=generate_trace_into_cache,
-                    args=(str(rt.cache.root), name, version, scale.n[name],
-                          scale.iterations[name], nprocs, scale.seed,
-                          compression),
-                ))
-        if tasks:
-            log.info("prefetch: generating %d trace(s) with %d job(s)",
-                     len(tasks), rt.executor.jobs)
-            run_tasks(tasks, rt.executor, fault_plan=rt.fault_plan)
-
-        tasks = []
-        for gkey, g in groups.items():
-            name, scale = g["name"], g["scale"]
-            platforms = tuple(dict.fromkeys(p for _, p, _ in g["cells"]))
-            seq_times = {p: _seq_time(name, p, scale) for p in platforms}
-            g["platforms"] = platforms
-            g["task_key"] = f"cells_{name}_{g['version']}_p{scale.nprocs}_n{scale.n[name]}"
-            tasks.append(Task(
-                key=g["task_key"],
-                fn=run_matrix_cell,
-                args=(str(rt.cache.root), name, g["version"], platforms,
-                      scale, seq_times, compression),
-            ))
+    # Fan out the distinct traces first (matrix cells and their
+    # 1-processor baselines), then one batched task per group.
+    _generate_missing(
+        k for (tkey, _), (scale, _) in groups.items()
+        for k in (tkey, _trace_key(tkey.app, "original", scale, 1))
+    )
+    tasks = []
+    for (tkey, _), (scale, group) in groups.items():
+        platforms = tuple(dict.fromkeys(p for _, p, _ in group))
+        seq_times = {p: _seq_time(tkey.app, p, scale) for p in platforms}
+        tasks.append((group, platforms, Task(
+            key=f"cells_{tkey.app}_{tkey.version}_p{tkey.nprocs}_n{tkey.n}",
+            fn=run_matrix_cell,
+            args=(str(rt.cache.root), tkey, rt.trace_compression, platforms,
+                  scale, seq_times),
+        )))
+    if tasks:
         log.info("matrix: %d cell group(s) with %d job(s)",
                  len(tasks), rt.executor.jobs)
-        results = run_tasks(tasks, rt.executor, fault_plan=rt.fault_plan)
-        for g in groups.values():
-            recs, (hits, misses) = results[g["task_key"]]
-            rt.cache.hits += hits
-            rt.cache.misses += misses
-            by_platform = dict(zip(g["platforms"], recs))
-            for i, platform, key in g["cells"]:
-                rec = by_platform[platform]
-                _cache[key] = rec
-                records[i] = rec
+        results = run_tasks([t for _, _, t in tasks], rt.executor,
+                            fault_plan=rt.fault_plan)
+    for group, platforms, task in tasks:
+        recs, (hits, misses) = results[task.key]
+        rt.cache.hits += hits
+        rt.cache.misses += misses
+        by_platform = dict(zip(platforms, recs))
+        for i, platform, key in group:
+            records[i] = _cache[key] = by_platform[platform]
     return [records[i] for i in range(len(cells))]
 
 
@@ -619,21 +556,16 @@ def run_suite(
 ) -> list[RunRecord]:
     """Run the full evaluation matrix; returns one record per cell.
 
-    With a runtime installed (cache + ``jobs > 1``), the matrix routes
-    through the sweep planner's cell-batch path: distinct traces are
-    prefetched in parallel, then the machine models for independent
-    traces run concurrently (one batched task per trace, all platforms).
-    Serial and parallel paths produce identical records.
+    Cells go through :func:`run_cells`, so with a runtime installed
+    (cache + ``jobs > 1``) distinct traces are prefetched in parallel and
+    the machine models for independent traces run concurrently.  Serial
+    and parallel paths produce identical records.
     """
     scale = scale or Scale()
     apps = tuple(APP_REGISTRY) if apps is None else apps
-    cells = [
+    return run_cells([
         (name, version, platform, scale)
         for name in apps
         for version in versions_for(name)
         for platform in platforms
-    ]
-    rt = get_runtime()
-    if rt is not None and rt.cache is not None and rt.executor.jobs > 1:
-        return _run_cells_parallel(cells)
-    return [run_one(*cell) for cell in cells]
+    ])

@@ -11,8 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..runtime.context import get_runtime
-from .runner import Scale, _run_cells_parallel, run_one
+from .runner import Scale, run_cells
 
 __all__ = ["ScalingPoint", "scaling_curve"]
 
@@ -37,7 +36,7 @@ def scaling_curve(
     All speedups are relative to the single-processor original run, as in
     the paper.  Every (nprocs, version) point is an independent trace, so
     with a parallel runtime installed the whole curve is dispatched
-    through the sweep planner's cell-batch path and the points run
+    through :func:`repro.experiments.runner.run_cells` and the points run
     concurrently; results are identical to the serial loop.
     """
     base = scale or Scale()
@@ -55,15 +54,10 @@ def scaling_curve(
             # single-proc runs exist (Table 2) but are not curve
             # baselines.  Still record them for completeness.
             cells.append((app, version, platform, s))
-    rt = get_runtime()
-    if rt is not None and rt.cache is not None and rt.executor.jobs > 1:
-        records = _run_cells_parallel(cells)
-    else:
-        records = [run_one(*cell) for cell in cells]
     return [
         ScalingPoint(
             nprocs=cell[3].nprocs, version=cell[1],
             time=rec.time, speedup=rec.speedup,
         )
-        for cell, rec in zip(cells, records)
+        for cell, rec in zip(cells, run_cells(cells))
     ]

@@ -38,11 +38,11 @@ from pathlib import Path
 
 from ..apps import APP_REGISTRY
 from ..errors import ConfigError, UnknownAppError, UnknownPlatformError
-from ..runtime.cache import atomic_write_text
+from ..runtime.cache import CacheKey, TraceCache, atomic_write_text
 from ..runtime.context import get_runtime
 from ..runtime.executor import Task, run_tasks
-from ..runtime.worker import generate_trace_into_cache
-from .runner import Scale, _cache_key_for, _trace_for, make_app, versions_for
+from ..runtime.worker import load_or_generate
+from .runner import Scale, _generate_missing, _trace_for, _trace_key, versions_for
 
 __all__ = [
     "SweepGrid",
@@ -210,7 +210,8 @@ class SweepGroup:
 
     The whole group replays its trace once per line-size family
     (``origin``) or once per protocol (DSM) regardless of how many grid
-    points it covers.
+    points it covers.  ``compression`` is the codec of the trace's cache
+    entry; rows do not depend on it, so it is not part of :meth:`key`.
     """
 
     app: str
@@ -219,6 +220,7 @@ class SweepGroup:
     l2_bytes: tuple[int, ...] | None = None
     line_sizes: tuple[int, ...] | None = None
     page_sizes: tuple[int, ...] | None = None
+    compression: str = "none"
 
     def points(self) -> int:
         if self.platform == "origin":
@@ -241,6 +243,11 @@ class SweepGroup:
         digest = hashlib.sha1(blob.encode()).hexdigest()[:10]
         return f"{self.app}_{self.version}_{self.platform}_{digest}"
 
+    def trace_key(self, scale: Scale) -> CacheKey:
+        """The cache key of the trace this group replays."""
+        return _trace_key(self.app, self.version, scale, scale.nprocs,
+                          self.compression)
+
     def to_dict(self) -> dict:
         """JSON-safe spec (tuples become lists; inverse of from_dict)."""
         return asdict(self)
@@ -256,6 +263,7 @@ class SweepGroup:
             platform=data["platform"],
             l2_bytes=axis("l2_bytes"), line_sizes=axis("line_sizes"),
             page_sizes=axis("page_sizes"),
+            compression=data.get("compression", "none"),
         )
 
 
@@ -322,15 +330,8 @@ def run_sweep_group(
     so the task stays idempotent.  Returns small per-point row dicts,
     plus the worker-side cache (hits, misses) for the parent's counters.
     """
-    from ..runtime.cache import TraceCache
-
     cache = TraceCache(cache_root)
-    ck = _cache_key_for(group.app, group.version, scale, scale.nprocs)
-    trace = cache.load(ck)
-    if trace is None:
-        app = make_app(group.app, scale.config(group.app), group.version)
-        trace = app.run()
-        cache.store(ck, trace)
+    trace = load_or_generate(cache, group.trace_key(scale), group.compression)
     return _group_rows(trace, group, scale), (cache.hits, cache.misses)
 
 
@@ -346,92 +347,64 @@ class SweepPlan:
     grid: SweepGrid
     scale: Scale = field(default_factory=Scale)
 
-    def groups(self) -> list[SweepGroup]:
+    def groups(self, compression: str = "none") -> list[SweepGroup]:
+        """The plan's groups, each reading a trace stored with
+        ``compression``."""
         out = []
         for app in self.grid.apps:
-            versions = self.grid.versions or versions_for(app)
-            for version in versions:
+            for version in self.grid.versions or versions_for(app):
                 for platform in self.grid.platforms:
                     if platform == "origin":
-                        out.append(SweepGroup(
-                            app, version, platform,
-                            l2_bytes=self.grid.l2_bytes,
-                            line_sizes=self.grid.line_sizes,
-                        ))
+                        axes = {"l2_bytes": self.grid.l2_bytes,
+                                "line_sizes": self.grid.line_sizes}
                     else:
-                        out.append(SweepGroup(
-                            app, version, platform,
-                            page_sizes=self.grid.page_sizes,
-                        ))
+                        axes = {"page_sizes": self.grid.page_sizes}
+                    out.append(SweepGroup(app, version, platform,
+                                          compression=compression, **axes))
         return out
 
     def run(self) -> list[dict]:
-        groups = self.groups()
         rt = get_runtime()
+        groups = self.groups(rt.trace_compression if rt is not None else "none")
         if rt is None or rt.cache is None:
             return [
                 row
                 for g in groups
                 for row in _group_rows(
-                    _trace_for(g.app, g.version, self.scale, self.scale.nprocs),
-                    g, self.scale,
+                    _trace_for(g.trace_key(self.scale)), g, self.scale
                 )
             ]
 
         sweep_dir = Path(rt.cache.root) / "sweeps"
+        keys = {g: g.key(self.scale) for g in groups}
         done: dict[str, list[dict]] = {}
         todo: list[SweepGroup] = []
-        for g in groups:
-            path = sweep_dir / f"{g.key(self.scale)}.json"
-            rows = load_group_checkpoint(path) if rt.resume else None
+        for g, key in keys.items():
+            rows = (load_group_checkpoint(sweep_dir / f"{key}.json")
+                    if rt.resume else None)
             if rows is not None:
-                done[g.key(self.scale)] = rows
-                log.info("sweep group %s: checkpoint hit", g.key(self.scale))
+                done[key] = rows
+                log.info("sweep group %s: checkpoint hit", key)
             else:
                 todo.append(g)
 
         if todo:
-            self._prefetch(todo, rt)
+            _generate_missing(g.trace_key(self.scale) for g in todo)
             tasks = [
-                Task(
-                    key=g.key(self.scale),
-                    fn=run_sweep_group,
-                    args=(str(rt.cache.root), g, self.scale),
-                )
+                Task(key=keys[g], fn=run_sweep_group,
+                     args=(str(rt.cache.root), g, self.scale))
                 for g in todo
             ]
             log.info("sweep: %d group(s) covering %d point(s) with %d job(s)",
                      len(tasks), sum(g.points() for g in todo), rt.executor.jobs)
             results = run_tasks(tasks, rt.executor, fault_plan=rt.fault_plan)
             for g in todo:
-                rows, (hits, misses) = results[g.key(self.scale)]
+                rows, (hits, misses) = results[keys[g]]
                 rt.cache.hits += hits
                 rt.cache.misses += misses
-                write_group_checkpoint(
-                    sweep_dir / f"{g.key(self.scale)}.json", rows
-                )
-                done[g.key(self.scale)] = rows
-        return [row for g in groups for row in done[g.key(self.scale)]]
-
-    def _prefetch(self, groups: list[SweepGroup], rt) -> None:
-        """Fan distinct traces out before dispatching sweep batches."""
-        tasks, seen = [], set()
-        for g in groups:
-            ck = _cache_key_for(g.app, g.version, self.scale, self.scale.nprocs)
-            fn = ck.filename()
-            if fn in seen or (rt.resume and rt.cache.contains(ck)):
-                continue
-            seen.add(fn)
-            tasks.append(Task(
-                key=fn,
-                fn=generate_trace_into_cache,
-                args=(str(rt.cache.root), g.app, g.version,
-                      self.scale.n[g.app], self.scale.iterations[g.app],
-                      self.scale.nprocs, self.scale.seed),
-            ))
-        if tasks:
-            log.info("sweep prefetch: generating %d trace(s)", len(tasks))
-            run_tasks(tasks, rt.executor, fault_plan=rt.fault_plan)
+                write_group_checkpoint(sweep_dir / f"{keys[g]}.json", rows)
+                done[keys[g]] = rows
+        return [row for g in groups for row in done[keys[g]]]
 
 
 _AXIS_NAMES = {

@@ -42,7 +42,7 @@ from ..errors import ConfigError, UnknownAppError, UnknownPlatformError
 from ..machines.dsm import simulate_dsm_sweep
 from ..machines.hardware import simulate_hardware_sweep
 from ..runtime.cache import atomic_write_text
-from .runner import PLATFORMS, Scale, _reorder_time, _trace_for
+from .runner import PLATFORMS, Scale, _reorder_time, _trace_for, _trace_key
 
 __all__ = [
     "COST_MODEL_VERSION",
@@ -239,7 +239,7 @@ def _dsm_cost(trace, scale: Scale, protocol: str) -> tuple[float, dict]:
 
 
 def _score_candidate(spec: TuneSpec, version: str, scale: Scale) -> CandidateScore:
-    trace = _trace_for(spec.app, version, scale, spec.nprocs)
+    trace = _trace_for(_trace_key(spec.app, version, scale, spec.nprocs))
     if spec.machine == "origin":
         access, counters = _hardware_cost(trace, scale)
         cycle_time = scale.hardware().cycle_time

@@ -94,7 +94,8 @@ def _interleave(
     and the round-robin order — position ``i`` of every live stream,
     processors in index order — is exactly a stable sort by (stream
     position, processor), materialized with one ``lexsort``.
-    :func:`_interleave_ref` is the cursor-walk reference this must match.
+    ``tests/oracles/interleave.py`` holds the cursor-walk reference this
+    must match.
     """
     if decoded is None:
         decoded = decode_epoch(epoch, layout, line_size)
@@ -117,32 +118,6 @@ def _interleave(
         np.concatenate(lines)[order],
         np.concatenate(writes)[order],
     )
-
-
-def _interleave_ref(epoch, layout: Layout, line_size: int, nprocs: int):
-    """Cursor-walk reference interleaving (kept for equivalence tests).
-
-    Yields ``(proc, line, is_write)`` tuples by advancing position ``i``
-    of every live per-processor stream, processors in index order — the
-    semantics the batched merge in :func:`_interleave` must reproduce
-    exactly.
-    """
-    streams = []
-    for p in range(nprocs):
-        regs, idx, wflags = epoch.flat(p)
-        if regs.shape[0] == 0:
-            continue
-        u, counts = layout.units_batch(regs, idx, line_size, return_counts=True)
-        streams.append((p, u.tolist(), np.repeat(wflags, counts).tolist()))
-    i = 0
-    live = True
-    while live:
-        live = False
-        for p, u, w in streams:
-            if i < len(u):
-                live = True
-                yield (p, u[i], w[i])
-        i += 1
 
 
 def simulate_mesi(

@@ -128,6 +128,9 @@ class TraceCache:
         self.hits = 0
         self.misses = 0
         self.quarantined = 0
+        #: Filenames known to be written during this object's life (by
+        #: this process, or by workers whose tasks it saw finish).
+        self.written: set[str] = set()
 
     @property
     def quarantine_dir(self) -> Path:
@@ -155,6 +158,7 @@ class TraceCache:
         path = self.path(key)
         save_trace(trace, path, compression=compression)  # atomic write
         _atomic_write_text(self._sidecar(key), json.dumps(key.meta(), indent=0))
+        self.written.add(key.filename())
         return path
 
     # ---- load ------------------------------------------------------------

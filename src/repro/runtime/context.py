@@ -25,10 +25,14 @@ __all__ = ["RuntimeContext", "get_runtime", "set_runtime", "use_runtime"]
 class RuntimeContext:
     """Resilience settings for experiment runs.
 
-    ``cache=None`` disables persistence; ``resume=False`` keeps writing to
-    the cache but never reads from it (forced regeneration);
-    ``executor.jobs > 1`` enables parallel trace prefetch in
-    :func:`repro.experiments.runner.prefetch_traces`.
+    Every trace goes through one path,
+    :func:`repro.runtime.worker.load_or_generate`: a cache hit, or a
+    fresh run stored back.  ``cache=None`` disables persistence;
+    ``resume=False`` never reads an entry written before this run — each
+    one the run needs is regenerated and rewritten once, then read back
+    by the rest of the run; ``executor.jobs > 1`` prefetches the traces
+    in parallel and runs independent cells in worker processes
+    (:func:`repro.experiments.runner.run_cells`).
 
     ``replay_jobs > 1`` additionally fans the *machine models* out: the
     Origin replay runs through
@@ -43,7 +47,8 @@ class RuntimeContext:
     ``"none"`` writes mmap-friendly v2 bundles, ``"zlib"``/``"lz4"`` write
     chunked compressed v3 bundles (~10-50x smaller, lazily decoded).
     Compressed entries carry format version 3 in their cache key, so
-    toggling the codec never mixes formats under one filename.
+    toggling the codec never mixes formats under one filename.  Runs,
+    matrix workers, prefetch and sweeps all key their traces with it.
     """
 
     cache: TraceCache | None = None

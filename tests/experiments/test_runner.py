@@ -10,11 +10,11 @@ from repro.apps import AppConfig
 from repro.experiments.runner import (
     RunRecord,
     Scale,
-    _cache_key_for,
     _run_memo_key,
-    _trace_memo_key,
+    _trace_key,
     clear_cache,
     make_app,
+    prefetch_traces,
     run_one,
     run_suite,
     versions_for,
@@ -136,15 +136,15 @@ PERTURB = {
 
 class TestKeyCompleteness:
     """Every :class:`Scale` input that reaches an app's :class:`AppConfig`
-    changes the trace cache key and both runner memo keys, so no cache
-    can serve a trace generated from different inputs."""
+    changes the trace key (the cache key, which is also the trace memo
+    key) and the run memo key, so no cache can serve a trace generated
+    from different inputs."""
 
     APP = "moldyn"
 
     def _keys(self, scale):
         return (
-            _cache_key_for(self.APP, "hilbert", scale, scale.nprocs),
-            _trace_memo_key(self.APP, "hilbert", scale, scale.nprocs),
+            _trace_key(self.APP, "hilbert", scale, scale.nprocs),
             _run_memo_key(self.APP, "hilbert", "origin", scale),
         )
 
@@ -183,6 +183,50 @@ class TestKeyCompleteness:
         assert scale.n["moldyn"] == 256 and scale.iterations["moldyn"] == 2
         assert (scale.nprocs, scale.seed, scale.hw_scale) == (4, 3, 128.0)
         assert not hasattr(scale, "extra")
+
+
+class TestOneTracePath:
+    """Every way into a cell's trace names the same cache entry: the one
+    :func:`_trace_key`, under the runtime's codec."""
+
+    SCALE = Scale(n={"moldyn": 256}, iterations={"moldyn": 2}, nprocs=4,
+                  hw_scale=128.0)
+
+    @pytest.mark.parametrize("codec", ["none", "zlib"])
+    def test_all_sites_touch_the_same_file(self, tmp_path, codec):
+        from repro.experiments.sweep import (
+            SweepGrid, SweepGroup, SweepPlan, run_sweep_group,
+        )
+        from repro.runtime import (
+            ExecutorConfig, RuntimeContext, TraceCache, use_runtime,
+        )
+
+        scale = self.SCALE
+        want = _trace_key("moldyn", "hilbert", scale, 4, codec).filename()
+        sites = {
+            "run_one": lambda root: run_one("moldyn", "hilbert", "origin", scale),
+            "prefetch_traces": lambda root: prefetch_traces(("moldyn",), scale),
+            "SweepPlan.run": lambda root: SweepPlan(
+                SweepGrid(apps=("moldyn",), versions=("hilbert",)), scale
+            ).run(),
+            "run_sweep_group": lambda root: run_sweep_group(
+                str(root), SweepGroup("moldyn", "hilbert", "origin",
+                                      compression=codec), scale
+            ),
+        }
+        for site, call in sites.items():
+            clear_cache()
+            root = tmp_path / site
+            ctx = RuntimeContext(
+                cache=TraceCache(root),
+                executor=ExecutorConfig(jobs=1, task_timeout=None),
+                trace_compression=codec,
+            )
+            with use_runtime(ctx):
+                call(root)
+            names = {p.name for p in root.glob("*.npt")}
+            assert want in names, (site, names)
+            assert all(n.endswith(want[-8:]) for n in names), (site, names)
 
 
 class TestVersionsFor:

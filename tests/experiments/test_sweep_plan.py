@@ -246,3 +246,60 @@ class TestCheckpointCorruption:
         clear_cache()
         assert SweepPlan(self.GRID2, SCALE).run() == baseline
         assert ran == []
+
+
+class TestTraceCodec:
+    """The sweep stores and reads traces under the runtime's codec, like
+    ``repro run`` does: a zlib runtime leaves only v3 cache entries."""
+
+    SMALL = Scale(
+        n={k: 256 for k in Scale().n},
+        iterations={k: 2 for k in Scale().n},
+        nprocs=4,
+        hw_scale=128.0,
+    )
+
+    def test_cli_sweep_honours_trace_compression(self, capsys, tmp_path):
+        from repro.cli import main
+
+        cache = tmp_path / "cache"
+        code = main([
+            "sweep", "fmm", "--n", "256", "--nprocs", "4",
+            "--cache-dir", str(cache), "--trace-compression", "zlib",
+            "--platform", "hlrc", "--grid", "page_size=1K,4K",
+        ])
+        capsys.readouterr()
+        assert code == 0
+        names = sorted(p.name for p in cache.glob("*.npt"))
+        assert names and all(n.endswith("_fv3.npt") for n in names), names
+
+    def test_plan_with_zlib_runtime_writes_only_v3(self, tmp_path):
+        grid = SweepGrid(apps=("moldyn",), versions=("hilbert",),
+                         platforms=("origin", "treadmarks"),
+                         l2_bytes=(32768,), page_sizes=(4096,))
+        serial = SweepPlan(grid, self.SMALL).run()
+        clear_cache()
+        set_runtime(RuntimeContext(
+            cache=TraceCache(tmp_path),
+            executor=ExecutorConfig(jobs=1, task_timeout=None),
+            trace_compression="zlib",
+        ))
+        assert SweepPlan(grid, self.SMALL).run() == serial
+        names = [p.name for p in tmp_path.glob("*.npt")]
+        assert names == ["moldyn__hilbert__n256_i2_p4_s42_fv3.npt"]
+
+    def test_codec_is_not_part_of_the_group_key(self):
+        plain = SweepPlan(GRID, SCALE).groups()
+        zlib = SweepPlan(GRID, SCALE).groups("zlib")
+        assert [g.compression for g in plain] == ["none"] * len(plain)
+        assert [g.key(SCALE) for g in plain] == [g.key(SCALE) for g in zlib]
+
+    def test_parent_era_group_spec_loads(self):
+        from repro.experiments.sweep import SweepGroup
+
+        spec = {"app": "moldyn", "version": "hilbert", "platform": "hlrc",
+                "l2_bytes": None, "line_sizes": None, "page_sizes": [4096]}
+        group = SweepGroup.from_dict(spec)
+        assert group.compression == "none"
+        assert group.page_sizes == (4096,)
+        assert SweepGroup.from_dict(group.to_dict()) == group

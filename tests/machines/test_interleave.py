@@ -1,8 +1,8 @@
 """Equivalence of the batched epoch interleave against the cursor walk.
 
 :func:`repro.machines.coherence._interleave` merges every processor's
-line stream with one lexsort; :func:`_interleave_ref` is the original
-cursor-walk generator.  They must agree element-for-element on every
+line stream with one lexsort; :func:`tests.oracles.interleave.interleave`
+is the original cursor-walk generator.  They must agree element-for-element on every
 epoch — including processors with empty streams and epochs with no
 accesses at all — and the MESI simulator built on the batched merge must
 reproduce the counters it had on the loop path.
@@ -12,10 +12,11 @@ import numpy as np
 import pytest
 
 from repro.apps import APP_REGISTRY, AppConfig
-from repro.machines.coherence import _interleave, _interleave_ref, simulate_mesi
+from repro.machines.coherence import _interleave, simulate_mesi
 from repro.machines.params import HardwareParams
 from repro.trace.builder import TraceBuilder
 from repro.trace.layout import Layout
+from oracles.interleave import interleave as interleave_ref
 
 
 def interleave_tuples(epoch, layout, line_size, nprocs):
@@ -33,7 +34,7 @@ class TestInterleaveEquivalence:
         layout = Layout.for_trace(trace, align=params.page_size)
         for epoch in trace.epochs:
             ref = list(
-                _interleave_ref(epoch, layout, params.line_size, trace.nprocs)
+                interleave_ref(epoch, layout, params.line_size, trace.nprocs)
             )
             got = interleave_tuples(epoch, layout, params.line_size, trace.nprocs)
             assert got == ref
@@ -49,7 +50,7 @@ class TestInterleaveEquivalence:
         trace = tb.finish()
         layout = Layout.for_trace(trace, align=4096)
         for epoch in trace.epochs:
-            ref = list(_interleave_ref(epoch, layout, 128, 4))
+            ref = list(interleave_ref(epoch, layout, 128, 4))
             assert interleave_tuples(epoch, layout, 128, 4) == ref
 
     def test_empty_epoch(self):

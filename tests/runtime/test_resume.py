@@ -4,12 +4,15 @@ corrupted cache entries degrade to regeneration, never a crash."""
 
 import pytest
 
-from repro.apps import APP_REGISTRY
+from repro.apps import APP_REGISTRY, AppConfig
 from repro.experiments.runner import (
     Scale,
+    _trace_key,
     clear_cache,
+    make_app,
     prefetch_traces,
     run_suite,
+    versions_for,
 )
 from repro.runtime import (
     ExecutorConfig,
@@ -149,3 +152,44 @@ class TestParallelPrefetch:
             parallel = record_fingerprint(run_suite(apps=APPS, scale=scale))
         assert parallel == cold
         assert ctx.cache.hits >= 4  # the suite consumed the prefetched traces
+
+
+class TestNoResumeRegenerates:
+    def test_parallel_no_resume_rewrites_stale_entries(self, tmp_path, scale):
+        """``resume=False`` with ``jobs > 1``: the prefetch regenerates
+        every entry instead of trusting what is on disk, reports the true
+        count, and the matrix workers then read the fresh files."""
+        cold = record_fingerprint(run_suite(apps=APPS, scale=scale))
+        clear_cache()
+        clean = runtime(tmp_path / "clean")
+        with use_runtime(clean):
+            assert prefetch_traces(apps=APPS, scale=scale) == 4
+        clear_cache()
+
+        # A stale cache: every entry is a valid trace, stored under the
+        # right key, but generated from another seed.
+        keys = [_trace_key(a, v, scale, scale.nprocs)
+                for a in APPS for v in versions_for(a)]
+        keys += [_trace_key(a, "original", scale, 1) for a in APPS]
+        stale = TraceCache(tmp_path / "stale")
+        for key in keys:
+            config = AppConfig(n=key.n, nprocs=key.nprocs,
+                               iterations=key.iterations, seed=key.seed + 1)
+            stale.store(key, make_app(key.app, config, key.version).run())
+            assert (stale.path(key).read_bytes()
+                    != clean.cache.path(key).read_bytes())
+
+        ctx = RuntimeContext(
+            cache=TraceCache(stale.root),  # a new run over the stale cache
+            executor=ExecutorConfig(jobs=2, task_timeout=120.0),
+            resume=False,
+        )
+        with use_runtime(ctx):
+            assert prefetch_traces(apps=APPS, scale=scale) == 4
+            for key in keys:
+                assert (stale.path(key).read_bytes()
+                        == clean.cache.path(key).read_bytes()), key
+            # Rewritten once per run: nothing left to regenerate.
+            assert prefetch_traces(apps=APPS, scale=scale) == 0
+            parallel = record_fingerprint(run_suite(apps=APPS, scale=scale))
+        assert parallel == cold
