@@ -11,6 +11,29 @@ with directory-style write-invalidate coherence:
   granularity is exact for data-race-free programs, which synchronize all
   conflicting accesses through the same barriers.
 
+The replay is batched across processors, so its numpy call count does not
+grow with epochs x processors.  Processor ``p``'s line ``l`` becomes the
+encoded key ``l << b | p`` (``b = (P-1).bit_length()``), whose set index
+``(line_set << b) | p`` gives every processor its own segments of one
+kernel stream:
+
+* the L2 is one :func:`repro.machines.kernels.setassoc_replay` call per
+  epoch over all processors, with one encoded resident array carrying
+  every cache's state;
+* the barrier invalidation is one vectorized test of that array against
+  per-line writer counts, and cold/coherence classification runs over
+  flat ``(proc, line)`` tables;
+* the TLB is never invalidated, so each processor's TLB sees one stream
+  over all epochs: one ``_miss_mask`` pass over the trace's encoded page
+  keys, counted back to (epoch, processor).
+
+Epochs (or TLB streams) past ``_BATCH_KEYS`` accesses run in blocks of
+whole processors, which bounds memory on paper-size traces.  The timing
+model then runs epoch by epoch with fixed float operations, so ``time``
+and ``phase_times`` do not depend on the batching.  The per-processor
+replay these batches are checked against lives in
+``tests/oracles/hardware.py``.
+
 False sharing appears naturally: two processors writing *different* objects
 on the same 128-byte line invalidate each other, which is precisely the
 effect data reordering removes.
@@ -39,8 +62,8 @@ import numpy as np
 from ..errors import SimulationInputError
 from ..trace.events import PackedEpoch, Trace
 from ..trace.layout import DecodedEpoch, Layout, decode_memo
-from .cache import LRUCache, SetAssocCache
-from .kernels import SetAssocSweep
+from .cache import collapse_runs
+from .kernels import SetAssocSweep, _miss_mask, _prev_occurrence, setassoc_replay
 from .params import HardwareParams
 
 __all__ = ["HardwareResult", "simulate_hardware", "simulate_hardware_sweep"]
@@ -174,6 +197,332 @@ def _invalidation_targets(
     return targets
 
 
+def _key_dtype(max_key: int) -> type:
+    """Narrowest unsigned dtype holding encoded keys up to ``max_key``."""
+    for dt in (np.uint16, np.uint32):
+        if max_key <= np.iinfo(dt).max:
+            return dt
+    return np.int64
+
+
+def _encode_epoch(
+    units: list[np.ndarray], bits: int, dtype: type, first: int = 0
+) -> np.ndarray:
+    """Concatenate the streams of processors ``first, first+1, ...`` as
+    encoded keys ``key << bits | proc``."""
+    keys = np.empty(sum(u.shape[0] for u in units), dtype=dtype)
+    lo = 0
+    for p, u in enumerate(units, start=first):
+        seg = keys[lo : lo + u.shape[0]]
+        np.left_shift(u, bits, out=seg, casting="unsafe")
+        if p:
+            seg |= dtype(p)
+        lo += u.shape[0]
+    return keys
+
+
+def _write_flags(
+    epoch: PackedEpoch, decoded: DecodedEpoch, lo: int, hi: int
+) -> np.ndarray | None:
+    """Write flags over processors ``[lo, hi)``'s decoded line streams, or
+    ``None`` if they wrote nothing this epoch."""
+    b0, b1 = int(epoch.burst_offsets[lo]), int(epoch.burst_offsets[hi])
+    bw = epoch.burst_write[b0:b1]
+    if not bw.any():
+        return None
+    wflags = np.repeat(bw, epoch.burst_length[b0:b1])
+    if all(c is None for c in decoded.counts[lo:hi]):
+        return wflags
+    offs = epoch.offsets - epoch.offsets[lo]
+    return np.concatenate(
+        [decoded.expand(p, wflags[offs[p] : offs[p + 1]]) for p in range(lo, hi)]
+    )
+
+
+#: Accesses per batched pass.  Processors' segments are independent, so an
+#: epoch (or, for the TLB, a trace) longer than this is replayed in blocks
+#: of whole processors: exact, and it bounds the kernels' O(n) temporaries
+#: on large traces, where per-call overhead no longer matters, without
+#: changing the one-call-per-epoch shape of small ones.
+_BATCH_KEYS = 1 << 18
+
+
+def _batch_blocks(sizes: np.ndarray) -> list[tuple[int, int]]:
+    """Contiguous processor blocks ``[lo, hi)`` of at most ``_BATCH_KEYS``
+    keys each (a single processor over the budget forms its own block)."""
+    blocks = []
+    lo, total = 0, 0
+    for p, size in enumerate(sizes.tolist()):
+        if total and total + size > _BATCH_KEYS:
+            blocks.append((lo, p))
+            lo, total = p, 0
+        total += size
+    blocks.append((lo, len(sizes)))
+    return blocks
+
+
+def _tlb_epoch_misses(
+    chunks: list[np.ndarray], nprocs: int, entries: int
+) -> np.ndarray:
+    """Per-(epoch, processor) TLB misses of a whole trace in one replay.
+
+    ``chunks[e]`` holds epoch ``e``'s run-collapsed page stream of every
+    processor, encoded ``page << bits | proc`` and in processor order.
+    The TLB is never invalidated, so each processor's TLB sees one
+    continuous stream over all epochs: the chunks are regrouped
+    processor-major (epoch order inside), one segment per processor, and a
+    single :func:`_miss_mask` pass over the encoded stream decides every
+    access (one pass per block of processors past ``_BATCH_KEYS``).  The
+    miss flags are then counted back to ``(epoch, proc)``.  Encoding the
+    processor keeps two processors' pages from ever sharing a reuse window.
+    """
+    nepochs = len(chunks)
+    out = np.zeros((nepochs, nprocs), dtype=np.int64)
+    bits = (nprocs - 1).bit_length()
+    lens = np.zeros((nepochs, nprocs), dtype=np.int64)
+    for e, c in enumerate(chunks):
+        if c.shape[0]:
+            lens[e] = np.bincount(c & ((1 << bits) - 1), minlength=nprocs)
+    offs = np.zeros((nepochs, nprocs + 1), dtype=np.int64)
+    np.cumsum(lens, axis=1, out=offs[:, 1:])
+    seg_len = lens.sum(axis=0)
+    for lo, hi in _batch_blocks(seg_len):
+        if not seg_len[lo:hi].any():
+            continue
+        stream = np.concatenate([
+            chunks[e][offs[e, p] : offs[e, p + 1]]
+            for p in range(lo, hi)
+            for e in range(nepochs)
+        ])
+        seg_end = np.repeat(np.cumsum(seg_len[lo:hi]).astype(np.int32), seg_len[lo:hi])
+        miss = _miss_mask(_prev_occurrence(stream), seg_end, entries)
+        # Chunk c = (p - lo) * nepochs + e holds [bounds[c-1], bounds[c]).
+        bounds = np.cumsum(lens[:, lo:hi].T.ravel())
+        chunk = np.searchsorted(bounds, np.flatnonzero(miss), side="right")
+        counts = np.bincount(chunk, minlength=(hi - lo) * nepochs)
+        out[:, lo:hi] = counts.reshape(hi - lo, nepochs).T
+    return out
+
+
+def _l2_epoch_misses(
+    keys: np.ndarray,
+    resident: np.ndarray,
+    nsets: int,
+    assoc: int,
+    nprocs: int,
+) -> tuple[np.ndarray, np.ndarray]:
+    """One epoch of many processors' L2s, replayed in one kernel call.
+
+    ``keys`` are the epoch's run-collapsed line accesses encoded
+    ``line << bits | proc``; ``resident`` is the encoded content of the
+    same processors' caches.  The encoded key's set index ``key & ((nsets
+    << bits) - 1)`` is ``(line_set << bits) | proc``, so each processor's
+    sets are their own segments of one :func:`setassoc_replay` and never
+    interact.  Returns per-processor miss counts (length ``nprocs``) and
+    the new encoded resident array.
+    """
+    bits = (nprocs - 1).bit_length()
+    pmask = (1 << bits) - 1
+    grouped, miss, resident_out = setassoc_replay(keys, nsets << bits, assoc, resident)
+    misses = np.bincount(grouped[miss] & pmask, minlength=nprocs)
+    if resident.shape[0]:
+        # The uncharged resident prefix is all first occurrences (misses).
+        misses -= np.bincount(resident & pmask, minlength=nprocs)
+    return misses, resident_out
+
+
+def _replay_counters(
+    trace: Trace, params: HardwareParams, layout: Layout
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Batched replay of every processor's L2 and TLB over the trace.
+
+    Returns ``(epoch_l2, epoch_tlb, invalidations, cold, coherence)``:
+    per-(epoch, proc) L2 and TLB miss matrices and per-proc totals.
+    Every processor's line ``l`` is the encoded key ``l << bits | p``, so
+    one key space serves the L2 (one :func:`_l2_epoch_misses` call per
+    epoch), the classification tables and, as ``page << bits | p``, the
+    TLB (one :func:`_tlb_epoch_misses` pass for the whole trace).
+    """
+    nprocs = trace.nprocs
+    nepochs = len(trace.epochs)
+    bits = (nprocs - 1).bit_length()
+    pmask = (1 << bits) - 1
+    shift = params.line_size.bit_length() - 1
+    pshift = params.page_size.bit_length() - 1
+    nlines = (layout.total_bytes >> shift) + 1
+    npages = (((nlines - 1) << shift) >> pshift) + 1
+    nkeys = max(nlines, npages) << bits
+    kdt = _key_dtype(nkeys - 1)
+    pdt = _key_dtype((npages << bits) - 1)
+
+    epoch_l2 = np.zeros((nepochs, nprocs), dtype=np.int64)
+    invalidations = np.zeros(nprocs, dtype=np.int64)
+    cold = np.zeros(nprocs, dtype=np.int64)
+    coherence = np.zeros(nprocs, dtype=np.int64)
+    resident = np.empty(0, dtype=kdt)
+    page_chunks: list[np.ndarray] = []
+    # Classification state over encoded (proc, line) keys: lines each proc
+    # has ever touched, and lines invalidated out of its cache and not yet
+    # re-touched.  Line ids are dense (bounded by the layout's extent), so
+    # flat boolean tables make the per-epoch set algebra scatter/mask work
+    # over all processors at once.
+    seen = np.zeros(nkeys, dtype=bool)
+    pending_inval = np.zeros(nkeys, dtype=bool)
+    touched = np.zeros(nkeys, dtype=bool)
+    wrote = np.zeros(nkeys, dtype=bool)
+
+    # Decode through the per-trace memo: one pass per (epoch, geometry),
+    # shared with the DSM simulators and any sweep re-running this trace
+    # under the same line size.
+    memo = decode_memo(trace)
+    for ei, epoch in enumerate(trace.epochs):
+        decoded = memo.epoch(layout, params.line_size, ei)
+        lens = np.array([u.shape[0] for u in decoded.units], dtype=np.int64)
+        blocks = _batch_blocks(lens)
+        if len(blocks) > 1:
+            owners = resident & pmask
+        residents, page_parts = [], []
+        any_write = False
+        for lo, hi in blocks:
+            block_resident = (
+                resident if len(blocks) == 1
+                else resident[(owners >= lo) & (owners < hi)]
+            )
+            keys = _encode_epoch(decoded.units[lo:hi], bits, kdt, lo)
+            if not keys.shape[0]:
+                residents.append(block_resident)
+                continue
+            # Run-collapse per processor (owner bits keep runs from
+            # spanning processors); the page stream derives from the
+            # collapsed lines, since collapsing commutes with any per-key
+            # map.
+            ckeys = collapse_runs(keys)
+            if pshift >= shift:
+                pkeys = (ckeys >> (bits + pshift - shift)) << bits
+            else:
+                pkeys = (ckeys >> bits) << (bits + shift - pshift)
+            if bits:
+                pkeys |= ckeys & kdt(pmask)
+            page_parts.append(collapse_runs(pkeys).astype(pdt, copy=False))
+            misses, block_resident = _l2_epoch_misses(
+                ckeys, block_resident, params.l2_sets, params.l2_assoc, nprocs
+            )
+            epoch_l2[ei] += misses
+            residents.append(block_resident)
+            # Classify: first-ever touches are cold; re-touches of
+            # invalidated lines are coherence; the remainder of the LRU's
+            # miss count is capacity/conflict.
+            touched[ckeys] = True
+            u = np.flatnonzero(touched)
+            touched[u] = False
+            fresh = u[~seen[u]]
+            seen[fresh] = True
+            cold += np.bincount(fresh & pmask, minlength=nprocs)
+            again = u[pending_inval[u]]
+            pending_inval[again] = False
+            coherence += np.bincount(again & pmask, minlength=nprocs)
+            # Written (proc, line) keys, for the barrier below.
+            wflags = _write_flags(epoch, decoded, lo, hi)
+            if wflags is not None:
+                any_write = True
+                wrote[keys[wflags]] = True
+        # Only a set's entries' relative order matters in the resident
+        # array, so the blocks' results concatenate.
+        resident = residents[0] if len(residents) == 1 else np.concatenate(residents)
+        page_chunks.append(
+            np.concatenate(page_parts) if page_parts else np.empty(0, dtype=pdt)
+        )
+        # Directory invalidation at the barrier: every line written by q is
+        # purged from all other caches (and its TLB entry is unaffected —
+        # TLBs cache translations, not data).  A resident (proc, line)
+        # entry goes iff some *other* processor wrote the line: one gather
+        # of per-line writer counts over the encoded resident array.
+        if not any_write:
+            continue
+        wkeys = np.flatnonzero(wrote)
+        writers = np.bincount(wkeys >> bits, minlength=nlines)
+        hit = writers[resident >> bits] > wrote[resident]
+        wrote[wkeys] = False
+        if hit.any():
+            removed = resident[hit]
+            resident = resident[~hit]
+            invalidations += np.bincount(removed & pmask, minlength=nprocs)
+            pending_inval[removed] = True
+
+    epoch_tlb = _tlb_epoch_misses(page_chunks, nprocs, params.tlb_entries)
+    return epoch_l2, epoch_tlb, invalidations, cold, coherence
+
+
+def _hardware_result(
+    trace: Trace,
+    params: HardwareParams,
+    epoch_l2: np.ndarray,
+    epoch_tlb: np.ndarray,
+    invalidations: np.ndarray,
+    cold: np.ndarray,
+    coherence: np.ndarray,
+) -> HardwareResult:
+    """Fold per-(epoch, proc) miss counts into a :class:`HardwareResult`.
+
+    The timing model runs epoch by epoch in trace order with the same
+    float operations whichever replay produced the counts, so ``time``
+    and ``phase_times`` are bit-identical across replay paths.
+    """
+    nprocs = trace.nprocs
+    miss_time = params.l2_miss_time()
+    work_time = params.work_cycles * params.cycle_time
+    barrier = params.barrier_time if nprocs > 1 else 0.0
+    work = np.zeros(nprocs, dtype=np.float64)
+    locks = np.zeros(nprocs, dtype=np.int64)
+    total_time = 0.0
+    phase_times: dict[str, float] = {}
+    for ei, epoch in enumerate(trace.epochs):
+        work += epoch.work
+        locks += epoch.lock_acquires
+        proc_time = (
+            epoch.work * work_time
+            + epoch_l2[ei] * miss_time
+            + epoch_tlb[ei] * params.tlb_miss_time
+            + epoch.lock_acquires * params.lock_time
+        )
+        epoch_time = float(proc_time.max()) + barrier
+        total_time += epoch_time
+        if epoch.label:
+            phase_times[epoch.label] = phase_times.get(epoch.label, 0.0) + epoch_time
+
+    # Capacity/conflict misses are the exact residual.  A negative value
+    # means cold + coherence over-counted the simulator's misses — that is
+    # classification drift, and it is surfaced, not floored away.
+    l2_misses = epoch_l2.sum(axis=0)
+    residual = l2_misses - cold - coherence
+    overcount = np.maximum(-residual, 0)
+    if overcount.any():
+        warnings.warn(
+            "miss classification drift: cold + coherence exceed total L2"
+            f" misses by {overcount.tolist()} per processor (total"
+            f" {int(overcount.sum())}); capacity_misses carries the exact"
+            " (negative) residual and classification_overcount the excess",
+            RuntimeWarning,
+            stacklevel=3,
+        )
+    return HardwareResult(
+        params=params,
+        nprocs=nprocs,
+        l2_misses=l2_misses,
+        tlb_misses=epoch_tlb.sum(axis=0),
+        invalidations=invalidations,
+        work=work,
+        lock_acquires=locks,
+        barriers=len(trace.epochs),
+        time=total_time,
+        phase_times=phase_times,
+        cold_misses=cold,
+        coherence_misses=coherence,
+        capacity_misses=residual,
+        classification_overcount=overcount,
+    )
+
+
 def simulate_hardware(
     trace: Trace,
     params: HardwareParams = HardwareParams(),
@@ -190,121 +539,8 @@ def simulate_hardware(
         )
     if layout is None:
         layout = Layout.for_trace(trace, align=params.page_size)
-    nprocs = trace.nprocs
-    # Geometry is validated by HardwareParams at construction; build the
-    # caches exactly as specified — no silent rounding of the set count.
-    caches = [SetAssocCache(params.l2_sets, params.l2_assoc) for _ in range(nprocs)]
-    tlbs = [LRUCache(params.tlb_entries) for _ in range(nprocs)]
-
-    l2_misses = np.zeros(nprocs, dtype=np.int64)
-    tlb_misses = np.zeros(nprocs, dtype=np.int64)
-    invalidations = np.zeros(nprocs, dtype=np.int64)
-    cold = np.zeros(nprocs, dtype=np.int64)
-    coherence = np.zeros(nprocs, dtype=np.int64)
-    work = np.zeros(nprocs, dtype=np.float64)
-    locks = np.zeros(nprocs, dtype=np.int64)
-    phase_times: dict[str, float] = {}
-    # Classification state: lines each proc has ever touched, and lines
-    # invalidated out of its cache and not yet re-touched.  Line ids are
-    # dense (bounded by the layout's extent), so per-proc boolean tables
-    # make the per-epoch set algebra O(lines) scatter/mask work.
-    shift = params.line_size.bit_length() - 1
-    nlines = (layout.total_bytes >> shift) + 1
-    seen = np.zeros((nprocs, nlines), dtype=bool)
-    pending_inval = np.zeros((nprocs, nlines), dtype=bool)
-    touched = np.zeros(nlines, dtype=bool)
-
-    miss_time = params.l2_miss_time()
-    work_time = params.work_cycles * params.cycle_time
-    total_time = 0.0
-
-    # Decode through the per-trace memo: one pass per (epoch, geometry),
-    # shared with the DSM simulators and any sweep re-running this trace
-    # under the same line size.
-    memo = decode_memo(trace)
-
-    for ei, epoch in enumerate(trace.epochs):
-        epoch_written: list[np.ndarray] = []
-        proc_time = np.zeros(nprocs, dtype=np.float64)
-        epoch_l2 = np.zeros(nprocs, dtype=np.int64)
-        epoch_tlb = np.zeros(nprocs, dtype=np.int64)
-        decoded = memo.epoch(layout, params.line_size, ei)
-        for p in range(nprocs):
-            lines, pages, written = _proc_streams_packed(
-                epoch, decoded, p, params.line_size, params.page_size, nlines
-            )
-            epoch_written.append(written)
-            if lines.shape[0]:
-                epoch_l2[p] = caches[p].access_stream(lines)
-                epoch_tlb[p] = tlbs[p].access_stream(pages)
-                # Classify: first-ever touches are cold; re-touches of
-                # invalidated lines are coherence; the remainder of the
-                # LRU's miss count is capacity/conflict.
-                touched[lines] = True
-                fresh = touched & ~seen[p]
-                cold[p] += int(np.count_nonzero(fresh))
-                seen[p] |= fresh
-                coherence[p] += int(np.count_nonzero(touched & pending_inval[p]))
-                pending_inval[p] &= ~touched
-                touched.fill(False)
-        # Directory invalidation at the barrier: every line written by q is
-        # purged from all other caches (and its TLB entry is unaffected —
-        # TLBs cache translations, not data).  The target sets are batched
-        # across writers (see ``_invalidation_targets``), so the barrier
-        # costs one ``invalidate_present`` merge per processor instead of
-        # one per ordered processor pair.
-        for p, w in enumerate(_invalidation_targets(epoch_written)):
-            if w is None:
-                continue
-            removed = caches[p].invalidate_present(w, assume_unique=True)
-            if removed.shape[0]:
-                invalidations[p] += removed.shape[0]
-                pending_inval[p][removed] = True
-        l2_misses += epoch_l2
-        tlb_misses += epoch_tlb
-        work += epoch.work
-        locks += epoch.lock_acquires
-        proc_time = (
-            epoch.work * work_time
-            + epoch_l2 * miss_time
-            + epoch_tlb * params.tlb_miss_time
-            + epoch.lock_acquires * params.lock_time
-        )
-        epoch_time = float(proc_time.max()) + (params.barrier_time if nprocs > 1 else 0.0)
-        total_time += epoch_time
-        if epoch.label:
-            phase_times[epoch.label] = phase_times.get(epoch.label, 0.0) + epoch_time
-
-    # Capacity/conflict misses are the exact residual.  A negative value
-    # means cold + coherence over-counted the simulator's misses — that is
-    # classification drift, and it is surfaced, not floored away.
-    residual = l2_misses - cold - coherence
-    overcount = np.maximum(-residual, 0)
-    if overcount.any():
-        warnings.warn(
-            "miss classification drift: cold + coherence exceed total L2"
-            f" misses by {overcount.tolist()} per processor (total"
-            f" {int(overcount.sum())}); capacity_misses carries the exact"
-            " (negative) residual and classification_overcount the excess",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-    return HardwareResult(
-        params=params,
-        nprocs=nprocs,
-        l2_misses=l2_misses,
-        tlb_misses=tlb_misses,
-        invalidations=invalidations,
-        work=work,
-        lock_acquires=locks,
-        barriers=len(trace.epochs),
-        time=total_time,
-        phase_times=phase_times,
-        cold_misses=cold,
-        coherence_misses=coherence,
-        capacity_misses=residual,
-        classification_overcount=overcount,
-    )
+    counters = _replay_counters(trace, params, layout)
+    return _hardware_result(trace, params, *counters)
 
 
 def _sweep_line_family(
@@ -355,9 +591,12 @@ def _sweep_line_family(
     nlines = (layout.total_bytes >> shift) + 1
 
     sweeps = [SetAssocSweep(nsets, cmax) for _ in range(nprocs)]
-    tlbs = [LRUCache(base.tlb_entries) for _ in range(nprocs)]
+    bits = (nprocs - 1).bit_length()
+    pshift = base.page_size.bit_length() - 1
+    npages = (((nlines - 1) << shift) >> pshift) + 1
+    kdt = _key_dtype((npages << bits) - 1)
+    page_chunks: list[np.ndarray] = []
     g_hists = np.zeros((nepochs, nprocs, cmax + 1), dtype=np.int64)
-    tlb_epoch = np.zeros((nepochs, nprocs), dtype=np.int64)
     inval_hist = np.zeros((nprocs, cmax), dtype=np.int64)
     coh_hist = np.zeros((nprocs, cmax), dtype=np.int64)
     cold = np.zeros(nprocs, dtype=np.int64)
@@ -374,6 +613,7 @@ def _sweep_line_family(
     for ei, epoch in enumerate(trace.epochs):
         decoded = memo.epoch(layout, line_size, ei)
         epoch_written: list[np.ndarray] = []
+        epoch_pages: list[np.ndarray] = []
         for p in range(nprocs):
             lines, pages, written = _proc_streams_packed(
                 epoch, decoded, p, line_size, base.page_size, nlines
@@ -381,7 +621,7 @@ def _sweep_line_family(
             epoch_written.append(written)
             if lines.shape[0]:
                 g_hists[ei, p] = sweeps[p].access_stream(lines)
-                tlb_epoch[ei, p] = tlbs[p].access_stream(pages)
+                epoch_pages.append((collapse_runs(pages).astype(kdt) << bits) | kdt(p))
                 touched[lines] = True
                 fresh = touched & ~seen[p]
                 cold[p] += int(np.count_nonzero(fresh))
@@ -400,10 +640,14 @@ def _sweep_line_family(
             if thr.shape[0]:
                 inval_hist[p] += np.bincount(thr, minlength=cmax)
                 pend_thr[p, removed] = thr
+        page_chunks.append(
+            np.concatenate(epoch_pages) if epoch_pages else np.empty(0, dtype=kdt)
+        )
         works[ei] = epoch.work
         locks_e[ei] = epoch.lock_acquires
         labels.append(epoch.label)
 
+    tlb_epoch = _tlb_epoch_misses(page_chunks, nprocs, base.tlb_entries)
     results = []
     tlb_misses = tlb_epoch.sum(axis=0)
     barrier = base.barrier_time if nprocs > 1 else 0.0

@@ -63,6 +63,7 @@ __all__ = [
     "reuse_distances",
     "lru_kernel",
     "setassoc_kernel",
+    "setassoc_replay",
     "stack_distance_histogram",
     "miss_curve",
     "SetAssocSweep",
@@ -237,11 +238,14 @@ def _miss_mask(prev: np.ndarray, seg_end: np.ndarray, capacity: int) -> np.ndarr
       in the lookback suffix: a certain miss;
 
     Undecided positions (long gap, low-diversity suffix) retry with a 4x
-    larger gathered lookback; if that budget blows up the exact
-    O(n log^2 n) dominance count (:func:`reuse_distances`) finishes the
-    job.  Segment boundaries are folded into the liveness horizon
-    (``next`` capped at ``seg_end - 1``), so no per-position segment
-    comparison is needed in the hot loop.
+    larger gathered lookback.  Each retry round costs ``W`` Python-level
+    passes however few rows remain, so a small sliver (at most ``n/64``
+    rows — the rule :func:`_clamped_distances` uses) is finished instead
+    by the per-query exact count :func:`_count_left_le_at`; if the
+    lookback budget blows up, the exact O(n log^2 n) dominance count
+    (:func:`reuse_distances`) finishes the job.  Segment boundaries are
+    folded into the liveness horizon (``next`` capped at ``seg_end - 1``),
+    so no per-position segment comparison is needed in the hot loop.
     """
     n = prev.shape[0]
     miss = prev < 0  # cold
@@ -279,6 +283,10 @@ def _miss_mask(prev: np.ndarray, seg_end: np.ndarray, capacity: int) -> np.ndarr
     undec = np.flatnonzero(~(near | miss))
 
     while undec.size:
+        if undec.size * 64 <= n:
+            dist = _count_left_le_at(prev, undec) - (prev[undec] + 1)
+            miss[undec] = dist >= capacity
+            break
         W = min(W * 4, n)
         if undec.size * W > 64 * n + (1 << 22):
             # Adversarial stream shape: finish with the exact global count.
@@ -316,44 +324,119 @@ def _replay_small_assoc(
     At associativity 1 an access hits iff it repeats the in-segment
     predecessor (reuse distance 0).  At associativity 2 the only other
     hit shape is reuse distance 1: the window back to the previous
-    occurrence is a single *run* of one foreign key — so a hit iff the
-    key just before the run ending at ``i-1`` equals ``keys[i]``.  Both
-    tests are local run analysis, which matters because the 2-way L2 is
-    the simulator's highest-volume cache: this path skips the
-    previous-occurrence radix sort entirely.
+    occurrence is a single *run* of one foreign key — so the first access
+    of run ``j`` hits iff run ``j-2`` has the same key.  Both tests are
+    local run analysis, which matters because the 2-way L2 is the
+    simulator's highest-volume cache: this path skips the
+    previous-occurrence radix sort entirely.  Segments are sets, and keys
+    of different sets always differ, so a run never spans segments and
+    equal keys two runs apart always share one.
 
     Returns ``(miss, resident)`` with ``resident`` in the usual grouped
     LRU-first format (per segment: the pre-final-run key, if any, then
     the final run's key).
     """
     n = grouped.shape[0]
-    chg = np.empty(n, dtype=bool)
-    chg[0] = True
-    np.not_equal(grouped[1:], grouped[:-1], out=chg[1:])
-    chg[bounds[:-1]] = True  # runs never span segments
-    miss = chg.copy()  # non-boundary repeats are the dist-0 hits
+    miss = np.empty(n, dtype=bool)  # run starts; repeats are dist-0 hits
+    miss[0] = True
+    np.not_equal(grouped[1:], grouped[:-1], out=miss[1:])
     ends = bounds[1:] - 1  # last position of each segment
     if assoc == 1:
         return miss, grouped[ends]
-    iota = np.arange(n, dtype=np.int32)
-    rs = np.maximum.accumulate(np.where(chg, iota, 0))  # run start per position
-    seg_start = np.repeat(bounds[:-1].astype(np.int32), np.diff(bounds))
-    # dist-1 hits at i: i-1 ends a run of one foreign key and the key
-    # before that run (cand) is keys[i], still inside i's segment.
-    cand = rs[:-1] - 1
-    ok = chg[1:] & (cand >= seg_start[1:])
-    h1 = ok & (grouped[np.maximum(cand, 0)] == grouped[1:])
-    miss[1:] &= ~h1
-    # End state: MRU = final run's key; LRU = key before the final run.
-    mru = grouped[ends]
-    cand_e = rs[ends] - 1
-    has_lru = cand_e >= bounds[:-1]
+    starts = np.flatnonzero(miss)
+    run_keys = grouped[starts]
+    miss[starts[2:][run_keys[2:] == run_keys[:-2]]] = False  # dist-1 hits
+    # End state: MRU = final run's key; LRU = the run before it, when
+    # that run is inside the segment.
+    last = np.searchsorted(starts, ends, side="right") - 1
+    has_lru = last > np.searchsorted(starts, bounds[:-1])
     counts = 1 + has_lru.astype(np.int64)
     pos_end = np.cumsum(counts)
     resident = np.empty(int(pos_end[-1]), dtype=grouped.dtype)
-    resident[pos_end - 1] = mru
-    resident[pos_end[has_lru] - 2] = grouped[np.maximum(cand_e, 0)][has_lru]
+    resident[pos_end - 1] = grouped[ends]
+    resident[pos_end[has_lru] - 2] = run_keys[last[has_lru] - 1]
     return miss, resident
+
+
+def setassoc_replay(
+    keys: np.ndarray,
+    nsets: int,
+    assoc: int,
+    resident: np.ndarray | None = None,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per-position miss flags of a set-associative LRU replay.
+
+    The core of :func:`setassoc_kernel`.  Returns ``(grouped, miss,
+    resident)``: ``grouped`` is the resident prefix followed by ``keys``,
+    stably grouped by set (narrowed by :func:`_narrow`); ``miss[i]`` flags
+    whether ``grouped[i]`` misses, with every resident-prefix position
+    flagged (its keys are distinct, so each is a first occurrence); and
+    ``resident`` is the end state in the same grouped LRU-first format,
+    in the narrowed dtype.  Callers that encode an owner in the key's low
+    bits (one segment per processor, say) read per-owner counts straight
+    off ``grouped[miss]``.
+    """
+    if resident is None or resident.shape[0] == 0:
+        combined = keys
+    else:
+        combined = np.concatenate([resident, keys])
+    n = combined.shape[0]
+    if n == 0:
+        empty = np.empty(0, dtype=np.int64)
+        return empty, np.empty(0, dtype=bool), empty
+    # Narrow once up front: every later pass (set extraction, sort gather,
+    # run comparisons, extraction) then moves 1-4 bytes per key instead
+    # of 8.  Negative keys fall back to int64 untouched.
+    combined = _narrow(combined)
+    # Group by set, program order preserved within each set; the
+    # resident prefix of each set lands ahead of its stream accesses.
+    if nsets > 1:
+        mask = nsets - 1
+        if combined.dtype == np.int64:
+            sets_all = combined & mask
+        elif mask >= (1 << (8 * combined.dtype.itemsize)) - 1:
+            sets_all = combined  # mask covers the whole dtype: set id == key
+        else:
+            sets_all = combined & combined.dtype.type(mask)
+        if nsets <= 1 << 16 and sets_all.dtype.itemsize > 2:
+            # Stable argsort is a radix sort only up to 16-bit keys.
+            sets_all = sets_all.astype(np.uint16)
+        order = np.argsort(sets_all, kind="stable")
+        grouped = combined[order]
+        # Segment boundaries fall out of the per-set population counts —
+        # no need to materialize the sorted set-id array for them.
+        counts = np.bincount(sets_all, minlength=nsets)
+        bounds = np.concatenate([[0], np.cumsum(counts[counts > 0])])
+    else:
+        grouped = combined
+        bounds = np.array([0, n], dtype=np.int64)
+
+    if assoc <= 2:
+        miss, new_resident = _replay_small_assoc(grouped, bounds, assoc)
+        return grouped, miss, new_resident
+    seg_end = np.repeat(bounds[1:], np.diff(bounds))
+    prev = _prev_occurrence(grouped)
+    miss = _miss_mask(prev, seg_end, assoc)
+    # Post-replay state: per set, the `assoc` distinct keys with the
+    # largest last-occurrence index, emitted LRU-first.  A position is a
+    # key's *last* occurrence iff nothing points back to it via ``prev``;
+    # those positions, in stream order, are already sorted by set (the
+    # grouping) and by recency within each set.
+    is_last = np.ones(n, dtype=bool)
+    has_next = prev >= 0
+    is_last[prev[has_next]] = False
+    idx = np.flatnonzero(is_last)
+    keys_last = grouped[idx]
+    if nsets > 1:
+        set_of_last = sets_all[order[idx]]
+        counts = np.bincount(set_of_last, minlength=nsets)
+        from_end = np.cumsum(counts)[set_of_last] - np.arange(idx.shape[0])
+        new_resident = keys_last[from_end <= assoc]  # from_end is 1-based
+    elif keys_last.shape[0] > assoc:
+        new_resident = keys_last[-assoc:]
+    else:
+        new_resident = keys_last
+    return grouped, miss, new_resident
 
 
 def setassoc_kernel(
@@ -375,64 +458,11 @@ def setassoc_kernel(
     else:
         resident = np.ascontiguousarray(resident, dtype=np.int64)
     nres = resident.shape[0]
-    combined = np.concatenate([resident, keys]) if nres else keys
-    n = combined.shape[0]
-    if n == 0:
+    if nres + keys.shape[0] == 0:
         return StreamResult(0, 0, resident)
-    # Narrow once up front: every later pass (set extraction, sort gather,
-    # run comparisons, extraction) then moves 1-4 bytes per key instead
-    # of 8.  Negative keys fall back to int64 untouched.
-    combined = _narrow(combined)
-    # Group by set, program order preserved within each set; the
-    # resident prefix of each set lands ahead of its stream accesses.
-    if nsets > 1:
-        mask = nsets - 1
-        if combined.dtype == np.int64:
-            sets_all = combined & mask
-            if nsets <= 1 << 16:
-                sets_all = sets_all.astype(np.uint16)
-        elif mask >= (1 << (8 * combined.dtype.itemsize)) - 1:
-            sets_all = combined  # mask covers the whole dtype: set id == key
-        else:
-            sets_all = combined & combined.dtype.type(mask)
-        order = np.argsort(sets_all, kind="stable")
-        grouped = combined[order]
-        # Segment boundaries fall out of the per-set population counts —
-        # no need to materialize the sorted set-id array for them.
-        counts = np.bincount(sets_all, minlength=nsets)
-        bounds = np.concatenate([[0], np.cumsum(counts[counts > 0])])
-    else:
-        grouped = combined
-        bounds = np.array([0, n], dtype=np.int64)
-
-    if assoc <= 2:
-        miss, new_resident = _replay_small_assoc(grouped, bounds, assoc)
-    else:
-        seg_end = np.repeat(bounds[1:], np.diff(bounds))
-        prev = _prev_occurrence(grouped)
-        miss = _miss_mask(prev, seg_end, assoc)
-        # Post-replay state: per set, the `assoc` distinct keys with the
-        # largest last-occurrence index, emitted LRU-first.  A position
-        # is a key's *last* occurrence iff nothing points back to it via
-        # ``prev``; those positions, in stream order, are already sorted
-        # by set (the grouping) and by recency within each set.
-        is_last = np.ones(n, dtype=bool)
-        has_next = prev >= 0
-        is_last[prev[has_next]] = False
-        idx = np.flatnonzero(is_last)
-        keys_last = grouped[idx]
-        if nsets > 1:
-            set_of_last = sets_all[order[idx]]
-            counts = np.bincount(set_of_last, minlength=nsets)
-            from_end = np.cumsum(counts)[set_of_last] - np.arange(idx.shape[0])
-            new_resident = keys_last[from_end <= assoc]  # from_end is 1-based
-        elif keys_last.shape[0] > assoc:
-            new_resident = keys_last[-assoc:]
-        else:
-            new_resident = keys_last
-    # Resident keys are distinct (one set each, unique within a set), so
-    # every uncharged prefix position is a first occurrence and carries a
-    # miss flag; charging the stream is a single subtraction.
+    _, miss, new_resident = setassoc_replay(keys, nsets, assoc, resident)
+    # Every uncharged prefix position carries a miss flag, so charging
+    # the stream is a single subtraction.
     misses = int(np.count_nonzero(miss)) - nres
     evictions = nres + misses - new_resident.shape[0]
     # Resident state goes back out as int64 regardless of the internal

@@ -1,7 +1,7 @@
 """Parallel replay backend: per-processor fan-out over worker processes.
 
-``simulate_hardware`` replays each processor's private L2/TLB stream
-independently — the only cross-processor coupling is the barrier
+Each processor's private L2/TLB stream replays independently — the only
+cross-processor coupling is the barrier
 invalidation, and the *target* line sets of those invalidations are a pure
 function of the trace (every processor's per-epoch written lines), not of
 any cache's state.  That makes the whole replay embarrassingly parallel at
@@ -21,9 +21,9 @@ processor granularity:
   cache in exactly the order the serial epoch-major loop does;
 * workers return compact counter blocks (per-epoch L2/TLB miss matrices,
   per-proc invalidation/cold/coherence totals — a few KB), and the parent
-  folds them into a :class:`~repro.machines.hardware.HardwareResult`,
-  recomputing the timing model epoch-by-epoch in the same order and with
-  the same float operations as the serial engine.
+  folds them into a :class:`~repro.machines.hardware.HardwareResult`
+  through the serial engine's own fold, so the timing model runs
+  epoch-by-epoch in the same order with the same float operations.
 
 The fold is **byte-identical** to ``simulate_hardware`` — same counters,
 same float ``time``/``phase_times`` — which the equivalence tests assert
@@ -40,7 +40,6 @@ build.
 from __future__ import annotations
 
 import os
-import warnings
 
 import numpy as np
 
@@ -49,7 +48,12 @@ from ..runtime.executor import ExecutorConfig, Task, run_tasks
 from ..trace.io import load_trace
 from ..trace.layout import DecodeMemo, Layout, decode_memo
 from .cache import LRUCache, SetAssocCache
-from .hardware import HardwareResult, _invalidation_targets, simulate_hardware
+from .hardware import (
+    HardwareResult,
+    _hardware_result,
+    _invalidation_targets,
+    simulate_hardware,
+)
 from .params import HardwareParams
 
 __all__ = ["simulate_hardware_parallel", "build_intervals_parallel"]
@@ -182,8 +186,7 @@ def simulate_hardware_parallel(
 
     Byte-identical to ``simulate_hardware(load_trace(trace_path), params)``
     — every counter array, the float ``time``, and ``phase_times`` — with
-    wall-clock divided across workers (the per-proc kernel replay is ~90%
-    of the serial engine's time on the pipeline bench).
+    the per-processor cache replay divided across workers.
 
     ``trace_path`` must name a saved ``.npt`` bundle: workers attach by
     path, sharing read-only mapped pages instead of pickling columns.
@@ -223,56 +226,10 @@ def simulate_hardware_parallel(
         cold[lo:hi] = block["cold"]
         coherence[lo:hi] = block["coherence"]
 
-    # Fold the timing model in epoch order with the exact operations the
-    # serial loop performs, so the float results are bit-identical.
-    miss_time = params.l2_miss_time()
-    work_time = params.work_cycles * params.cycle_time
-    barrier = params.barrier_time if nprocs > 1 else 0.0
-    work = np.zeros(nprocs, dtype=np.float64)
-    locks = np.zeros(nprocs, dtype=np.int64)
-    total_time = 0.0
-    phase_times: dict[str, float] = {}
-    for ei, epoch in enumerate(trace.epochs):
-        work += epoch.work
-        locks += epoch.lock_acquires
-        proc_time = (
-            epoch.work * work_time
-            + epoch_l2[ei] * miss_time
-            + epoch_tlb[ei] * params.tlb_miss_time
-            + epoch.lock_acquires * params.lock_time
-        )
-        epoch_time = float(proc_time.max()) + barrier
-        total_time += epoch_time
-        if epoch.label:
-            phase_times[epoch.label] = phase_times.get(epoch.label, 0.0) + epoch_time
-
-    l2_misses = epoch_l2.sum(axis=0)
-    residual = l2_misses - cold - coherence
-    overcount = np.maximum(-residual, 0)
-    if overcount.any():
-        warnings.warn(
-            "miss classification drift: cold + coherence exceed total L2"
-            f" misses by {overcount.tolist()} per processor (total"
-            f" {int(overcount.sum())}); capacity_misses carries the exact"
-            " (negative) residual and classification_overcount the excess",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-    return HardwareResult(
-        params=params,
-        nprocs=nprocs,
-        l2_misses=l2_misses,
-        tlb_misses=epoch_tlb.sum(axis=0),
-        invalidations=invalidations,
-        work=work,
-        lock_acquires=locks,
-        barriers=E,
-        time=total_time,
-        phase_times=phase_times,
-        cold_misses=cold,
-        coherence_misses=coherence,
-        capacity_misses=residual,
-        classification_overcount=overcount,
+    # The shared fold runs the timing model in epoch order with the
+    # serial engine's float operations, so the results are bit-identical.
+    return _hardware_result(
+        trace, params, epoch_l2, epoch_tlb, invalidations, cold, coherence
     )
 
 

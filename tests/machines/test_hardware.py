@@ -275,14 +275,15 @@ class TestMissClassification:
     def test_classification_drift_warns_instead_of_clamping(self, monkeypatch):
         """If cold+coherence ever exceed the miss counter, the residual must
         surface as a diagnostic, not be floored to zero."""
-        from repro.machines.cache import SetAssocCache
+        from repro.machines import hardware
 
-        real = SetAssocCache.access_stream
+        real = hardware._l2_epoch_misses
 
-        def underreport(self, keys, **kw):
-            return max(real(self, keys, **kw) - 1, 0)
+        def underreport(*args):
+            misses, resident = real(*args)
+            return np.maximum(misses - 1, 0), resident
 
-        monkeypatch.setattr(SetAssocCache, "access_stream", underreport)
+        monkeypatch.setattr(hardware, "_l2_epoch_misses", underreport)
         tb = TraceBuilder(1)
         r = tb.add_region("o", 64, 64)
         tb.read(0, r, np.arange(64))

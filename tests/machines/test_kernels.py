@@ -4,8 +4,9 @@ The kernels must be *count-for-count* identical to the OrderedDict
 reference — misses, evictions, resident set, and per-set LRU order —
 on randomized streams with interleaved invalidations, including the
 empty-stream and collapse edge cases.  The whole-simulator test then
-checks that ``simulate_hardware`` produces identical results whichever
-engine the caches dispatch to.
+checks that the per-processor reference replay produces identical results
+whichever engine its caches dispatch to, and that the batched
+``simulate_hardware`` agrees with it.
 """
 
 import numpy as np
@@ -67,6 +68,68 @@ class TestReuseDistances:
             misses = [not expected.access(int(k)) for k in keys]
             got = reuse_distances(keys) >= cap
             assert got.tolist() == misses
+
+
+def _long_gap_stream(n_long, period, cycles, base=0):
+    """``n_long`` keys, each followed by ``period`` accesses to 2 fillers.
+
+    Every long key recurs once a cycle at reuse distance ``n_long + 1``,
+    but the recent accesses before it hold only the two fillers and a few
+    long keys, so the miss kernel's lookback cannot decide it until the
+    window covers most of the gap.
+    """
+    filler = base + 1000 + np.arange(period) % 2
+    one = np.concatenate(
+        [np.concatenate([[base + i], filler]) for i in range(n_long)]
+    )
+    return np.tile(one, cycles).astype(np.int64)
+
+
+class TestMissMaskDeepRounds:
+    """``_miss_mask`` on streams whose long-gap rows defeat the lookback.
+
+    ``deep`` needs three 4x retry rounds (rows undecided until the window
+    covers ~3000 positions); ``sliver`` leaves fewer than n/64 undecided
+    rows after the first pass, and ``sliver_after_round`` after one retry
+    round — both finish with the per-query exact count.  Every verdict is
+    checked against the exact reuse distances.
+    """
+
+    CASES = {
+        "deep": (_long_gap_stream(30, 40, 4), (31, 32), False),
+        "sliver": (_long_gap_stream(6, 200, 4), (7, 8), True),
+        "sliver_after_round": (
+            np.concatenate(
+                [_long_gap_stream(3, 12, 40), _long_gap_stream(6, 200, 2, base=5000)]
+            ),
+            (7, 8),
+            True,
+        ),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_matches_reuse_distances(self, case, monkeypatch):
+        from repro.machines import kernels
+
+        keys, capacities, sliver = self.CASES[case]
+        calls = []
+        real = kernels._count_left_le_at
+
+        def spy(vals, idx):
+            calls.append(idx.size)
+            return real(vals, idx)
+
+        monkeypatch.setattr(kernels, "_count_left_le_at", spy)
+        n = keys.shape[0]
+        prev = kernels._prev_occurrence(keys)
+        dist = reuse_distances(keys)
+        for cap in capacities:
+            miss = kernels._miss_mask(prev, np.full(n, n), cap)
+            np.testing.assert_array_equal(miss, dist >= cap)
+        # The boundary capacities give both verdicts on the long-gap rows.
+        assert (dist[prev >= 0] == capacities[0]).any()
+        assert bool(calls) == sliver
+        assert all(m * 64 <= n for m in calls)
 
 
 def _loop_twin(kind, nsets, assoc):
@@ -164,8 +227,11 @@ def test_property_streams_with_invalidations(data, nsets, assoc):
 
 
 def test_simulate_hardware_engine_equivalence(force_engine):
-    """Whole-simulator equality: the Moldyn trace replayed with the loop
-    engine and the kernel engine yields identical counters and timing."""
+    """Whole-simulator equality: the per-processor reference replay on the
+    Moldyn trace gives identical counters and timing whether its caches
+    run the loop engine or the kernel engine, and the batched
+    ``simulate_hardware`` matches both."""
+    from oracles import hardware as oracle
     from repro.apps import AppConfig, Moldyn
     from repro.machines.hardware import simulate_hardware
     from repro.machines.params import origin2000_scaled
@@ -176,12 +242,14 @@ def test_simulate_hardware_engine_equivalence(force_engine):
     results = {}
     for engine in ("loop", "kernel"):
         force_engine(engine)
-        results[engine] = simulate_hardware(trace, params)
-    a, b = results["loop"], results["kernel"]
-    assert np.array_equal(a.l2_misses, b.l2_misses)
-    assert np.array_equal(a.tlb_misses, b.tlb_misses)
-    assert np.array_equal(a.invalidations, b.invalidations)
-    assert np.array_equal(a.cold_misses, b.cold_misses)
-    assert np.array_equal(a.coherence_misses, b.coherence_misses)
-    assert np.array_equal(a.capacity_misses, b.capacity_misses)
-    assert a.time == b.time
+        results[engine] = oracle.simulate_hardware(trace, params)[0]
+    results["batched"] = simulate_hardware(trace, params)
+    a = results["loop"]
+    for b in (results["kernel"], results["batched"]):
+        assert np.array_equal(a.l2_misses, b.l2_misses)
+        assert np.array_equal(a.tlb_misses, b.tlb_misses)
+        assert np.array_equal(a.invalidations, b.invalidations)
+        assert np.array_equal(a.cold_misses, b.cold_misses)
+        assert np.array_equal(a.coherence_misses, b.coherence_misses)
+        assert np.array_equal(a.capacity_misses, b.capacity_misses)
+        assert a.time == b.time
