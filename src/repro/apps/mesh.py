@@ -6,9 +6,6 @@ equivalent unstructured mesh by Delaunay tetrahedralization of a random
 point cloud.  What matters to the benchmark's memory behaviour is exactly
 what Delaunay provides: "edges or faces only connect physically adjacent
 nodes" while the *array order* of nodes carries no spatial information.
-
-A pure-numpy fallback (k-nearest-neighbour graph symmetrized, faces from
-shared-neighbour triples) is used when scipy is unavailable.
 """
 
 from __future__ import annotations
@@ -17,7 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["Mesh", "delaunay_mesh", "knn_mesh", "make_mesh"]
+from ..errors import ConfigError, MissingDependencyError
+
+__all__ = ["Mesh", "delaunay_mesh", "make_mesh"]
 
 
 @dataclass(frozen=True)
@@ -41,31 +40,37 @@ class Mesh:
         """Renumber nodes through ``rank`` (old id -> new id), restoring
         canonical row and array order — the connectivity fix-up after data
         reordering."""
-        edges = np.sort(rank[self.edges], axis=1)
-        faces = np.sort(rank[self.faces], axis=1)
+        n = self.nnodes
         return Mesh(
             points=self.points,
-            edges=edges[np.lexsort((edges[:, 1], edges[:, 0]))],
-            faces=faces[np.lexsort((faces[:, 2], faces[:, 1], faces[:, 0]))],
+            edges=_canonical_rows(rank[self.edges], n),
+            faces=_canonical_rows(rank[self.faces], n),
         )
 
 
-def _canonical(edges: np.ndarray, faces: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    edges = np.unique(np.sort(edges, axis=1), axis=0)
-    edges = edges[edges[:, 0] != edges[:, 1]]
-    edges = edges[np.lexsort((edges[:, 1], edges[:, 0]))]
-    if faces.shape[0]:
-        faces = np.unique(np.sort(faces, axis=1), axis=0)
-        faces = faces[
-            (faces[:, 0] != faces[:, 1]) & (faces[:, 1] != faces[:, 2])
-        ]
-        faces = faces[np.lexsort((faces[:, 2], faces[:, 1], faces[:, 0]))]
-    return edges, faces
+def _canonical_rows(rows: np.ndarray, n: int) -> np.ndarray:
+    """Distinct non-degenerate rows (node ids below ``n``), each sorted, in
+    lexicographic order: one int64 key per row (``a*n + b``, ``(a*n + b)*n
+    + c``) orders like the row, so a 1-D ``np.unique`` dedups and sorts."""
+    if n ** rows.shape[1] > np.iinfo(np.int64).max:
+        raise ConfigError(f"a mesh of {n} nodes is too large for int64 row keys")
+    rows = np.sort(rows, axis=1)
+    rows = rows[np.all(rows[:, 1:] != rows[:, :-1], axis=1)]
+    key = rows[:, 0].astype(np.int64)
+    for k in range(1, rows.shape[1]):
+        key = key * n + rows[:, k]
+    _, first = np.unique(key, return_index=True)
+    return rows[first]
 
 
 def delaunay_mesh(points: np.ndarray) -> Mesh:
     """Delaunay tetrahedralization (scipy) -> edges and triangular faces."""
-    from scipy.spatial import Delaunay  # deferred: scipy optional
+    try:
+        from scipy.spatial import Delaunay  # deferred: a slow first import
+    except ImportError as exc:
+        raise MissingDependencyError(
+            f"scipy is required to build Unstructured meshes: {exc}"
+        ) from exc
 
     points = np.asarray(points, dtype=np.float64)
     tri = Delaunay(points)
@@ -74,46 +79,10 @@ def delaunay_mesh(points: np.ndarray) -> Mesh:
     edges = np.concatenate([simp[:, [a, b]] for a, b in pairs], axis=0)
     trips = [(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)]
     faces = np.concatenate([simp[:, list(t)] for t in trips], axis=0)
-    edges, faces = _canonical(edges, faces)
-    return Mesh(points=points, edges=edges, faces=faces)
-
-
-def knn_mesh(points: np.ndarray, k: int = 8) -> Mesh:
-    """Pure-numpy fallback: symmetrized k-NN graph; faces from triangles
-    where two neighbours of a node are also mutual neighbours."""
-    points = np.asarray(points, dtype=np.float64)
     n = points.shape[0]
-    if n <= k:
-        raise ValueError("need more points than neighbours")
-    # Chunked exact k-NN to bound memory.
-    nbrs = np.empty((n, k), dtype=np.int64)
-    chunk = max(1, 2_000_000 // max(n, 1))
-    for s in range(0, n, chunk):
-        e = min(n, s + chunk)
-        d = ((points[s:e, None, :] - points[None, :, :]) ** 2).sum(axis=2)
-        d[np.arange(e - s), np.arange(s, e)] = np.inf
-        nbrs[s:e] = np.argpartition(d, k, axis=1)[:, :k]
-    src = np.repeat(np.arange(n, dtype=np.int64), k)
-    dst = nbrs.ravel()
-    edges = np.stack([src, dst], axis=1)
-    # Triangles: for each node, pairs of its neighbours that are adjacent.
-    adj = {(int(a), int(b)) for a, b in np.sort(edges, axis=1).tolist()}
-    tri_list = []
-    for i in range(n):
-        nb = np.sort(nbrs[i])
-        for x in range(k):
-            for y in range(x + 1, k):
-                a, b = int(nb[x]), int(nb[y])
-                if (a, b) in adj:
-                    tri_list.append((i, a, b))
-    faces = np.array(tri_list, dtype=np.int64) if tri_list else np.empty((0, 3), np.int64)
-    edges, faces = _canonical(edges, faces)
-    return Mesh(points=points, edges=edges, faces=faces)
+    return Mesh(
+        points=points, edges=_canonical_rows(edges, n), faces=_canonical_rows(faces, n)
+    )
 
 
-def make_mesh(points: np.ndarray) -> Mesh:
-    """Delaunay mesh when scipy is available, k-NN fallback otherwise."""
-    try:
-        return delaunay_mesh(points)
-    except ImportError:  # pragma: no cover - scipy present in CI
-        return knn_mesh(points)
+make_mesh = delaunay_mesh

@@ -25,18 +25,31 @@ as Chaos adjusts its indirection arrays.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from time import perf_counter
 
 import numpy as np
 
 from ..core.reorder import Reordering
+from ..errors import ConfigError
 from ..trace.builder import TraceBuilder
 from ..trace.events import Trace
 from .base import AppConfig, Application, block_partition, scatter_add
 from .distributions import clustered, shuffle
 from .mesh import Mesh, make_mesh
 
-__all__ = ["Unstructured"]
+__all__ = ["Unstructured", "base_mesh"]
+
+
+@lru_cache(maxsize=8)
+def base_mesh(n: int, seed: int) -> Mesh:
+    """The input mesh of ``(n, seed)``, shared read-only by every ordering
+    and processor count (the point cloud's other parameters are fixed)."""
+    pts = shuffle(clustered(n, seed, nclusters=12, spread=0.08), seed + 1)
+    mesh = make_mesh(pts)
+    for a in (mesh.points, mesh.edges, mesh.faces):
+        a.flags.writeable = False
+    return mesh
 
 
 class Unstructured(Application):
@@ -44,7 +57,8 @@ class Unstructured(Application):
 
     ``config.extra`` knobs: ``relax`` (edge relaxation weight, default
     0.05), ``use_faces`` (default True), ``mesh`` (inject a prebuilt
-    :class:`Mesh` — used by tests).
+    :class:`Mesh` of ``config.n`` nodes in place of :func:`base_mesh` —
+    used by tests).
     """
 
     name = "Unstructured"
@@ -61,13 +75,11 @@ class Unstructured(Application):
         self.use_faces = bool(x.get("use_faces", True))
         mesh = x.get("mesh")
         if mesh is None:
-            pts = shuffle(
-                clustered(config.n, config.seed, nclusters=12, spread=0.08),
-                config.seed + 1,
-            )
-            mesh = make_mesh(pts)
-        if not isinstance(mesh, Mesh):
-            raise TypeError("extra['mesh'] must be a Mesh")
+            mesh = base_mesh(config.n, config.seed)
+        elif not isinstance(mesh, Mesh):
+            raise ConfigError("extra['mesh'] must be a Mesh")
+        elif mesh.nnodes != config.n:
+            raise ConfigError(f"extra['mesh'] has {mesh.nnodes} nodes, n is {config.n}")
         self.mesh = mesh
         self.value = np.random.default_rng(config.seed + 2).random(config.n)
         self.node_parts = block_partition(config.n, config.nprocs)

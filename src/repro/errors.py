@@ -18,6 +18,7 @@ Hierarchy::
     │   └── UnknownPlatformError
     ├── MetricError(ValueError)          undefined derived metric
     ├── SimulationInputError(ValueError) bad input to a machine model
+    ├── MissingDependencyError(ImportError) a required package is absent
     ├── TraceCorruptError(ValueError)    unreadable/garbled trace file
     │   ├── TraceVersionError            wrong on-disk format version
     │   └── CacheMismatchError           cache entry does not match its key
@@ -45,6 +46,7 @@ __all__ = [
     "UnknownPlatformError",
     "MetricError",
     "SimulationInputError",
+    "MissingDependencyError",
     "TraceCorruptError",
     "TraceVersionError",
     "CacheMismatchError",
@@ -87,6 +89,10 @@ class MetricError(ReproError, ValueError):
 
 class SimulationInputError(ReproError, ValueError):
     """A machine model was handed an input it cannot simulate."""
+
+
+class MissingDependencyError(ReproError, ImportError):
+    """A package the code needs (e.g. scipy) cannot be imported."""
 
 
 class TraceCorruptError(ReproError, ValueError):

@@ -30,6 +30,7 @@ import time
 from dataclasses import dataclass, field
 
 from ..apps import APP_REGISTRY, AppConfig, reorder_cycles
+from ..apps.unstructured import base_mesh
 from ..errors import ConfigError, MetricError, UnknownAppError, UnknownPlatformError
 from ..machines.dsm import simulate_hlrc, simulate_treadmarks
 from ..machines.hardware import simulate_hardware
@@ -225,12 +226,13 @@ _cache: dict = {}
 
 
 def clear_cache() -> None:
-    """Drop memoized runs (tests use this to control memory).
+    """Drop memoized runs and meshes (tests use this to control memory).
 
-    Only the in-process memo is dropped; an installed persistent cache
+    Only the in-process memos are dropped; an installed persistent cache
     keeps its files (that is its whole point).
     """
     _cache.clear()
+    base_mesh.cache_clear()
 
 
 def _may_read(rt: RuntimeContext, key: CacheKey) -> bool:

@@ -1,11 +1,16 @@
 """Tests for the Unstructured benchmark."""
 
+import io
+
 import numpy as np
 import pytest
 from oracles import bursts as oracle
 
 from repro.apps.base import AppConfig
-from repro.apps.unstructured import Unstructured
+from repro.apps.unstructured import Unstructured, base_mesh
+from repro.errors import ConfigError
+from repro.experiments import clear_cache
+from repro.trace import save_trace
 
 
 def small(n=200, nprocs=4, iterations=2, seed=5, **extra):
@@ -31,8 +36,57 @@ class TestSetup:
         assert app.mesh is m
 
     def test_bad_mesh_rejected(self):
-        with pytest.raises(TypeError):
+        with pytest.raises(ConfigError):
             Unstructured(AppConfig(n=10, nprocs=1, iterations=1, extra={"mesh": 42}))
+
+    def test_mesh_size_must_match_n(self):
+        with pytest.raises(ConfigError, match="64 nodes"):
+            Unstructured(
+                AppConfig(n=80, nprocs=2, iterations=1, extra={"mesh": base_mesh(64, 1)})
+            )
+
+
+class TestBaseMeshMemo:
+    def test_same_input_same_object(self):
+        m = base_mesh(128, 3)
+        assert base_mesh(128, 3) is m
+        assert base_mesh(129, 3) is not m
+        assert base_mesh(128, 4) is not m
+        assert small(n=128, seed=3).mesh is m
+
+    def test_clear_cache_empties_memo(self):
+        base_mesh(128, 3)
+        assert base_mesh.cache_info().currsize > 0
+        clear_cache()
+        assert base_mesh.cache_info().currsize == 0
+
+    def test_memoized_arrays_read_only(self):
+        m = base_mesh(128, 3)
+        for a in (m.points, m.edges, m.faces):
+            assert not a.flags.writeable
+            with pytest.raises(ValueError):
+                a[0] = 0
+
+    def test_build_order_does_not_matter(self):
+        """Apps sharing one memoized mesh emit the traces each would
+        emit alone: reordering one never leaks into the next."""
+        versions = ("original", "hilbert", "column", "original")
+
+        def trace(version):
+            app = small(n=256, seed=9)
+            if version != "original":
+                app.reorder(version)
+            buf = io.BytesIO()
+            save_trace(app.run(), buf)
+            return buf.getvalue()
+
+        shared = [trace(v) for v in versions]
+        alone = []
+        for v in versions:
+            clear_cache()
+            alone.append(trace(v))
+        assert shared == alone
+        assert shared[0] == shared[3] != shared[1]
 
 
 class TestPhysics:
