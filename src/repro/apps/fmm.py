@@ -150,15 +150,6 @@ class FMM(Application):
         side = 1 << l
         return self.level_offset[l] + self._morton_rank[l][iy * side + ix]
 
-    def _centers(self, l: int, lo: np.ndarray, w: float) -> np.ndarray:
-        """Complex centers of all cells at level l, in row-major order."""
-        side = 1 << l
-        step = w / side
-        iy, ix = np.divmod(np.arange(side * side, dtype=np.int64), side)
-        return (
-            lo[0] + (ix + 0.5) * step + 1j * (lo[1] + (iy + 0.5) * step)
-        )
-
     def _v_offsets(self, parity_x: int, parity_y: int) -> list[tuple[int, int]]:
         """Relative V-list offsets for a cell with the given parity."""
         out = []
@@ -607,10 +598,3 @@ class FMM(Application):
         trace = tb.finish()
         self.seal_seconds = tb.seal_seconds
         return trace
-
-    # -- reference ----------------------------------------------------------
-
-    def direct_field_reference(self) -> np.ndarray:
-        """O(N^2) field for accuracy tests (small n only)."""
-        z = self.pos[:, 0] + 1j * self.pos[:, 1]
-        return fm.direct_field(z, self.charge, z)

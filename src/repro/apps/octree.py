@@ -48,10 +48,6 @@ class Octree:
     def ncells(self) -> int:
         return int(self.center.shape[0])
 
-    @property
-    def nbodies(self) -> int:
-        return int(self.body_leaf.shape[0])
-
     def leaf_members(self, cell: int) -> np.ndarray:
         s = int(self.leaf_start[cell])
         return self.leaf_bodies[s : s + int(self.leaf_count[cell])]

@@ -9,23 +9,25 @@ bytes* of each page it dirtied (the diff payload).  This module reduces a
 Page ids here are global page indices within the trace's :class:`Layout`
 (which places regions from address zero), so they index dense per-page state
 arrays in the protocol models.
+
+All processors are summarized at once, as sorted proc-major keys
+``proc << pbits | page`` built per block of whole processors; the lists of
+:class:`EpochPageInfo` are read-only views into arrays they all share.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
+from ...errors import SimulationInputError
 from ...trace.events import PackedEpoch, Trace
 from ...trace.layout import DecodedEpoch, DecodeMemo, Layout, decode_memo
+from ...trace.layout import _expand_units, epoch_blocks
 
-__all__ = [
-    "EpochPageInfo",
-    "build_intervals",
-    "build_interval_ladder",
-    "total_pages",
-]
+__all__ = ["EpochPageInfo", "build_intervals", "build_interval_ladder", "total_pages"]
 
 
 @dataclass
@@ -41,6 +43,9 @@ class EpochPageInfo:
       page size — a run-length-encoded diff cannot exceed the page);
     * ``label`` — the phase label of the epoch;
     * ``work``, ``lock_acquires`` — carried through for the timing model.
+
+    The list entries are read-only views into arrays shared by all
+    processors of the epoch.
     """
 
     accesses: list[np.ndarray]
@@ -58,30 +63,6 @@ class EpochPageInfo:
 def total_pages(layout: Layout, page_size: int) -> int:
     """Number of pages the layout's address space spans."""
     return -(-max(layout.total_bytes, 1) // page_size)
-
-
-def _packed_write_accesses(
-    epoch: PackedEpoch, p: int
-) -> tuple[np.ndarray, np.ndarray] | None:
-    """``(region, index)`` of ``p``'s written accesses, from burst columns.
-
-    Selecting at burst granularity keeps the whole-epoch derived
-    ``region``/``is_write`` columns unmaterialized: the per-access write
-    mask is expanded for this processor's slice only.  Returns ``None``
-    when the processor wrote nothing this epoch.
-    """
-    b0, b1 = int(epoch.burst_offsets[p]), int(epoch.burst_offsets[p + 1])
-    bw = np.asarray(epoch.burst_write[b0:b1])
-    if not bw.any():
-        return None
-    blen = epoch.burst_length[b0:b1]
-    lo, hi = int(epoch.offsets[p]), int(epoch.offsets[p + 1])
-    widx = np.asarray(epoch.index[lo:hi])[np.repeat(bw, blen)]
-    wregs = np.repeat(
-        np.asarray(epoch.burst_region[b0:b1], dtype=np.int64)[bw],
-        np.asarray(blen)[bw],
-    )
-    return wregs, widx
 
 
 def build_intervals(
@@ -115,92 +96,136 @@ def build_intervals(
 # ---------------------------------------------------------------------------
 #
 # Pages at size ``2s`` are pairs of size-``s`` pages, so every per-epoch
-# summary folds upward instead of being rebuilt per sweep point:
+# summary folds upward instead of being rebuilt per sweep point.  Page sets
+# fold by ``page -> page >> 1`` inside the proc-major key, which keeps the
+# keys sorted.  The capped ``write_bytes`` do NOT fold (an object straddling
+# the sibling boundary is counted in both children, and ``min(., s)`` would
+# apply at the wrong level), so each written page carries two *uncapped*
+# columns: ``ub``, its distinct-object byte sum, and ``cross``, the bytes of
+# written objects crossing its left boundary.  By inclusion–exclusion over
+# the sibling boundary (objects are contiguous byte runs, so an object
+# touches both children iff it crosses the left boundary of ``2P+1``):
 #
-# * access / write page sets:  ``unique(pages >> 1)``;
-# * dirty bytes: the capped ``write_bytes`` of :class:`EpochPageInfo` do
-#   NOT fold (an object straddling the sibling boundary is counted in
-#   both children, and ``min(., s)`` is applied at the wrong level), so
-#   the ladder carries two *uncapped* columns per written page: ``ub``,
-#   the full distinct-object byte sum, and ``cross``, the bytes of
-#   written objects whose span crosses the page's left boundary.  Then
+#     ub2[P] = ub[2P] + ub[2P+1] - cross[2P+1],    cross2[P] = cross[2P]
 #
-#       ub2[P]    = ub[2P] + ub[2P+1] - cross[2P+1]
-#       cross2[P] = cross[2P]
-#
-#   (inclusion–exclusion over the sibling boundary: an object touches
-#   both children iff it crosses it; objects are contiguous byte runs,
-#   so crossing the left boundary of ``2P+1`` is exactly "touches both").
-#   The page-size cap is applied only when a level is materialized.
+# The page-size cap is applied only when a level is materialized.
+
+
+_EMPTY = np.empty(0, dtype=np.int64)
+
+
+def _key_bits(nprocs: int, extent: int, what: str) -> int:
+    """Width of ``x`` in proc-major keys ``proc << bits | x``, ``x < extent``."""
+    bits = extent.bit_length()
+    if nprocs << bits > np.iinfo(np.int64).max:
+        msg = f"keys of {nprocs} processors over {extent} {what} overflow int64"
+        raise SimulationInputError(msg)
+    return bits
+
+
+class _Level(NamedTuple):
+    """One ladder level of an epoch: sorted unique proc-major keys
+    ``proc << pbits | page`` of the accessed (``acc``) and written (``wr``)
+    pages, with ``ub``/``cross`` aligned to ``wr``.  All read-only."""
+
+    acc: np.ndarray
+    wr: np.ndarray
+    ub: np.ndarray
+    cross: np.ndarray
+    pbits: int
+
+
+def _level(columns: list[np.ndarray], pbits: int) -> _Level:
+    for a in columns:
+        a.flags.writeable = False
+    return _Level(*columns, pbits)
+
+
+def _run_starts(keys: np.ndarray) -> np.ndarray:
+    """Start positions of the runs of equal keys in a sorted array."""
+    fresh = np.empty(keys.shape[0], dtype=bool)
+    fresh[:1] = True
+    np.not_equal(keys[1:], keys[:-1], out=fresh[1:])
+    return np.flatnonzero(fresh)
 
 
 def _epoch_ladder_packed(
     epoch: PackedEpoch, decoded: DecodedEpoch, layout: Layout, page_size: int
-) -> tuple[list, list, list, list]:
-    """Ladder columns at ``page_size``: (accesses, writes, ub, cross) per proc.
-
-    Accesses come straight from the memoized page decode; dirty-byte
-    accounting deduplicates expanded ``(page, region, object)`` triples
-    with one lexsort.
-    """
+) -> _Level:
+    """Ladder level at ``page_size``, one block of processors at a time:
+    accessed pages are deduplicated through one boolean ``(proc, page)``
+    table per block, written objects by one ``np.unique`` over
+    ``proc << abits | start_byte`` (regions are disjoint, so an object is
+    its start byte)."""
     shift = page_size.bit_length() - 1
+    pbits = _key_bits(epoch.nprocs, total_pages(layout, page_size), "pages")
+    abits = _key_bits(epoch.nprocs, layout.total_bytes, "bytes")
     bases = np.asarray(layout.bases, dtype=np.int64)
-    osizes = np.fromiter(
-        (r.object_size for r in layout.regions),
-        dtype=np.int64,
-        count=len(layout.regions),
-    )
-    empty = np.empty(0, np.int64)
-    acc: list[np.ndarray] = []
-    wr: list[np.ndarray] = []
-    ub: list[np.ndarray] = []
-    cross: list[np.ndarray] = []
-    for p in range(epoch.nprocs):
-        units = decoded.units[p]
-        acc.append(np.unique(units) if units.shape[0] else empty)
-        wacc = _packed_write_accesses(epoch, p)
-        if wacc is None:
-            wr.append(empty)
-            ub.append(empty)
-            cross.append(empty)
+    osizes = layout._object_sizes()
+    offsets = np.asarray(epoch.offsets, dtype=np.int64)
+    boffs = np.asarray(epoch.burst_offsets, dtype=np.int64)
+    acc, wr, ub, cross = [], [], [], []
+    for lo, hi in epoch_blocks(epoch):
+        a0, a1 = int(offsets[lo]), int(offsets[hi])
+        if a1 == a0:
             continue
-        wregs, widx = wacc
-        sizes = osizes[wregs]
-        start = bases[wregs] + widx * sizes
+        units = decoded.units[lo:hi]
+        lens = np.fromiter((u.shape[0] for u in units), np.int64, hi - lo)
+        slot = np.concatenate(units)
+        slot += np.repeat(np.arange(hi - lo, dtype=np.int64) << pbits, lens)
+        table = np.zeros((hi - lo) << pbits, dtype=bool)
+        table[slot] = True
+        acc.append(np.flatnonzero(table) + (lo << pbits))
+
+        b0, b1 = int(boffs[lo]), int(boffs[hi])
+        bw = np.asarray(epoch.burst_write[b0:b1], dtype=bool)
+        if not bw.any():
+            continue
+        blen = np.asarray(epoch.burst_length[b0:b1], dtype=np.int64)
+        bproc = np.arange(lo, hi, dtype=np.int64)
+        bproc = np.repeat(bproc, np.diff(boffs[lo : hi + 1]))[bw]
+        breg = np.asarray(epoch.burst_region[b0:b1], dtype=np.int64)[bw]
+        wlen = blen[bw]
+        widx = np.asarray(epoch.index[a0:a1])[np.repeat(bw, blen)]
+        objs = np.repeat((bproc << abits) + bases[breg], wlen)
+        objs += widx * np.repeat(osizes[breg], wlen)
+        objs = np.unique(objs)
+        start = objs & ((1 << abits) - 1)
+        size = osizes[np.searchsorted(bases, start, side="right") - 1]
         first = start >> shift
-        counts = ((start + sizes - 1) >> shift) - first + 1
-        pages_e = np.repeat(first, counts)
-        run_start = np.repeat(np.cumsum(counts) - counts, counts)
-        pages_e += np.arange(pages_e.shape[0], dtype=np.int64) - run_start
-        regs_e = np.repeat(wregs, counts)
-        objs_e = np.repeat(widx, counts)
-        order = np.lexsort((objs_e, regs_e, pages_e))
-        pg, rg, ob = pages_e[order], regs_e[order], objs_e[order]
-        fresh = np.empty(pg.shape[0], dtype=bool)
-        fresh[0] = True
-        fresh[1:] = (pg[1:] != pg[:-1]) | (rg[1:] != rg[:-1]) | (ob[1:] != ob[:-1])
-        pg, rg, ob = pg[fresh], rg[fresh], ob[fresh]
-        wpages, inverse = np.unique(pg, return_inverse=True)
-        sz = osizes[rg]
-        wb = np.bincount(inverse, weights=sz).astype(np.int64)
-        crossing = ((bases[rg] + ob * sz) >> shift) < pg
-        cx = np.bincount(
-            inverse[crossing], weights=sz[crossing], minlength=wpages.shape[0]
-        ).astype(np.int64)
-        wr.append(wpages)
-        ub.append(wb)
-        cross.append(cx)
-    return acc, wr, ub, cross
+        span = ((start + size - 1) >> shift) - first
+        first += (objs >> abits) << pbits
+        # Distinct objects are disjoint byte runs in (proc, start) order, so
+        # their expanded page keys come out sorted: no sort is needed to sum
+        # ``ub`` and ``cross`` over runs of equal keys.
+        keys, npages = _expand_units(first, span, return_counts=True)
+        starts = _run_starts(keys)
+        sizes = np.repeat(size, npages)
+        wr.append(keys[starts])
+        ub.append(np.add.reduceat(sizes, starts))
+        sizes[np.cumsum(npages) - npages] = 0  # an object's first page
+        cross.append(np.add.reduceat(sizes, starts))
+    return _level([np.concatenate([_EMPTY, *c]) for c in (acc, wr, ub, cross)], pbits)
 
 
-def _page_info(
-    epoch: PackedEpoch, acc: list, wr: list, ub: list, page_size: int
-) -> EpochPageInfo:
-    """Materialize one ladder level: cap the dirty bytes at the page size."""
+def _page_info(epoch: PackedEpoch, level: _Level, page_size: int) -> EpochPageInfo:
+    """Materialize one ladder level: cap the dirty bytes at the page size
+    and split the proc-major columns into per-processor views."""
+    pmask = (1 << level.pbits) - 1
+    procs = np.arange(epoch.nprocs + 1, dtype=np.int64) << level.pbits
+    pages, wpages = level.acc & pmask, level.wr & pmask
+    wbytes = np.minimum(level.ub, page_size)
+    for a in (pages, wpages, wbytes):
+        a.flags.writeable = False
+
+    def split(keys: np.ndarray, values: np.ndarray) -> list[np.ndarray]:
+        bounds = np.searchsorted(keys, procs).tolist()
+        return [values[a:b] for a, b in zip(bounds, bounds[1:])]
+
     return EpochPageInfo(
-        accesses=acc,
-        writes=wr,
-        write_bytes=[np.minimum(b, page_size) for b in ub],
+        accesses=split(level.acc, pages),
+        writes=split(level.wr, wpages),
+        write_bytes=split(level.wr, wbytes),
         label=epoch.label,
         work=np.asarray(epoch.work, dtype=np.float64).copy(),
         lock_acquires=np.asarray(epoch.lock_acquires, dtype=np.int64).copy(),
@@ -211,37 +236,23 @@ def _epoch_info_packed(
     epoch: PackedEpoch, decoded: DecodedEpoch, layout: Layout, page_size: int
 ) -> EpochPageInfo:
     """Page-level summary of one epoch (one ladder level, materialized)."""
-    acc, wr, ub, _cross = _epoch_ladder_packed(epoch, decoded, layout, page_size)
-    return _page_info(epoch, acc, wr, ub, page_size)
+    level = _epoch_ladder_packed(epoch, decoded, layout, page_size)
+    return _page_info(epoch, level, page_size)
 
 
-def _fold_ladder(
-    acc: list, wr: list, ub: list, cross: list
-) -> tuple[list, list, list, list]:
-    """One 2x fold of per-proc ladder columns (size s -> 2s)."""
-    acc2 = [np.unique(a >> 1) if a.shape[0] else a for a in acc]
-    wr2: list[np.ndarray] = []
-    ub2: list[np.ndarray] = []
-    cx2: list[np.ndarray] = []
-    for wp, b, cx in zip(wr, ub, cross):
-        if wp.shape[0] == 0:
-            wr2.append(wp)
-            ub2.append(b)
-            cx2.append(cx)
-            continue
-        u2, inverse = np.unique(wp >> 1, return_inverse=True)
-        odd = (wp & 1).astype(bool)
-        adj = b - np.where(odd, cx, 0)
-        nb = np.bincount(inverse, weights=adj, minlength=u2.shape[0]).astype(
-            np.int64
-        )
-        ncx = np.zeros(u2.shape[0], dtype=np.int64)
-        even = ~odd
-        ncx[inverse[even]] = cx[even]
-        wr2.append(u2)
-        ub2.append(nb)
-        cx2.append(ncx)
-    return acc2, wr2, ub2, cx2
+def _fold_ladder(level: _Level) -> _Level:
+    """One 2x fold of a ladder level (size s -> 2s), sort-free: halving
+    the page inside the key keeps the keys sorted, so each new page is a
+    run of at most two old ones."""
+    pmask = (1 << level.pbits) - 1
+    # page - ceil(page / 2) == page >> 1, leaving the processor bits alone.
+    acc = level.acc - ((level.acc & pmask) + 1 >> 1)
+    wr = level.wr - ((level.wr & pmask) + 1 >> 1)
+    starts = _run_starts(wr)
+    odd = (level.wr & 1).astype(bool)
+    ub = np.add.reduceat(level.ub - np.where(odd, level.cross, 0), starts)
+    cross = np.where(odd[starts], 0, level.cross[starts])  # the even child's
+    return _level([acc[_run_starts(acc)], wr[starts], ub, cross], level.pbits)
 
 
 def build_interval_ladder(
@@ -281,14 +292,14 @@ def build_interval_ladder(
         if size in sizes:
             def _materialize(levels=levels, cap=size) -> list[EpochPageInfo]:
                 return [
-                    _page_info(epoch, acc, wr, ub, cap)
-                    for epoch, (acc, wr, ub, _cx) in zip(trace.epochs, levels)
+                    _page_info(epoch, level, cap)
+                    for epoch, level in zip(trace.epochs, levels)
                 ]
 
             key = ("intervals", DecodeMemo.geometry_key(layout, size))
             out[size] = memo.derived(key, _materialize)
         if size >= sizes[-1]:
             break
-        levels = [_fold_ladder(*lvl) for lvl in levels]
+        levels = [_fold_ladder(level) for level in levels]
         size *= 2
     return out, layout

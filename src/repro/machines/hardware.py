@@ -61,7 +61,7 @@ import numpy as np
 
 from ..errors import SimulationInputError
 from ..trace.events import PackedEpoch, Trace
-from ..trace.layout import DecodedEpoch, Layout, decode_memo
+from ..trace.layout import DecodedEpoch, Layout, batch_blocks, decode_memo
 from .cache import collapse_runs
 from .kernels import SetAssocSweep, _miss_mask, _prev_occurrence, setassoc_replay
 from .params import HardwareParams
@@ -247,20 +247,6 @@ def _write_flags(
 _BATCH_KEYS = 1 << 18
 
 
-def _batch_blocks(sizes: np.ndarray) -> list[tuple[int, int]]:
-    """Contiguous processor blocks ``[lo, hi)`` of at most ``_BATCH_KEYS``
-    keys each (a single processor over the budget forms its own block)."""
-    blocks = []
-    lo, total = 0, 0
-    for p, size in enumerate(sizes.tolist()):
-        if total and total + size > _BATCH_KEYS:
-            blocks.append((lo, p))
-            lo, total = p, 0
-        total += size
-    blocks.append((lo, len(sizes)))
-    return blocks
-
-
 def _tlb_epoch_misses(
     chunks: list[np.ndarray], nprocs: int, entries: int
 ) -> np.ndarray:
@@ -286,7 +272,7 @@ def _tlb_epoch_misses(
     offs = np.zeros((nepochs, nprocs + 1), dtype=np.int64)
     np.cumsum(lens, axis=1, out=offs[:, 1:])
     seg_len = lens.sum(axis=0)
-    for lo, hi in _batch_blocks(seg_len):
+    for lo, hi in batch_blocks(seg_len, _BATCH_KEYS):
         if not seg_len[lo:hi].any():
             continue
         stream = np.concatenate([
@@ -378,7 +364,7 @@ def _replay_counters(
     for ei, epoch in enumerate(trace.epochs):
         decoded = memo.epoch(layout, params.line_size, ei)
         lens = np.array([u.shape[0] for u in decoded.units], dtype=np.int64)
-        blocks = _batch_blocks(lens)
+        blocks = batch_blocks(lens, _BATCH_KEYS)
         if len(blocks) > 1:
             owners = resident & pmask
         residents, page_parts = [], []

@@ -147,17 +147,6 @@ class ClusterParams:
     # ~128M pair-interactions x 40 iterations is ~580 cycles per pair.
     work_cycles: float = 500.0
 
-    def diff_fetch_time(self, diff_bytes: int) -> float:
-        """Time to obtain one diff of the given payload size.
-
-        Matches the paper's measured 313-1544 us envelope: the minimum is
-        the request cost, larger diffs add wire time.
-        """
-        return self.diff_request_time + diff_bytes / self.bandwidth
-
-    def page_fetch(self) -> float:
-        return self.page_fetch_time
-
 
 #: The paper's hardware platform.
 ORIGIN2000 = HardwareParams()
