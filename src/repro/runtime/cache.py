@@ -162,11 +162,11 @@ class TraceCache:
         return path
 
     # ---- load ------------------------------------------------------------
-    def load(self, key: CacheKey, mmap: bool = True) -> Trace | None:
+    def load(self, key: CacheKey) -> Trace | None:
         """Return the cached trace, or ``None`` (miss or quarantined entry).
 
-        With ``mmap=True`` (default) a hit returns a packed trace of
-        zero-copy views over the mapped file.
+        A hit on a v2 entry is a trace of zero-copy views over the mapped
+        file; a v3 entry is a :class:`repro.trace.io.LazyTrace`.
         """
         path = self.path(key)
         if not path.exists():
@@ -174,7 +174,7 @@ class TraceCache:
             return None
         try:
             self._check_sidecar(key)
-            trace = load_trace(path, mmap=mmap)
+            trace = load_trace(path)
         except TraceCorruptError as exc:
             self.quarantine(key, reason=str(exc))
             self.misses += 1

@@ -37,14 +37,14 @@ though the replayed journal re-runs the same logical operations.
 
 from __future__ import annotations
 
-import json
 import os
-import struct
 import time
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
+
+from ..trace.io import _write_bundle
 
 __all__ = [
     "FaultPlan",
@@ -193,8 +193,6 @@ def corrupt_header(path) -> None:
 
 def write_with_version(path, version: int, nprocs: int = 1) -> None:
     """Write a minimal well-formed bundle preamble claiming ``version``."""
-    header = json.dumps(
-        {"version": version, "nprocs": nprocs, "regions": [], "labels": []}
-    ).encode("utf-8")
+    header = {"version": version, "nprocs": nprocs, "regions": [], "labels": []}
     with open(path, "wb") as fh:
-        fh.write(b"REPROTRC" + struct.pack("<Q", len(header)) + header)
+        _write_bundle(fh, header)

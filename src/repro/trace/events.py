@@ -395,10 +395,50 @@ class PackedEpoch:
             col = getattr(self, name)
             if col.ndim != 1 or col.shape[0] != nbursts:
                 raise ValueError(f"packed epoch column {name!r} has wrong length")
-        if nbursts and int(self.burst_length.sum()) != total:
+        if nbursts and (
+            int(self.burst_length.min()) < 0 or int(self.burst_length.sum()) != total
+        ):
             raise ValueError("packed epoch burst lengths do not cover the accesses")
         if self.work.shape != (n,) or self.lock_acquires.shape != (n,):
             raise ValueError("packed epoch work/lock arrays have wrong shape")
+
+    def check(self, regions: list[RegionSpec]) -> None:
+        """:meth:`check_structure` plus the content check: every burst
+        names one of ``regions`` and indexes inside it.  Raises
+        ``ValueError``.
+
+        Works at burst granularity — a per-burst min/max via ``reduceat``
+        against the burst's region limit — so it never materializes the
+        derived per-access region column.
+        """
+        self.check_structure()
+        breg = np.asarray(self.burst_region)
+        if breg.shape[0] == 0:
+            return
+        rmin = int(breg.min())
+        rmax = int(breg.max())
+        if rmin < 0 or rmax >= len(regions):
+            raise ValueError(
+                f"burst references unknown region {rmin if rmin < 0 else rmax}"
+            )
+        blen = np.asarray(self.burst_length)
+        nz = blen > 0
+        if not nz.any():
+            return
+        starts = np.empty(blen.shape[0], dtype=np.int64)
+        starts[0] = 0
+        np.cumsum(blen[:-1], out=starts[1:])
+        nz_starts = starts[nz]
+        bmin = np.minimum.reduceat(self.index, nz_starts)
+        bmax = np.maximum.reduceat(self.index, nz_starts)
+        limits = np.fromiter(
+            (r.num_objects for r in regions), dtype=np.int64, count=len(regions)
+        )
+        breg_nz = breg[nz]
+        bad = (bmin < 0) | (bmax >= limits[breg_nz])
+        if bad.any():
+            spec = regions[int(breg_nz[int(np.argmax(bad))])]
+            raise ValueError(f"burst indices out of range for region {spec.name!r}")
 
 
 @dataclass
@@ -443,41 +483,9 @@ class Trace:
     def validate(self) -> None:
         """Vectorized consistency check; raises ``ValueError`` on corruption.
 
-        Works at burst granularity — a per-burst min/max via ``reduceat``
-        against the burst's region limit — so it never materializes the
-        derived per-access region column.
+        Runs :meth:`PackedEpoch.check` on every epoch.
         """
-        nregions = len(self.regions)
-        limits = np.fromiter(
-            (r.num_objects for r in self.regions), dtype=np.int64, count=nregions
-        )
         for e in self.epochs:
             if e.nprocs != self.nprocs:
                 raise ValueError("epoch/trace processor count mismatch")
-            e.check_structure()
-            breg = np.asarray(e.burst_region)
-            if breg.shape[0] == 0:
-                continue
-            rmin = int(breg.min())
-            rmax = int(breg.max())
-            if rmin < 0 or rmax >= nregions:
-                raise ValueError(
-                    f"burst references unknown region {rmin if rmin < 0 else rmax}"
-                )
-            blen = np.asarray(e.burst_length)
-            nz = blen > 0
-            if not nz.any():
-                continue
-            starts = np.empty(blen.shape[0], dtype=np.int64)
-            starts[0] = 0
-            np.cumsum(blen[:-1], out=starts[1:])
-            nz_starts = starts[nz]
-            bmin = np.minimum.reduceat(e.index, nz_starts)
-            bmax = np.maximum.reduceat(e.index, nz_starts)
-            lim = limits[breg[nz]]
-            bad = (bmin < 0) | (bmax >= lim)
-            if bad.any():
-                spec = self.regions[int(breg[nz][int(np.argmax(bad))])]
-                raise ValueError(
-                    f"burst indices out of range for region {spec.name!r}"
-                )
+            e.check(self.regions)

@@ -16,52 +16,51 @@ module, which imposes two robustness requirements:
   :class:`repro.errors.TraceVersionError` for a format-version mismatch,
   so callers can quarantine-and-regenerate instead of crashing.
 
-Packed format (version 2, the default)
---------------------------------------
-A single raw binary bundle designed for ``np.memmap``::
+Bundle framing
+--------------
+Both format versions share one framing, written by :func:`_write_bundle`::
 
     8 bytes   magic  b"REPROTRC"
     8 bytes   header length (little-endian uint64)
     N bytes   JSON header: version, nprocs, regions, epoch labels, and an
               array directory {name: {dtype, shape, offset}} with offsets
               relative to the 64-byte-aligned data section
-    ...       raw C-order array bytes, each segment 64-byte aligned
+    ...       the data section: raw C-order array bytes, each directory
+              array 64-byte aligned
 
-The arrays are the :class:`repro.trace.events.PackedEpoch` columns
-concatenated across epochs (offset tables, burst columns, work/lock
-matrices), minus two deliberate omissions that keep the bundle small —
-writing bytes is the dominant save cost:
+The directory arrays are the :class:`repro.trace.events.PackedEpoch`
+tables concatenated across epochs: offset tables, work/lock matrices and
+the epoch start offsets into the big columns (``index`` and the three
+burst columns).  The expanded per-access ``region`` and ``is_write``
+columns are never stored; they are exactly
+``np.repeat(burst_region, burst_length)`` /
+``np.repeat(burst_write, burst_length)`` and derive lazily on use.
 
-* the expanded per-access ``region`` and ``is_write`` columns are *not*
-  stored; they are exactly ``np.repeat(burst_region, burst_length)`` /
-  ``np.repeat(burst_write, burst_length)`` and are rebuilt in one pass at
-  load time;
-* the access ``index`` column is stored at the narrowest safe integer
-  width (``int32`` whenever every index fits, which object indices always
-  do in practice) and widened back to ``int64`` on load.
+Version 2 (uncompressed, the default) stores each big column whole in the
+directory; ``index`` at the narrowest safe width (``int32`` whenever every
+index fits, which object indices always do in practice).  Version 3
+(``save_trace(..., compression="zlib"|"lz4")``) stores them as **per-epoch
+compressed chunks** after the directory arrays: ``index`` delta-encoded
+(consecutive differences, small for coherent traversals), every integer
+column narrowed to its smallest dtype before compression.  Each chunk
+records its byte extent, element count, and a CRC-32.
 
-Loading with ``mmap=True`` (the default for on-disk files) maps each
-stored segment with ``np.memmap``: no decompression, no per-burst object
-construction.  Columns stored at their in-memory width — including the
-narrowed ``index`` — are zero-copy views into the mapping, faulted in
-lazily as the simulators touch them (the decode arithmetic upcasts
-element-wise, so the narrow column is never widened into a copy).
-
-Compressed format (version 3)
------------------------------
-``save_trace(..., compression="zlib"|"lz4")`` writes the same preamble and
-JSON header but stores the big columns as **per-epoch compressed chunks**:
-the ``index`` column is delta-encoded (consecutive differences, which are
-small for coherent traversals) and narrowed to the smallest integer dtype
-before compression; the per-burst columns are narrowed likewise.  Each
-chunk records its byte extent, element count, and a CRC-32.  Loading a v3
-file builds a :class:`LazyTrace` whose epochs decode chunks on
-demand through an LRU-bounded :class:`_ChunkStore` — replay touches one
-epoch at a time, so peak memory is a handful of epochs, not the trace.
-Chunk *bounds* are verified against the file size at load (truncation is
-caught immediately, feeding the cache's quarantine path); CRCs are
-verified at decode time.  Uncompressed files keep the v2 mmap fast path,
-and v2 files remain readable forever.
+One reader
+----------
+:func:`load_trace` maps the file once (or reads a buffer) and hands its
+data section to one assembler.  A v2 bundle is the case of v3 where every
+column is one uncompressed chunk: both versions share every structural
+check and one epoch builder, and differ only in how an epoch's column
+slice is fetched.  A v2 slice is a zero-copy view of the mapped column —
+the narrow ``index`` is never widened (the decode arithmetic upcasts
+element-wise), so parallel replay workers share read-only pages — and the
+result is a plain :class:`Trace`.  A v3 slice decodes through the
+LRU-bounded :class:`_ChunkStore` of a :class:`LazyTrace`, one epoch at a
+time, so peak memory is a handful of epochs, not the trace.  Chunk
+*bounds* are verified at load (truncation is caught immediately, feeding
+the cache's quarantine path), CRCs at load (with ``validate=True``) and
+again at decode, and each epoch's *content* (region and index ranges) as
+its chunks decode.
 
 Nothing else is read: a file without the ``REPROTRC`` magic — including
 the zip-based ``.npz`` archives of early releases — is rejected with
@@ -99,6 +98,7 @@ __all__ = [
 _FORMAT_VERSION = 2
 _COMPRESSED_VERSION = 3
 _MAGIC = b"REPROTRC"
+_PREAMBLE = len(_MAGIC) + 8
 _ALIGN = 64
 #: Canonical file suffix for packed trace bundles.
 TRACE_SUFFIX = ".npt"
@@ -106,19 +106,25 @@ TRACE_SUFFIX = ".npt"
 #: Accepted values for ``save_trace``'s ``compression`` knob.
 COMPRESSION_CODECS = ("none", "zlib", "lz4")
 
-#: dtypes a packed bundle may declare; anything else is corruption.
-_ALLOWED_DTYPES = {
-    "<i8": np.int64,
-    "<i4": np.int32,
-    "|b1": np.bool_,
-    "<f8": np.float64,
-}
+#: dtypes a directory array may declare; anything else is corruption.
+_ALLOWED_DTYPES = {"<i8", "<i4", "|b1", "<f8"}
 
 #: dtypes a v3 chunk may declare (narrowed integers + booleans).
 _CHUNK_DTYPES = {"|i1", "<i2", "<i4", "<i8", "|b1"}
 
-#: The per-epoch chunked columns of a v3 bundle, in storage order.
+#: The big per-epoch columns: whole directory arrays in v2, per-epoch
+#: chunks (in this storage order) in v3.
 _CHUNK_COLUMNS = ("index", "burst_region", "burst_write", "burst_length")
+
+#: The directory arrays both versions store, in v3 storage order.
+_META_ARRAYS = (
+    "access_offsets",
+    "burst_offsets",
+    "epoch_access_starts",
+    "epoch_burst_starts",
+    "work",
+    "locks",
+)
 
 #: Everything that can plausibly escape ``json``/``struct``/``zlib``/array
 #: slicing on a damaged file.  Anything else is a programming error and
@@ -142,51 +148,33 @@ def _align_up(n: int) -> int:
 
 
 # --------------------------------------------------------------------------
-# Packed (version 2) writer
+# Writers: one bundle framing, two column layouts
 # --------------------------------------------------------------------------
 
 
-def _pack_arrays(trace: Trace) -> dict[str, np.ndarray]:
-    """Concatenate the per-epoch columns into the bundle's array set."""
+def _meta_arrays(trace: Trace) -> dict[str, np.ndarray]:
+    """The per-epoch tables both versions store uncompressed, in v3 order."""
     epochs = trace.epochs
-    E = len(epochs)
     P = trace.nprocs
-
-    def cat(parts: list[np.ndarray], dtype) -> np.ndarray:
-        return np.concatenate(parts) if parts else np.empty(0, dtype=dtype)
 
     def stack(parts: list[np.ndarray], width: int, dtype) -> np.ndarray:
         return np.stack(parts) if parts else np.zeros((0, width), dtype=dtype)
 
-    epoch_access_starts = np.zeros(E + 1, dtype=np.int64)
-    epoch_burst_starts = np.zeros(E + 1, dtype=np.int64)
-    for ei, e in enumerate(epochs):
-        epoch_access_starts[ei + 1] = epoch_access_starts[ei] + e.offsets[-1]
-        epoch_burst_starts[ei + 1] = epoch_burst_starts[ei] + e.burst_offsets[-1]
-
-    index = cat([e.index for e in epochs], np.int64)
-    if index.size:
-        info = np.iinfo(np.int32)
-        lo, hi = int(index.min()), int(index.max())
-        if info.min <= lo and hi <= info.max:
-            index = index.astype(np.int32)
+    def starts(ends: list) -> np.ndarray:
+        return np.concatenate(([0], np.cumsum(ends, dtype=np.int64)))
 
     return {
-        "index": index,
         "access_offsets": stack([e.offsets for e in epochs], P + 1, np.int64),
-        "burst_region": cat([e.burst_region for e in epochs], np.int64),
-        "burst_write": cat([e.burst_write for e in epochs], np.bool_),
-        "burst_length": cat([e.burst_length for e in epochs], np.int64),
         "burst_offsets": stack([e.burst_offsets for e in epochs], P + 1, np.int64),
-        "epoch_access_starts": epoch_access_starts,
-        "epoch_burst_starts": epoch_burst_starts,
+        "epoch_access_starts": starts([e.offsets[-1] for e in epochs]),
+        "epoch_burst_starts": starts([e.burst_offsets[-1] for e in epochs]),
         "work": stack([e.work for e in epochs], P, np.float64),
         "locks": stack([e.lock_acquires for e in epochs], P, np.int64),
     }
 
 
-def _write_packed(fh, trace: Trace) -> None:
-    arrays = _pack_arrays(trace)
+def _directory(arrays: dict[str, np.ndarray]) -> tuple[dict[str, dict], int]:
+    """The array directory, each array 64-byte aligned; and its end offset."""
     directory: dict[str, dict] = {}
     offset = 0
     for name, arr in arrays.items():
@@ -197,37 +185,73 @@ def _write_packed(fh, trace: Trace) -> None:
             "offset": offset,
         }
         offset += arr.nbytes
-    header = {
-        "version": _FORMAT_VERSION,
+    return directory, offset
+
+
+def _trace_fields(trace: Trace) -> dict:
+    """The header fields that describe the trace itself."""
+    return {
         "nprocs": trace.nprocs,
         "regions": [
             {"name": r.name, "num_objects": r.num_objects, "object_size": r.object_size}
             for r in trace.regions
         ],
         "labels": [e.label for e in trace.epochs],
-        "arrays": directory,
-        "data_bytes": offset,
     }
+
+
+def _write_bundle(fh, header: dict, segments=()) -> None:
+    """Write the preamble and JSON ``header``, then each ``(offset, data)``
+    segment at its data-section offset, zero-padded in between.
+
+    ``data`` is any contiguous buffer (an array, or chunk bytes); the data
+    section starts at the first 64-byte boundary after the header.
+    """
     hbytes = json.dumps(header, separators=(",", ":")).encode("utf-8")
-    fh.write(_MAGIC)
-    fh.write(struct.pack("<Q", len(hbytes)))
-    fh.write(hbytes)
-    pos = len(_MAGIC) + 8 + len(hbytes)
-    fh.write(b"\0" * (_align_up(pos) - pos))
-    written = 0
-    for name, arr in arrays.items():
-        pad = directory[name]["offset"] - written
-        if pad:
-            fh.write(b"\0" * pad)
-            written += pad
-        data = np.ascontiguousarray(arr).tobytes()
+    fh.write(_MAGIC + struct.pack("<Q", len(hbytes)) + hbytes)
+    pos = _PREAMBLE + len(hbytes)
+    written = pos - _align_up(pos)  # negative: the header's own padding
+    for offset, data in segments:
+        if offset > written:
+            fh.write(b"\0" * (offset - written))
         fh.write(data)
-        written += len(data)
+        written = offset + memoryview(data).nbytes
 
 
-# --------------------------------------------------------------------------
-# Compressed chunked (version 3) writer
-# --------------------------------------------------------------------------
+def _write_packed(fh, trace: Trace) -> None:
+    """Write the v2 bundle: every column whole, in the directory."""
+    epochs = trace.epochs
+
+    def cat(name: str, dtype) -> np.ndarray:
+        parts = [getattr(e, name) for e in epochs]
+        return np.concatenate(parts) if parts else np.empty(0, dtype=dtype)
+
+    index = cat("index", np.int64)
+    if index.size:
+        info = np.iinfo(np.int32)
+        if info.min <= int(index.min()) and int(index.max()) <= info.max:
+            index = index.astype(np.int32)
+    meta = _meta_arrays(trace)
+    arrays = {
+        "index": index,
+        "access_offsets": meta.pop("access_offsets"),
+        "burst_region": cat("burst_region", np.int64),
+        "burst_write": cat("burst_write", np.bool_),
+        "burst_length": cat("burst_length", np.int64),
+        **meta,
+    }
+    directory, end = _directory(arrays)
+    header = {
+        "version": _FORMAT_VERSION,
+        **_trace_fields(trace),
+        "arrays": directory,
+        "data_bytes": end,
+    }
+    _write_bundle(
+        fh,
+        header,
+        [(directory[n]["offset"], np.ascontiguousarray(a)) for n, a in arrays.items()],
+    )
 
 
 def _codec_compress(codec: str):
@@ -303,43 +327,14 @@ def _chunk_payload(epoch, name: str) -> tuple[np.ndarray, dict]:
 
 
 def _write_compressed(fh, trace: Trace, codec: str) -> None:
-    """Write the v3 bundle: uncompressed meta arrays + per-epoch chunks."""
+    """Write the v3 bundle: directory arrays, then per-epoch chunks."""
     compress = _codec_compress(codec)
-    epochs = trace.epochs
-    E = len(epochs)
-    P = trace.nprocs
-
-    def stack(parts: list[np.ndarray], width: int, dtype) -> np.ndarray:
-        return np.stack(parts) if parts else np.zeros((0, width), dtype=dtype)
-
-    epoch_access_starts = np.zeros(E + 1, dtype=np.int64)
-    epoch_burst_starts = np.zeros(E + 1, dtype=np.int64)
-    for ei, e in enumerate(epochs):
-        epoch_access_starts[ei + 1] = epoch_access_starts[ei] + e.offsets[-1]
-        epoch_burst_starts[ei + 1] = epoch_burst_starts[ei] + e.burst_offsets[-1]
-    meta_arrays = {
-        "access_offsets": stack([e.offsets for e in epochs], P + 1, np.int64),
-        "burst_offsets": stack([e.burst_offsets for e in epochs], P + 1, np.int64),
-        "epoch_access_starts": epoch_access_starts,
-        "epoch_burst_starts": epoch_burst_starts,
-        "work": stack([e.work for e in epochs], P, np.float64),
-        "locks": stack([e.lock_acquires for e in epochs], P, np.int64),
-    }
-    directory: dict[str, dict] = {}
-    offset = 0
-    for name, arr in meta_arrays.items():
-        offset = _align_up(offset)
-        directory[name] = {
-            "dtype": arr.dtype.str,
-            "shape": list(arr.shape),
-            "offset": offset,
-        }
-        offset += arr.nbytes
-
+    meta = _meta_arrays(trace)
+    directory, end = _directory(meta)
+    segments = [(directory[n]["offset"], np.ascontiguousarray(a)) for n, a in meta.items()]
     chunks: dict[str, list[dict]] = {name: [] for name in _CHUNK_COLUMNS}
-    payloads: list[tuple[int, bytes]] = []
-    offset = _align_up(offset)
-    for e in epochs:
+    offset = _align_up(end)
+    for e in trace.epochs:
         for name in _CHUNK_COLUMNS:
             stored, extra = _chunk_payload(e, name)
             raw = compress(np.ascontiguousarray(stored).tobytes())
@@ -353,44 +348,17 @@ def _write_compressed(fh, trace: Trace, codec: str) -> None:
                     **extra,
                 }
             )
-            payloads.append((offset, raw))
+            segments.append((offset, raw))
             offset += len(raw)
-
     header = {
         "version": _COMPRESSED_VERSION,
         "codec": codec,
-        "nprocs": P,
-        "regions": [
-            {"name": r.name, "num_objects": r.num_objects, "object_size": r.object_size}
-            for r in trace.regions
-        ],
-        "labels": [e.label for e in epochs],
+        **_trace_fields(trace),
         "arrays": directory,
         "chunks": chunks,
         "data_bytes": offset,
     }
-    hbytes = json.dumps(header, separators=(",", ":")).encode("utf-8")
-    fh.write(_MAGIC)
-    fh.write(struct.pack("<Q", len(hbytes)))
-    fh.write(hbytes)
-    pos = len(_MAGIC) + 8 + len(hbytes)
-    fh.write(b"\0" * (_align_up(pos) - pos))
-    written = 0
-    for name, arr in meta_arrays.items():
-        pad = directory[name]["offset"] - written
-        if pad:
-            fh.write(b"\0" * pad)
-            written += pad
-        data = np.ascontiguousarray(arr).tobytes()
-        fh.write(data)
-        written += len(data)
-    for chunk_offset, raw in payloads:
-        pad = chunk_offset - written
-        if pad:
-            fh.write(b"\0" * pad)
-            written += pad
-        fh.write(raw)
-        written += len(raw)
+    _write_bundle(fh, header, segments)
 
 
 def save_trace(trace: Trace, path, compression: str = "none") -> None:
@@ -440,19 +408,50 @@ def save_trace(trace: Trace, path, compression: str = "none") -> None:
 
 
 # --------------------------------------------------------------------------
-# Packed (version 2) reader
+# Reader
 # --------------------------------------------------------------------------
 
 
-def _parse_packed_header(blob: bytes) -> tuple[dict, int]:
-    """Validate magic + header; returns (header, data_start)."""
-    if len(blob) < len(_MAGIC) + 8:
+def _bundle_bytes(path, mmap: bool) -> np.ndarray:
+    """The whole bundle as a read-only ``uint8`` array.
+
+    A file on disk is opened once: mapped when ``mmap`` (every loaded
+    array is then a view of the one mapping), read into memory otherwise.
+    A file-like source is read into memory.
+    """
+    if not isinstance(path, (str, os.PathLike)):
+        return np.frombuffer(path.read(), dtype=np.uint8)
+    with open(path, "rb") as fh:
+        if mmap and os.fstat(fh.fileno()).st_size:
+            return np.memmap(fh, dtype=np.uint8, mode="r")
+        return np.frombuffer(fh.read(), dtype=np.uint8)
+
+
+def _check_magic(head: bytes) -> None:
+    """Reject anything that is not a packed bundle, before any parsing."""
+    if head == _MAGIC:
+        return
+    kind = (
+        "a zip archive (the .npz format is no longer read)"
+        if head[:4] == b"PK\x03\x04"
+        else "not a packed trace bundle"
+    )
+    raise TraceVersionError(
+        f"unsupported trace file format: {kind}; supported formats are"
+        f" .npt bundles of version {_FORMAT_VERSION} (uncompressed) and"
+        f" {_COMPRESSED_VERSION} (compressed)"
+    )
+
+
+def _parse_packed_header(blob) -> tuple[dict, int]:
+    """Parse and check the header after the magic; returns (header,
+    data_start)."""
+    if len(blob) < _PREAMBLE:
         raise TraceCorruptError("packed trace file shorter than its preamble")
     (hlen,) = struct.unpack_from("<Q", blob, len(_MAGIC))
-    start = len(_MAGIC) + 8
-    if hlen > len(blob) - start:
+    if hlen > len(blob) - _PREAMBLE:
         raise TraceCorruptError("packed trace header extends past end of file")
-    header = json.loads(blob[start : start + hlen].decode("utf-8"))
+    header = json.loads(bytes(blob[_PREAMBLE : _PREAMBLE + hlen]).decode("utf-8"))
     if not isinstance(header, dict):
         raise TraceCorruptError("packed trace header is not a JSON object")
     version = header.get("version")
@@ -461,196 +460,59 @@ def _parse_packed_header(blob: bytes) -> tuple[dict, int]:
             f"unsupported trace format version {version!r}"
             f" (expected {_FORMAT_VERSION} or {_COMPRESSED_VERSION})"
         )
-    return header, _align_up(start + hlen)
+    return header, _align_up(_PREAMBLE + hlen)
 
 
-def _packed_array(header: dict, name: str, getter, file_bytes: int, data_start: int):
-    """One array from the bundle directory, shape/dtype/bounds checked."""
+def _packed_array(header: dict, name: str, data: np.ndarray) -> np.ndarray:
+    """One directory array as a view of the data section, bounds checked."""
     spec = header["arrays"][name]
-    dtype = np.dtype(str(spec["dtype"]))
     if str(spec["dtype"]) not in _ALLOWED_DTYPES:
         raise TraceCorruptError(f"packed trace array {name!r} has dtype {spec['dtype']!r}")
+    dtype = np.dtype(str(spec["dtype"]))
     shape = tuple(int(s) for s in spec["shape"])
     if any(s < 0 for s in shape):
         raise TraceCorruptError(f"packed trace array {name!r} has negative shape")
-    count = int(np.prod(shape)) if shape else 1
     offset = int(spec["offset"])
-    if offset < 0 or data_start + offset + count * dtype.itemsize > file_bytes:
+    end = offset + int(np.prod(shape)) * dtype.itemsize
+    if offset < 0 or end > data.shape[0]:
         raise TraceCorruptError(f"packed trace array {name!r} extends past end of file")
-    if count == 0:
-        return np.empty(shape, dtype=dtype)
-    return getter(dtype, shape, data_start + offset, count)
-
-
-def _assemble_packed(header: dict, fetch) -> Trace:
-    """Build a :class:`Trace` of views over the fetched arrays."""
-    nprocs = int(header["nprocs"])
-    labels = header["labels"]
-    if not isinstance(labels, list):
-        raise TraceCorruptError("packed trace header has no epoch label list")
-    E = len(labels)
-
-    # ``index`` stays at its stored width (int32 in practice): the decode
-    # arithmetic upcasts element-wise, so widening here would only add a
-    # full-column copy — and break cross-process page sharing for the
-    # parallel replay workers, which rely on every worker mapping the same
-    # read-only file pages.
-    index = fetch("index")
-    access_offsets = fetch("access_offsets")
-    burst_region = fetch("burst_region")
-    burst_write = fetch("burst_write")
-    burst_length = fetch("burst_length")
-    burst_offsets = fetch("burst_offsets")
-    eas = fetch("epoch_access_starts")
-    ebs = fetch("epoch_burst_starts")
-    work = fetch("work")
-    locks = fetch("locks")
-
-    if access_offsets.shape != (E, nprocs + 1) or burst_offsets.shape != (E, nprocs + 1):
-        raise TraceCorruptError("packed trace offset tables have wrong shape")
-    # The per-access region/write columns are not stored; PackedEpoch
-    # derives them lazily from the burst metadata on first use (each
-    # burst's attributes repeated over its length), so only their
-    # consistency is checked here.
-    blen = np.asarray(burst_length, dtype=np.int64)
-    if blen.size and int(blen.min()) < 0:
-        raise TraceCorruptError("packed trace has negative burst lengths")
-    if int(blen.sum()) != index.shape[0]:
-        raise TraceCorruptError(
-            "packed trace burst lengths do not tile the access columns"
-        )
-    if work.shape != (E, nprocs) or locks.shape != (E, nprocs):
-        raise TraceCorruptError("packed trace work/lock tables have wrong shape")
-    for name, starts, col in (
-        ("epoch_access_starts", eas, index),
-        ("epoch_burst_starts", ebs, burst_region),
-    ):
-        if starts.shape != (E + 1,):
-            raise TraceCorruptError(f"packed trace {name} has wrong shape")
-        if E >= 0 and (
-            (starts.shape[0] and starts[0] != 0)
-            or (np.diff(starts) < 0).any()
-            or (starts.shape[0] and int(starts[-1]) != col.shape[0])
-        ):
-            raise TraceCorruptError(f"packed trace {name} do not tile the columns")
-
-    trace = Trace(nprocs=nprocs)
-    for r in header["regions"]:
-        trace.regions.append(
-            RegionSpec(str(r["name"]), int(r["num_objects"]), int(r["object_size"]))
-        )
-    for ei in range(E):
-        lo, hi = int(eas[ei]), int(eas[ei + 1])
-        blo, bhi = int(ebs[ei]), int(ebs[ei + 1])
-        trace.epochs.append(
-            PackedEpoch(
-                nprocs=nprocs,
-                label=str(labels[ei]),
-                offsets=access_offsets[ei],
-                index=index[lo:hi],
-                burst_offsets=burst_offsets[ei],
-                burst_region=burst_region[blo:bhi],
-                burst_write=burst_write[blo:bhi],
-                burst_length=burst_length[blo:bhi],
-                work=work[ei],
-                lock_acquires=locks[ei],
-            )
-        )
-    return trace
-
-
-def _load_packed_path(path: str, mmap: bool) -> Trace:
-    file_bytes = os.path.getsize(path)
-    with open(path, "rb") as fh:
-        preamble = fh.read(len(_MAGIC) + 8)
-        if len(preamble) < len(_MAGIC) + 8:
-            raise TraceCorruptError("packed trace file shorter than its preamble")
-        (hlen,) = struct.unpack_from("<Q", preamble, len(_MAGIC))
-        if hlen > file_bytes:
-            raise TraceCorruptError("packed trace header extends past end of file")
-        blob = preamble + fh.read(hlen)
-    header, data_start = _parse_packed_header(blob)
-    if header["version"] == _COMPRESSED_VERSION:
-        return _assemble_compressed(header, data_start, file_bytes, path=path)
-
-    if mmap:
-        def getter(dtype, shape, abs_offset, count):
-            return np.memmap(path, dtype=dtype, mode="r", offset=abs_offset, shape=shape)
-    else:
-        def getter(dtype, shape, abs_offset, count):
-            with open(path, "rb") as fh:
-                fh.seek(abs_offset)
-                arr = np.fromfile(fh, dtype=dtype, count=count)
-            if arr.shape[0] != count:
-                raise TraceCorruptError("packed trace array truncated")
-            return arr.reshape(shape)
-
-    fetch = lambda name: _packed_array(header, name, getter, file_bytes, data_start)  # noqa: E731
-    return _assemble_packed(header, fetch)
-
-
-def _load_packed_buffer(blob: bytes) -> Trace:
-    header, data_start = _parse_packed_header(blob)
-    if header["version"] == _COMPRESSED_VERSION:
-        return _assemble_compressed(header, data_start, len(blob), blob=blob)
-
-    def getter(dtype, shape, abs_offset, count):
-        return np.frombuffer(blob, dtype=dtype, count=count, offset=abs_offset).reshape(
-            shape
-        )
-
-    fetch = lambda name: _packed_array(header, name, getter, len(blob), data_start)  # noqa: E731
-    return _assemble_packed(header, fetch)
-
-
-# --------------------------------------------------------------------------
-# Compressed chunked (version 3) reader
-# --------------------------------------------------------------------------
+    return data[offset:end].view(dtype).reshape(shape)
 
 
 class _ChunkStore:
-    """Lazy, LRU-bounded reader of a v3 bundle's compressed column chunks.
+    """Lazy, LRU-bounded decoder of a v3 bundle's compressed chunks.
 
     One store is shared by every epoch of a :class:`LazyTrace`.
-    ``get(column, epoch)`` decompresses on demand — a positioned read of
-    the chunk's byte extent, CRC-32 verification, decompress, decode
-    (cumsum for the delta-encoded index) — and caches the result, evicting
-    least-recently-used chunks past ``max_chunks`` so a long replay holds
-    a handful of epochs in memory, not the whole trace.  File reads open
-    the path per call (no shared seek position), which keeps the store
-    safe to use from forked worker processes.
+    ``epoch(ei)`` decodes that epoch's four column chunks — a slice of the
+    bundle bytes, CRC-32 verification, decompress, decode (cumsum for the
+    delta-encoded index) — and hands them to the assembler's ``build``,
+    which returns the plain :class:`PackedEpoch` after its content check.
+    The result is cached, evicting least-recently-used epochs past
+    ``max_epochs`` so a long replay holds a handful of epochs in memory,
+    not the whole trace.
     """
 
-    def __init__(
-        self,
-        codec: str,
-        chunks: dict[str, list[dict]],
-        data_start: int,
-        *,
-        path: str | None = None,
-        blob: bytes | None = None,
-        max_chunks: int = 256,
-    ):
+    def __init__(self, codec: str, chunks: dict, data: np.ndarray, build,
+                 max_epochs: int = 64):
         self._decompress = _codec_decompress(codec)
         self._chunks = chunks
-        self._data_start = data_start
-        self._path = path
-        self._blob = blob
-        self._cache: OrderedDict[tuple[str, int], np.ndarray] = OrderedDict()
-        self.max_chunks = max_chunks
+        self._data = data
+        self._build = build
+        self._cache: OrderedDict[int, PackedEpoch] = OrderedDict()
+        self.max_epochs = max_epochs
         self.decodes = 0
         self.hits = 0
 
-    def _read(self, offset: int, nbytes: int) -> bytes:
-        abs_off = self._data_start + offset
-        if self._blob is not None:
-            return self._blob[abs_off : abs_off + nbytes]
-        with open(self._path, "rb") as fh:
-            fh.seek(abs_off)
-            data = fh.read(nbytes)
-        if len(data) != nbytes:
-            raise TraceCorruptError("packed trace chunk truncated")
-        return data
+    def _read(self, column: str, ei: int) -> np.ndarray:
+        """A chunk's compressed bytes, CRC-32 checked."""
+        spec = self._chunks[column][ei]
+        offset = int(spec["offset"])
+        raw = self._data[offset : offset + int(spec["nbytes"])]
+        if zlib.crc32(raw) != int(spec["crc"]):
+            raise TraceCorruptError(
+                f"packed trace chunk {column}[{ei}] failed its checksum"
+            )
+        return raw
 
     def verify_crcs(self) -> None:
         """Check every chunk's CRC-32 against its directory entry.
@@ -661,68 +523,47 @@ class _ChunkStore:
         (where :class:`repro.runtime.cache.TraceCache` can quarantine the
         entry) instead of surfacing mid-replay.
         """
-        fh = open(self._path, "rb") if self._blob is None else None
-        try:
-            for column, specs in self._chunks.items():
-                for ei, spec in enumerate(specs):
-                    nbytes = int(spec["nbytes"])
-                    abs_off = self._data_start + int(spec["offset"])
-                    if fh is not None:
-                        fh.seek(abs_off)
-                        raw = fh.read(nbytes)
-                        if len(raw) != nbytes:
-                            raise TraceCorruptError(
-                                f"packed trace chunk {column}[{ei}] truncated"
-                            )
-                    else:
-                        raw = self._blob[abs_off : abs_off + nbytes]
-                    if zlib.crc32(raw) != int(spec["crc"]):
-                        raise TraceCorruptError(
-                            f"packed trace chunk {column}[{ei}] failed its"
-                            " checksum"
-                        )
-        finally:
-            if fh is not None:
-                fh.close()
+        for column in _CHUNK_COLUMNS:
+            for ei in range(len(self._chunks[column])):
+                self._read(column, ei)
 
-    def get(self, column: str, epoch: int) -> np.ndarray:
-        key = (column, epoch)
-        arr = self._cache.get(key)
-        if arr is not None:
-            self._cache.move_to_end(key)
-            self.hits += 1
-            return arr
-        spec = self._chunks[column][epoch]
-        raw = self._read(int(spec["offset"]), int(spec["nbytes"]))
-        if zlib.crc32(raw) != int(spec["crc"]):
-            raise TraceCorruptError(
-                f"packed trace chunk {column}[{epoch}] failed its checksum"
-            )
+    def _decode(self, column: str, ei: int) -> np.ndarray:
+        spec = self._chunks[column][ei]
         try:
-            data = self._decompress(raw)
+            data = self._decompress(self._read(column, ei))
         except _CORRUPTION_ERRORS as exc:
             raise TraceCorruptError(
-                f"packed trace chunk {column}[{epoch}] does not decompress:"
+                f"packed trace chunk {column}[{ei}] does not decompress:"
                 f" {exc}"
             ) from exc
         dtype = np.dtype(str(spec["dtype"]))
         n = int(spec["n"])
         if len(data) != n * dtype.itemsize:
             raise TraceCorruptError(
-                f"packed trace chunk {column}[{epoch}] has wrong decoded size"
+                f"packed trace chunk {column}[{ei}] has wrong decoded size"
             )
         arr = np.frombuffer(data, dtype=dtype, count=n)
         if spec.get("delta"):
-            arr = np.cumsum(arr, dtype=np.int64)
-        elif dtype.kind == "i" and dtype.itemsize < 8:
+            return np.cumsum(arr, dtype=np.int64)
+        if dtype.kind == "i" and dtype.itemsize < 8:
             # Burst columns are tiny; widen to the in-memory convention so
             # every consumer sees exactly what a v2 load would hand it.
-            arr = arr.astype(np.int64)
-        self.decodes += 1
-        self._cache[key] = arr
-        while len(self._cache) > self.max_chunks:
-            self._cache.popitem(last=False)
+            return arr.astype(np.int64)
         return arr
+
+    def epoch(self, ei: int) -> PackedEpoch:
+        """Epoch ``ei`` with its columns decoded and content-checked."""
+        epoch = self._cache.get(ei)
+        if epoch is not None:
+            self._cache.move_to_end(ei)
+            self.hits += 1
+            return epoch
+        epoch = self._build(ei, {c: self._decode(c, ei) for c in _CHUNK_COLUMNS})
+        self.decodes += 1
+        self._cache[ei] = epoch
+        while len(self._cache) > self.max_epochs:
+            self._cache.popitem(last=False)
+        return epoch
 
 
 class LazyPackedEpoch(PackedEpoch):
@@ -763,19 +604,19 @@ class LazyPackedEpoch(PackedEpoch):
 
     @property
     def index(self) -> np.ndarray:
-        return self._store.get("index", self._ei)
+        return self._store.epoch(self._ei).index
 
     @property
     def burst_region(self) -> np.ndarray:
-        return self._store.get("burst_region", self._ei)
+        return self._store.epoch(self._ei).burst_region
 
     @property
     def burst_write(self) -> np.ndarray:
-        return self._store.get("burst_write", self._ei)
+        return self._store.epoch(self._ei).burst_write
 
     @property
     def burst_length(self) -> np.ndarray:
-        return self._store.get("burst_length", self._ei)
+        return self._store.epoch(self._ei).burst_length
 
 
 class LazyTrace(Trace):
@@ -795,53 +636,24 @@ class LazyTrace(Trace):
         self.chunk_store = store
 
 
-def _assemble_compressed(
-    header: dict,
-    data_start: int,
-    file_bytes: int,
-    *,
-    path: str | None = None,
-    blob: bytes | None = None,
-) -> LazyTrace:
-    """Build a :class:`LazyTrace` over a v3 bundle.
+def _assemble(header: dict, data: np.ndarray) -> Trace:
+    """Build the trace a parsed bundle describes over its data section.
 
-    Meta arrays (offset tables, work/locks) load eagerly and are checked
-    structurally exactly like v2; every chunk's byte extent is verified
-    against the file size here — a truncated file fails the load
-    immediately (feeding the cache quarantine path) rather than failing
-    mid-replay.  CRC/content checks run lazily at chunk decode; callers
-    wanting eager damage detection use ``load_trace(validate=True)``,
-    which adds a :meth:`_ChunkStore.verify_crcs` pass.
+    Checks the label list, the directory arrays' shapes, the epoch-start
+    tiling and every column's (v2) or chunk's (v3) extent, then builds
+    the regions and epochs.  v2 epochs are plain :class:`PackedEpoch`
+    views of the stored columns; v3 epochs are :class:`LazyPackedEpoch`
+    placeholders whose columns decode through a :class:`_ChunkStore`,
+    which runs each epoch's content check as it decodes.
     """
     nprocs = int(header["nprocs"])
     labels = header["labels"]
     if not isinstance(labels, list):
         raise TraceCorruptError("packed trace header has no epoch label list")
     E = len(labels)
-    codec = str(header.get("codec", ""))
-
-    if blob is not None:
-        def getter(dtype, shape, abs_offset, count):
-            return np.frombuffer(
-                blob, dtype=dtype, count=count, offset=abs_offset
-            ).reshape(shape)
-    else:
-        def getter(dtype, shape, abs_offset, count):
-            with open(path, "rb") as fh:
-                fh.seek(abs_offset)
-                arr = np.fromfile(fh, dtype=dtype, count=count)
-            if arr.shape[0] != count:
-                raise TraceCorruptError("packed trace array truncated")
-            return arr.reshape(shape)
-
-    fetch = lambda name: _packed_array(header, name, getter, file_bytes, data_start)  # noqa: E731
-    access_offsets = fetch("access_offsets")
-    burst_offsets = fetch("burst_offsets")
-    eas = fetch("epoch_access_starts")
-    ebs = fetch("epoch_burst_starts")
-    work = fetch("work")
-    locks = fetch("locks")
-
+    access_offsets, burst_offsets, eas, ebs, work, locks = (
+        _packed_array(header, name, data) for name in _META_ARRAYS
+    )
     if access_offsets.shape != (E, nprocs + 1) or burst_offsets.shape != (E, nprocs + 1):
         raise TraceCorruptError("packed trace offset tables have wrong shape")
     if work.shape != (E, nprocs) or locks.shape != (E, nprocs):
@@ -849,43 +661,80 @@ def _assemble_compressed(
     for name, starts in (("epoch_access_starts", eas), ("epoch_burst_starts", ebs)):
         if starts.shape != (E + 1,):
             raise TraceCorruptError(f"packed trace {name} has wrong shape")
-        if (starts.shape[0] and starts[0] != 0) or (np.diff(starts) < 0).any():
+        if starts[0] != 0 or (np.diff(starts) < 0).any():
             raise TraceCorruptError(f"packed trace {name} do not tile the columns")
+    column_starts = dict(zip(_CHUNK_COLUMNS, (eas, ebs, ebs, ebs)))
+    regions = [
+        RegionSpec(str(r["name"]), int(r["num_objects"]), int(r["object_size"]))
+        for r in header["regions"]
+    ]
+
+    def build(ei: int, columns: dict[str, np.ndarray]) -> PackedEpoch:
+        return PackedEpoch(
+            nprocs=nprocs,
+            label=str(labels[ei]),
+            offsets=access_offsets[ei],
+            burst_offsets=burst_offsets[ei],
+            work=work[ei],
+            lock_acquires=locks[ei],
+            **columns,
+        )
+
+    if header["version"] == _FORMAT_VERSION:
+        # ``index`` stays at its stored width: widening would add a
+        # full-column copy and break the cross-process page sharing of the
+        # parallel replay workers.
+        columns = {name: _packed_array(header, name, data) for name in _CHUNK_COLUMNS}
+        for name, col in columns.items():
+            if col.shape != (int(column_starts[name][-1]),):
+                raise TraceCorruptError(
+                    f"packed trace epoch starts do not tile column {name!r}"
+                )
+        trace = Trace(nprocs=nprocs, regions=regions)
+        for ei in range(E):
+            trace.epochs.append(build(ei, {
+                name: col[int(column_starts[name][ei]) : int(column_starts[name][ei + 1])]
+                for name, col in columns.items()
+            }))
+        return trace
 
     chunks = header.get("chunks")
     if not isinstance(chunks, dict):
         raise TraceCorruptError("compressed trace header has no chunk directory")
-    for name in _CHUNK_COLUMNS:
+    for name, starts in column_starts.items():
         specs = chunks.get(name)
         if not isinstance(specs, list) or len(specs) != E:
             raise TraceCorruptError(
                 f"compressed trace chunk column {name!r} does not cover the epochs"
             )
-        per_epoch = eas if name == "index" else ebs
         for ei, spec in enumerate(specs):
-            if str(spec.get("dtype")) not in _CHUNK_DTYPES:
+            if str(spec["dtype"]) not in _CHUNK_DTYPES:
                 raise TraceCorruptError(
                     f"compressed trace chunk {name}[{ei}] has dtype"
-                    f" {spec.get('dtype')!r}"
+                    f" {spec['dtype']!r}"
                 )
             offset = int(spec["offset"])
             nbytes = int(spec["nbytes"])
-            n = int(spec["n"])
-            if offset < 0 or nbytes < 0 or data_start + offset + nbytes > file_bytes:
+            if offset < 0 or nbytes < 0 or offset + nbytes > data.shape[0]:
                 raise TraceCorruptError(
                     f"compressed trace chunk {name}[{ei}] extends past end of file"
                 )
-            if n != int(per_epoch[ei + 1] - per_epoch[ei]):
+            if int(spec["n"]) != int(starts[ei + 1] - starts[ei]):
                 raise TraceCorruptError(
                     f"compressed trace chunk {name}[{ei}] does not tile its column"
                 )
 
-    store = _ChunkStore(codec, chunks, data_start, path=path, blob=blob)
+    def checked(ei: int, columns: dict[str, np.ndarray]) -> PackedEpoch:
+        epoch = build(ei, columns)
+        try:
+            epoch.check(regions)
+        except ValueError as exc:
+            raise TraceCorruptError(f"packed trace epoch {ei} is corrupt: {exc}") from exc
+        return epoch
+
+    store = _ChunkStore(str(header.get("codec", "")), chunks, data, checked)
     trace = LazyTrace(nprocs=nprocs, store=store)
-    for r in header["regions"]:
-        trace.regions.append(
-            RegionSpec(str(r["name"]), int(r["num_objects"]), int(r["object_size"]))
-        )
+    trace.regions = regions
     for ei in range(E):
         trace.epochs.append(
             LazyPackedEpoch(
@@ -902,64 +751,45 @@ def _assemble_compressed(
     return trace
 
 
-# --------------------------------------------------------------------------
-# Loader
-# --------------------------------------------------------------------------
-
-
-def _check_magic(head: bytes) -> None:
-    """Reject anything that is not a packed bundle, before any parsing."""
-    if head == _MAGIC:
-        return
-    kind = (
-        "a zip archive (the .npz format is no longer read)"
-        if head[:4] == b"PK\x03\x04"
-        else "not a packed trace bundle"
-    )
-    raise TraceVersionError(
-        f"unsupported trace file format: {kind}; supported formats are"
-        f" .npt bundles of version {_FORMAT_VERSION} (uncompressed) and"
-        f" {_COMPRESSED_VERSION} (compressed)"
-    )
-
-
 def load_trace(path, mmap: bool = True, validate: bool = True) -> Trace:
     """Read a trace written by :func:`save_trace`.
 
-    Bundles load as zero-copy :class:`Trace` views — mmap-backed when
-    ``mmap=True`` and ``path`` names a file on disk.  ``validate=False`` skips the
-    content check (index ranges) but never the structural one.  Compressed
-    (v3) bundles load as :class:`LazyTrace`; their structural and
-    chunk-bounds checks always run at load, and ``validate=True`` adds a
-    CRC pass over the compressed chunk bytes (cheap — no decompression),
-    so a damaged bundle fails here (and the trace cache quarantines it)
-    rather than mid-replay; the index-range content check stays deferred
-    to chunk decode, which would decompress the whole file.
+    ``path`` is a file name or a readable binary file object.  A file on
+    disk is opened once, and with ``mmap=True`` mapped rather than read.
+    Both format versions get the same structural checks at load (header,
+    directory shapes, epoch-start tiling, column or chunk extents).
+
+    * v2 bundles load as a plain :class:`Trace` of zero-copy views of the
+      stored columns.  ``validate=True`` adds the content check
+      (:meth:`Trace.validate`: region and index ranges) over every epoch.
+    * v3 (compressed) bundles load as a :class:`LazyTrace`.
+      ``validate=True`` adds a CRC pass over the compressed chunk bytes
+      (cheap — no decompression), so a damaged bundle fails here (and the
+      trace cache quarantines it) rather than mid-replay.  The content
+      check runs on each epoch as its chunks decode, whatever
+      ``validate`` says, and raises :class:`repro.errors.TraceCorruptError`
+      from the access that triggered the decode.
 
     Raises :class:`repro.errors.TraceCorruptError` if the file cannot be
     parsed back into a valid trace (truncated file, garbled bytes, bad
     header, out-of-range indices...), and its subclass
     :class:`repro.errors.TraceVersionError` on a format-version mismatch or
     a file without the bundle magic (a legacy ``.npz`` archive, say).
-    A missing file still raises ``FileNotFoundError``.
+    A missing file still raises ``FileNotFoundError``; an lz4 bundle
+    without the lz4 package raises :class:`repro.errors.ConfigError`.
     """
     try:
-        if isinstance(path, (str, os.PathLike)):
-            fspath = os.fspath(path)
-            with open(fspath, "rb") as fh:
-                _check_magic(fh.read(len(_MAGIC)))
-            trace = _load_packed_path(fspath, mmap=mmap)
-        else:
-            blob = path.read()
-            _check_magic(blob[: len(_MAGIC)])
-            trace = _load_packed_buffer(blob)
+        buf = _bundle_bytes(path, mmap)
+        _check_magic(bytes(buf[: len(_MAGIC)]))
+        header, data_start = _parse_packed_header(buf)
+        trace = _assemble(header, buf[data_start:])
         if validate:
             if isinstance(trace, LazyTrace):
                 trace.chunk_store.verify_crcs()
             else:
                 trace.validate()
         return trace
-    except (TraceCorruptError, FileNotFoundError):
+    except (TraceCorruptError, ConfigError, FileNotFoundError):
         raise
     except _CORRUPTION_ERRORS as exc:
         raise TraceCorruptError(

@@ -223,6 +223,24 @@ class TestCorruption:
                 np.asarray(e.burst_length)
                 np.asarray(e.burst_write)
 
+    def test_non_object_chunk_spec_is_corruption(self, tmp_path):
+        """A chunk directory entry that is not a JSON object is a damaged
+        header, not an ``AttributeError`` escaping the loader."""
+        import io
+        import json
+        import struct
+
+        from repro.trace.io import _parse_packed_header
+
+        blob = self._compressed(tmp_path).read_bytes()
+        header, data_start = _parse_packed_header(blob)
+        header["chunks"]["index"][0] = 7
+        hbytes = json.dumps(header, separators=(",", ":")).encode("utf-8")
+        head = b"REPROTRC" + struct.pack("<Q", len(hbytes)) + hbytes
+        head += b"\0" * (-len(head) % 64)
+        with pytest.raises(TraceCorruptError):
+            load_trace(io.BytesIO(head + blob[data_start:]))
+
     def test_bitflip_quarantines_through_cache(self, tmp_path):
         from repro.runtime.cache import CacheKey, TraceCache, format_version_for
 
@@ -255,6 +273,40 @@ class TestCorruption:
         assert not path.exists()
 
 
+class TestContentCheck:
+    """A v3 bundle whose CRCs are valid but whose indices leave their
+    region fails as corruption when its chunks decode — never a wrong
+    answer or a bare ``IndexError`` out of the simulators."""
+
+    @pytest.mark.parametrize("shift", [200, 10_000_000])
+    def test_out_of_range_indices_fail_at_decode(self, tmp_path, shift):
+        from repro.apps import AppConfig, Moldyn
+        from repro.machines import simulate_hardware, simulate_treadmarks
+        from repro.machines.params import HardwareParams
+
+        t = Moldyn(AppConfig(n=256, nprocs=4, seed=3)).run()
+        t.epochs[0].index[:] += shift
+        p3 = tmp_path / "v3.npt"
+        save_trace(t, p3, compression="zlib")
+        with pytest.raises(TraceCorruptError, match="out of range"):
+            simulate_hardware(load_trace(p3), HardwareParams())
+        with pytest.raises(TraceCorruptError, match="out of range"):
+            simulate_treadmarks(load_trace(p3))
+
+    def test_clean_epochs_still_decode(self, tmp_path):
+        """Only the damaged epoch fails; the check does not fire on the
+        epochs around it."""
+        t = make_trace(nprocs=2, nobj=128, epochs=3)
+        t.epochs[1].index[:] += 10_000
+        p3 = tmp_path / "v3.npt"
+        save_trace(t, p3, compression="zlib")
+        t3 = load_trace(p3)
+        assert np.array_equal(t3.epochs[0].index, t.epochs[0].index)
+        assert np.array_equal(t3.epochs[2].index, t.epochs[2].index)
+        with pytest.raises(TraceCorruptError, match="epoch 1"):
+            t3.epochs[1].burst_length
+
+
 class TestLz4Gating:
     def test_save_without_lz4_raises_config_error(self, tmp_path):
         if _lz4 is not None:
@@ -262,6 +314,20 @@ class TestLz4Gating:
         with pytest.raises(ConfigError, match="lz4"):
             save_trace(make_trace(nprocs=2, nobj=32, epochs=1),
                        tmp_path / "x.npt", compression="lz4")
+
+    def test_load_without_lz4_is_config_error(self, tmp_path, monkeypatch):
+        """An lz4 bundle this environment cannot decode is not corruption:
+        ``ConfigError`` propagates, so the cache does not quarantine it."""
+        import repro.trace.io as trace_io
+
+        p = tmp_path / "x.npt"
+        save_trace(make_trace(nprocs=2, nobj=32, epochs=1), p, compression="zlib")
+        blob = p.read_bytes()
+        # Same byte length, so every offset in the bundle stays valid.
+        p.write_bytes(blob.replace(b'"codec":"zlib"', b'"codec": "lz4"', 1))
+        monkeypatch.setattr(trace_io, "_lz4", None)
+        with pytest.raises(ConfigError, match="lz4"):
+            load_trace(p)
 
     def test_lz4_roundtrip_when_available(self, tmp_path):
         if _lz4 is None:
