@@ -1,21 +1,23 @@
 """Micro-benchmarks of the simulators themselves (pytest-benchmark stats).
 
-Not a paper artifact — these track the replay engines' throughput so
-regressions in the hot loops (OrderedDict LRU, interval group-bys) are
+Not a paper artifact — these track the replay kernels' throughput so
+regressions in the hot paths (batch LRU replay, interval group-bys) are
 visible across commits.
 
 ``test_kernel_replay_speedup`` is the acceptance benchmark for the
 vectorized kernel layer (:mod:`repro.machines.kernels`): on the
-Barnes-Hut n=8192, P=16 trace the batch engine must replay the decoded
-access streams at >= 5x the throughput of the reference loop engine,
-with identical miss/invalidation counts.  It also records, in accesses
-per second, the per-processor kernel replay against the batched
-``simulate_hardware`` (all processors' L2s in one call per epoch, all
-TLBs in one pass).  Its numbers are persisted to
-``benchmarks/results/bench_simulator_kernels.txt`` via the ``emit``
-fixture.
+Barnes-Hut n=8192, P=16 trace the kernels must replay the decoded
+access streams at >= 5x the throughput of the per-access ``OrderedDict``
+reference in ``tests/oracles/cache.py``, with identical
+miss/invalidation counts.  It also records, in accesses per second, the
+per-processor kernel replay against the batched ``simulate_hardware``
+(all processors' L2s in one call per epoch, all TLBs in one pass).  Its
+numbers are persisted to ``benchmarks/results/bench_simulator_kernels.txt``
+via the ``emit`` fixture.
 """
 
+import pathlib
+import sys
 import time
 
 import numpy as np
@@ -23,14 +25,19 @@ import pytest
 
 from repro.apps import AppConfig, BarnesHut, Moldyn
 from repro.machines import (
-    LRUCache,
-    SetAssocCache,
+    collapse_runs,
+    lru_kernel,
+    setassoc_kernel,
     simulate_hardware,
     simulate_hlrc,
     simulate_treadmarks,
 )
 from repro.machines.params import origin2000_scaled
 from repro.trace.layout import Layout, decode_memo
+
+# The loop reference lives with the tests that check the kernels against it.
+sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "tests"))
+from oracles.cache import LRUCache, SetAssocCache  # noqa: E402
 
 
 @pytest.fixture(scope="module")
@@ -42,22 +49,14 @@ def trace():
 
 def test_lru_stream_throughput(benchmark):
     keys = np.random.default_rng(0).integers(0, 4096, 200_000)
-    def run():
-        c = LRUCache(1024)
-        c.access_stream(keys, collapse=False)
-        return c.misses
-    misses = benchmark(run)
-    assert misses > 0
+    res = benchmark(lru_kernel, keys, 1024)
+    assert res.misses > 0
 
 
 def test_setassoc_stream_throughput(benchmark):
     keys = np.random.default_rng(1).integers(0, 4096, 200_000)
-    def run():
-        c = SetAssocCache(256, 4)
-        c.access_stream(keys, collapse=False)
-        return c.misses
-    misses = benchmark(run)
-    assert misses > 0
+    res = benchmark(setassoc_kernel, keys, 256, 4)
+    assert res.misses > 0
 
 
 def test_hardware_replay_throughput(benchmark, trace):
@@ -86,7 +85,7 @@ def test_hlrc_replay_throughput(benchmark, trace):
 def _decode_streams(trace, params, layout):
     """Decode every (epoch, proc) access stream into line/page/written arrays.
 
-    This is the shared front end both engines pay inside
+    This is the shared front end both replays pay inside
     ``simulate_hardware``; pre-extracting it isolates the cache *replay*
     cost, which is what the kernel layer vectorizes.
     """
@@ -104,15 +103,54 @@ def _decode_streams(trace, params, layout):
     return streams
 
 
+class _KernelCaches:
+    """Per-processor kernel state: one resident array per cache, replayed
+    with :func:`setassoc_kernel` / :func:`lru_kernel`."""
+
+    def __init__(self, params, nprocs):
+        self.params = params
+        self.l2 = [np.empty(0, dtype=np.int64)] * nprocs
+        self.tlb = [np.empty(0, dtype=np.int64)] * nprocs
+
+    def access(self, p, lines, pages):
+        prm = self.params
+        r2 = setassoc_kernel(
+            collapse_runs(lines), prm.l2_sets, prm.l2_assoc, self.l2[p]
+        )
+        rt = lru_kernel(collapse_runs(pages), prm.tlb_entries, self.tlb[p])
+        self.l2[p], self.tlb[p] = r2.resident, rt.resident
+        return r2.misses, rt.misses
+
+    def invalidate(self, p, written):
+        hit = np.isin(self.l2[p], written, assume_unique=True)
+        self.l2[p] = self.l2[p][~hit]
+        return int(np.count_nonzero(hit))
+
+
+class _LoopCaches:
+    """Per-processor ``OrderedDict`` reference caches."""
+
+    def __init__(self, params, nprocs):
+        self.l2 = [
+            SetAssocCache(params.l2_sets, params.l2_assoc) for _ in range(nprocs)
+        ]
+        self.tlb = [LRUCache(params.tlb_entries) for _ in range(nprocs)]
+
+    def access(self, p, lines, pages):
+        return self.l2[p].access_stream(lines), self.tlb[p].access_stream(pages)
+
+    def invalidate(self, p, written):
+        return self.l2[p].invalidate_present(written).shape[0]
+
+
 def _replay(streams, params, nprocs, engine):
     """Replay pre-decoded streams through L2s+TLBs with barrier invalidation.
 
-    Returns (seconds, accesses replayed, l2 misses, tlb misses,
-    invalidations) so callers can both time the engines and assert they
-    agree count-for-count.
+    ``engine`` is ``"kernel"`` or ``"loop"``.  Returns (seconds, accesses
+    replayed, l2 misses, tlb misses, invalidations) so callers can both
+    time the engines and assert they agree count-for-count.
     """
-    caches = [SetAssocCache(params.l2_sets, params.l2_assoc) for _ in range(nprocs)]
-    tlbs = [LRUCache(params.tlb_entries) for _ in range(nprocs)]
+    caches = (_KernelCaches if engine == "kernel" else _LoopCaches)(params, nprocs)
     l2 = np.zeros(nprocs, dtype=np.int64)
     tlb = np.zeros(nprocs, dtype=np.int64)
     inval = np.zeros(nprocs, dtype=np.int64)
@@ -121,17 +159,16 @@ def _replay(streams, params, nprocs, engine):
     for epoch_streams in streams:
         for p, (lines, pages, _written) in enumerate(epoch_streams):
             if lines.shape[0]:
-                l2[p] += caches[p].access_stream(lines, engine=engine)
-                tlb[p] += tlbs[p].access_stream(pages, engine=engine)
+                m2, mt = caches.access(p, lines, pages)
+                l2[p] += m2
+                tlb[p] += mt
                 naccesses += lines.shape[0] + pages.shape[0]
         for q, (_l, _p, written_q) in enumerate(epoch_streams):
             if written_q.shape[0] == 0:
                 continue
             for p in range(nprocs):
                 if p != q:
-                    inval[p] += caches[p].invalidate_present(
-                        written_q, assume_unique=True
-                    ).shape[0]
+                    inval[p] += caches.invalidate(p, written_q)
     return time.perf_counter() - t0, naccesses, l2, tlb, inval
 
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from contextlib import contextmanager
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from time import perf_counter
 
 import numpy as np
@@ -307,9 +307,6 @@ class AppConfig:
             raise ValueError("nprocs must be positive")
         if self.iterations <= 0:
             raise ValueError("iterations must be positive")
-
-    def with_(self, **kw) -> "AppConfig":
-        return replace(self, **kw)
 
 
 def block_partition(n: int, nprocs: int) -> list[np.ndarray]:

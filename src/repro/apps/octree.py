@@ -84,13 +84,6 @@ class WalkResult:
     direct_other: np.ndarray
     direct_step: np.ndarray
 
-    def per_body_order(self) -> tuple[np.ndarray, np.ndarray]:
-        """Sort both pair lists by (body, step); returns the sorted views'
-        permutation indices ``(cell_order, direct_order)``."""
-        c = np.lexsort((self.cell_step, self.cell_body))
-        d = np.lexsort((self.direct_step, self.direct_body))
-        return c, d
-
     def per_body_csr(
         self, n: int, order: np.ndarray | None = None
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:

@@ -114,10 +114,6 @@ class Reordering:
             )
         return objects[self.perm]
 
-    def apply_inplace(self, objects: np.ndarray) -> None:
-        """Reorder ``objects`` in place (via one temporary copy)."""
-        objects[...] = objects[self.perm]
-
     def remap_indices(self, indices: np.ndarray) -> np.ndarray:
         """Rewrite an index array that pointed into the *old* object order.
 

@@ -21,8 +21,8 @@ import numpy as np
 from ..apps import AppConfig
 from ..apps.moldyn import Moldyn
 from ..apps.barnes_hut import BarnesHut
-from ..machines.cache import LRUCache
 from ..machines.dsm import simulate_treadmarks_sweep
+from ..machines.kernels import lru_kernel
 from ..machines.params import cluster_scaled
 from ..runtime.context import get_runtime
 from .runner import Scale
@@ -203,9 +203,7 @@ def sequential_locality(
         from ..trace.layout import Layout
 
         layout = Layout.for_trace(trace, align=page_size)
-        tlb = LRUCache(tlb_entries)
-        misses = 0
-        accesses = 0
+        streams = [np.empty(0, dtype=np.int64)]
         for epoch in trace.epochs:
             # One batched unit conversion per epoch over the column views;
             # runs are collapsed within each burst, never across bursts.
@@ -223,8 +221,10 @@ def sequential_locality(
             np.logical_or(
                 pages[1:] != pages[:-1], bid[1:] != bid[:-1], out=keep[1:]
             )
-            collapsed = pages[keep]
-            misses += tlb.access_stream(collapsed)
-            accesses += collapsed.shape[0]
+            streams.append(pages[keep])
+        # The TLB is never invalidated, so the epochs replay as one stream.
+        stream = np.concatenate(streams)
+        misses = lru_kernel(stream, tlb_entries).misses
+        accesses = stream.shape[0]
         out[version] = {"tlb_misses": misses, "accesses": accesses}
     return out

@@ -442,8 +442,9 @@ def prefetch_traces(
 ) -> int:
     """Generate the matrix's traces in parallel into the persistent cache.
 
-    The matrix's traces are every app's orderings plus its 1-processor
-    original baseline.  Requires an installed runtime with a cache; a
+    The matrix's traces are every app's orderings at ``scale.nprocs`` and
+    at one processor (Table 2's 1p column, whose original is also every
+    platform's sequential baseline).  Requires an installed runtime with a cache; a
     no-op (returns 0) otherwise.  Traces memoized in-process are skipped,
     and so are cached ones when resuming.  Returns the number of traces
     generated.  Worker crashes, hangs, and timeouts follow the executor's
@@ -457,8 +458,11 @@ def prefetch_traces(
     apps = tuple(APP_REGISTRY) if apps is None else apps
     keys = []
     for name in apps:
-        keys += [_trace_key(name, v, scale, scale.nprocs) for v in versions_for(name)]
-        keys.append(_trace_key(name, "original", scale, 1))
+        keys += [
+            _trace_key(name, v, scale, nprocs)
+            for nprocs in (scale.nprocs, 1)
+            for v in versions_for(name)
+        ]
     return _generate_missing(k for k in keys if k not in _cache)
 
 

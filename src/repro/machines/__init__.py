@@ -8,11 +8,11 @@
   paper's measured network constants.
 """
 
-from .cache import LRUCache, SetAssocCache, collapse_runs
 from .coherence import MESIResult, simulate_mesi
 from .kernels import (
     SetAssocSweep,
     StreamResult,
+    collapse_runs,
     lru_kernel,
     miss_curve,
     reuse_distances,
@@ -38,8 +38,6 @@ from .params import (
 )
 
 __all__ = [
-    "LRUCache",
-    "SetAssocCache",
     "collapse_runs",
     "StreamResult",
     "lru_kernel",

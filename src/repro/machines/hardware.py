@@ -30,9 +30,10 @@ kernel stream:
 Epochs (or TLB streams) past ``_BATCH_KEYS`` accesses run in blocks of
 whole processors, which bounds memory on paper-size traces.  The timing
 model then runs epoch by epoch with fixed float operations, so ``time``
-and ``phase_times`` do not depend on the batching.  The per-processor
-replay these batches are checked against lives in
-``tests/oracles/hardware.py``.
+and ``phase_times`` do not depend on the batching.  A parallel replay
+worker (:mod:`repro.machines.replay`) runs this same replay over one
+range of processors.  The per-processor replay these batches are checked
+against lives in ``tests/oracles/hardware.py``.
 
 False sharing appears naturally: two processors writing *different* objects
 on the same 128-byte line invalidate each other, which is precisely the
@@ -62,8 +63,13 @@ import numpy as np
 from ..errors import SimulationInputError
 from ..trace.events import PackedEpoch, Trace
 from ..trace.layout import DecodedEpoch, Layout, batch_blocks, decode_memo
-from .cache import collapse_runs
-from .kernels import SetAssocSweep, _miss_mask, _prev_occurrence, setassoc_replay
+from .kernels import (
+    SetAssocSweep,
+    _miss_mask,
+    _prev_occurrence,
+    collapse_runs,
+    setassoc_replay,
+)
 from .params import HardwareParams
 
 __all__ = ["HardwareResult", "simulate_hardware", "simulate_hardware_sweep"]
@@ -317,17 +323,60 @@ def _l2_epoch_misses(
     return misses, resident_out
 
 
+def _mark_outside_writes(
+    epoch: PackedEpoch,
+    layout: Layout,
+    line_size: int,
+    bits: int,
+    lo: int,
+    hi: int,
+    wrote: np.ndarray,
+) -> bool:
+    """Mark the written ``line << bits | proc`` keys of the processors
+    outside ``[lo, hi)`` in ``wrote``; returns whether any were written.
+
+    A replay of processors ``[lo, hi)`` needs the others only for the
+    barrier's per-line writer counts, so their write bursts are decoded
+    alone, a small fraction of the epoch.  Both ranges are empty when
+    ``[lo, hi)`` covers every processor.
+    """
+    any_write = False
+    for a, b in ((0, lo), (hi, epoch.nprocs)):
+        b0, b1 = int(epoch.burst_offsets[a]), int(epoch.burst_offsets[b])
+        bw = np.asarray(epoch.burst_write[b0:b1])
+        if not bw.any():
+            continue
+        any_write = True
+        lens = np.asarray(epoch.burst_length[b0:b1])
+        blen = lens[bw]
+        a0, a1 = int(epoch.offsets[a]), int(epoch.offsets[b])
+        idx = np.asarray(epoch.index[a0:a1])[np.repeat(bw, lens)]
+        lines, counts = layout.units_batch_bursts(
+            epoch.burst_region[b0:b1][bw], blen, idx, line_size, return_counts=True
+        )
+        procs = np.repeat(np.arange(a, b), np.diff(epoch.burst_offsets[a : b + 1]))
+        wrote[(lines << bits) | np.repeat(np.repeat(procs[bw], blen), counts)] = True
+    return any_write
+
+
 def _replay_counters(
-    trace: Trace, params: HardwareParams, layout: Layout
+    trace: Trace, params: HardwareParams, layout: Layout, lo: int, hi: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Batched replay of every processor's L2 and TLB over the trace.
+    """Batched replay of processors ``[lo, hi)``'s L2s and TLBs.
 
     Returns ``(epoch_l2, epoch_tlb, invalidations, cold, coherence)``:
-    per-(epoch, proc) L2 and TLB miss matrices and per-proc totals.
+    per-(epoch, proc) L2 and TLB miss matrices and per-proc totals, over
+    all ``trace.nprocs`` processors with zeros outside ``[lo, hi)``.
     Every processor's line ``l`` is the encoded key ``l << bits | p``, so
     one key space serves the L2 (one :func:`_l2_epoch_misses` call per
     epoch), the classification tables and, as ``page << bits | p``, the
     TLB (one :func:`_tlb_epoch_misses` pass for the whole trace).
+
+    Processors interact only through the barrier's per-line writer
+    counts, which the processors outside ``[lo, hi)`` feed from their
+    write bursts (:func:`_mark_outside_writes`).  So a replay of
+    ``[0, nprocs)`` is the whole serial replay, and a parallel worker is
+    one processor block of it.
     """
     nprocs = trace.nprocs
     nepochs = len(trace.epochs)
@@ -359,22 +408,24 @@ def _replay_counters(
 
     # Decode through the per-trace memo: one pass per (epoch, geometry),
     # shared with the DSM simulators and any sweep re-running this trace
-    # under the same line size.
+    # under the same line size.  A block replay decodes only its block.
     memo = decode_memo(trace)
     for ei, epoch in enumerate(trace.epochs):
-        decoded = memo.epoch(layout, params.line_size, ei)
-        lens = np.array([u.shape[0] for u in decoded.units], dtype=np.int64)
-        blocks = batch_blocks(lens, _BATCH_KEYS)
+        decoded = memo.epoch(layout, params.line_size, ei, lo, hi)
+        lens = np.array([u.shape[0] for u in decoded.units[lo:hi]], dtype=np.int64)
+        blocks = [(a + lo, b + lo) for a, b in batch_blocks(lens, _BATCH_KEYS)]
         if len(blocks) > 1:
             owners = resident & pmask
         residents, page_parts = [], []
-        any_write = False
-        for lo, hi in blocks:
+        any_write = _mark_outside_writes(
+            epoch, layout, params.line_size, bits, lo, hi, wrote
+        )
+        for blo, bhi in blocks:
             block_resident = (
                 resident if len(blocks) == 1
-                else resident[(owners >= lo) & (owners < hi)]
+                else resident[(owners >= blo) & (owners < bhi)]
             )
-            keys = _encode_epoch(decoded.units[lo:hi], bits, kdt, lo)
+            keys = _encode_epoch(decoded.units[blo:bhi], bits, kdt, blo)
             if not keys.shape[0]:
                 residents.append(block_resident)
                 continue
@@ -408,7 +459,7 @@ def _replay_counters(
             pending_inval[again] = False
             coherence += np.bincount(again & pmask, minlength=nprocs)
             # Written (proc, line) keys, for the barrier below.
-            wflags = _write_flags(epoch, decoded, lo, hi)
+            wflags = _write_flags(epoch, decoded, blo, bhi)
             if wflags is not None:
                 any_write = True
                 wrote[keys[wflags]] = True
@@ -525,7 +576,7 @@ def simulate_hardware(
         )
     if layout is None:
         layout = Layout.for_trace(trace, align=params.page_size)
-    counters = _replay_counters(trace, params, layout)
+    counters = _replay_counters(trace, params, layout, 0, trace.nprocs)
     return _hardware_result(trace, params, *counters)
 
 

@@ -1,11 +1,13 @@
-"""Vectorized batch replay kernels for the exact LRU cache models.
+"""Vectorized batch replay kernels: the exact LRU cache models.
 
-The reference simulators in :mod:`repro.machines.cache` walk the access
-stream one key at a time through an ``OrderedDict`` — exact, but
-interpreter-bound at a few million accesses per second, which puts the
-paper-size replays (65536 bodies, 16 processors, tens of epochs) out of
-reach.  This module computes the *same counts* with numpy batch
-algorithms, so the per-access work happens in C.
+The direct statement of an LRU cache walks the access stream one key at
+a time through an ``OrderedDict`` per set — exact, but interpreter-bound
+at a few million accesses per second, which puts the paper-size replays
+(65536 bodies, 16 processors, tens of epochs) out of reach.  This module
+computes the *same counts* with numpy batch algorithms, so the
+per-access work happens in C, and is the only cache engine the
+simulators run.  The per-access model survives as the test oracle,
+``tests/oracles/cache.py``.
 
 The core identity is the classic reuse-distance (stack-distance)
 characterization of fully-associative LRU:
@@ -46,7 +48,7 @@ keys grouped by set, LRU-first within each set.  LRU obeys inclusion —
 a set's content is always its ``assoc`` most recently used distinct
 keys — so replaying the resident keys as an uncharged prefix of the
 stream reconstructs the exact state, and the post-replay state is read
-off the last-occurrence indices.  Equality with the reference loop
+off the last-occurrence indices.  Equality with the per-access oracle
 (including interleaved invalidations) is asserted access-for-access in
 ``tests/machines/test_kernels.py``.
 """
@@ -59,6 +61,7 @@ import numpy as np
 
 __all__ = [
     "StreamResult",
+    "collapse_runs",
     "count_left_le",
     "reuse_distances",
     "lru_kernel",
@@ -92,6 +95,20 @@ class StreamResult:
     misses: int
     evictions: int
     resident: np.ndarray
+
+
+def collapse_runs(keys: np.ndarray) -> np.ndarray:
+    """Drop consecutive duplicate entries (miss-count preserving): a
+    re-reference to the key just touched can never miss."""
+    keys = np.asarray(keys)
+    if keys.shape[0] <= 1:
+        return keys
+    keep = np.empty(keys.shape[0], dtype=bool)
+    keep[0] = True
+    np.not_equal(keys[1:], keys[:-1], out=keep[1:])
+    if keep.all():  # nothing to drop: skip the gather copy
+        return keys
+    return keys[keep]
 
 
 def count_left_le(vals: np.ndarray) -> np.ndarray:
@@ -449,8 +466,7 @@ def setassoc_kernel(
 
     ``resident`` is the prior cache content in :class:`StreamResult`
     format (grouped by set, LRU-first); ``None`` means a cold cache.
-    Keys map to set ``key & (nsets - 1)`` exactly as
-    :class:`repro.machines.cache.SetAssocCache` does.
+    Keys map to set ``key & (nsets - 1)``.
     """
     keys = np.ascontiguousarray(keys, dtype=np.int64)
     if resident is None or resident.shape[0] == 0:
@@ -529,8 +545,8 @@ def miss_curve(
 
     ``capacities`` are ways per set (associativities) when ``nsets > 1``
     and plain capacities in the fully-associative ``nsets == 1`` case.
-    Equivalent to replaying ``SetAssocCache(nsets, c).access_stream(keys)``
-    once per capacity, but costs a single dominance-count pass for the
+    Equivalent to one :func:`setassoc_kernel` replay of ``keys`` per
+    capacity, but costs a single dominance-count pass for the
     whole curve.
     """
     caps = np.asarray(capacities, dtype=np.int64)
@@ -621,8 +637,8 @@ class SetAssocSweep:
     :meth:`invalidate_present` drops keys and returns their ``mdepth``
     thresholds: the key was resident — hence actually invalidated — at
     associativity ``a`` iff its threshold is ``< a``.  Equality with
-    per-capacity :class:`repro.machines.cache.SetAssocCache` replays is
-    asserted in ``tests/machines/test_sweep_kernels.py``.
+    per-capacity replays of the per-access oracle is asserted in
+    ``tests/machines/test_sweep_kernels.py``.
     """
 
     def __init__(self, nsets: int, max_assoc: int) -> None:
@@ -650,20 +666,15 @@ class SetAssocSweep:
 
         ``hist[v]`` counts (run-collapsed) accesses with
         ``min(g, max_assoc) == v``; the miss count at associativity
-        ``a <= max_assoc`` is ``hist[a:].sum()``, matching
-        ``SetAssocCache(nsets, a).access_stream(keys)``.
+        ``a <= max_assoc`` is ``hist[a:].sum()``, matching a
+        ``setassoc_kernel(keys, nsets, a)`` replay.
         """
-        keys = np.ascontiguousarray(keys, dtype=np.int64)
+        # Collapse duplicate runs: distance-0 hits at any capacity.
+        keys = collapse_runs(np.ascontiguousarray(keys, dtype=np.int64))
         cmax = self.max_assoc
         n = keys.shape[0]
         if n == 0:
             return np.zeros(cmax + 1, dtype=np.int64)
-        if n > 1:  # collapse duplicate runs: distance-0 hits at any capacity
-            keep = np.empty(n, dtype=bool)
-            keep[0] = True
-            np.not_equal(keys[1:], keys[:-1], out=keep[1:])
-            keys = keys[keep]
-            n = keys.shape[0]
         nsets = self.nsets
         skeys, smd = self._keys, self._mdepth
         m = skeys.shape[0]

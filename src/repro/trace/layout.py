@@ -62,12 +62,6 @@ class Layout:
         last = len(self.regions) - 1
         return self.bases[last] + -(-self.regions[last].nbytes // self.align) * self.align
 
-    def addresses(self, region: int, indices: np.ndarray) -> np.ndarray:
-        """Start byte address of each object."""
-        spec = self.regions[region]
-        idx = np.asarray(indices, dtype=np.int64)
-        return self.bases[region] + idx * spec.object_size
-
     def _object_sizes(self) -> np.ndarray:
         return np.fromiter(
             (r.object_size for r in self.regions),
@@ -197,10 +191,11 @@ class DecodedEpoch:
     access-aligned).  :meth:`expand` propagates per-access metadata (write
     flags, say) onto the expanded stream.  Both are read-only views into
     the arrays of the processor block they were decoded in, which
-    neighbouring processors share.
+    neighbouring processors share.  A decode of a processor range leaves
+    ``units[p]`` ``None`` for the processors outside it.
     """
 
-    units: list[np.ndarray]
+    units: list[np.ndarray | None]
     counts: list[np.ndarray | None]
 
     def expand(self, proc: int, values: np.ndarray) -> np.ndarray:
@@ -229,27 +224,37 @@ def batch_blocks(sizes: np.ndarray, budget: int) -> list[tuple[int, int]]:
 DECODE_BLOCK = 1 << 16
 
 
-def epoch_blocks(epoch: PackedEpoch) -> list[tuple[int, int]]:
-    """The epoch's processors in blocks of ~:data:`DECODE_BLOCK` accesses."""
-    return batch_blocks(np.diff(epoch.offsets), DECODE_BLOCK)
+def epoch_blocks(
+    epoch: PackedEpoch, lo: int = 0, hi: int | None = None
+) -> list[tuple[int, int]]:
+    """The epoch's processors ``[lo, hi)`` (all by default) in blocks of
+    ~:data:`DECODE_BLOCK` accesses."""
+    hi = epoch.nprocs if hi is None else hi
+    sizes = np.diff(np.asarray(epoch.offsets[lo : hi + 1], dtype=np.int64))
+    return [(a + lo, b + lo) for a, b in batch_blocks(sizes, DECODE_BLOCK)]
 
 
-def decode_epoch(epoch: PackedEpoch, layout: Layout, unit: int) -> DecodedEpoch:
-    """Decode every processor's access stream of one epoch to unit ids.
+def decode_epoch(
+    epoch: PackedEpoch, layout: Layout, unit: int, lo: int = 0, hi: int | None = None
+) -> DecodedEpoch:
+    """Decode processors ``[lo, hi)``'s access streams of one epoch to unit
+    ids (every processor by default).
 
     One :meth:`Layout.units_batch_bursts` call per block of whole
     processors (:func:`epoch_blocks`), at burst granularity over zero-copy
     column slices — the derived per-access ``region`` and ``is_write``
     columns are never materialized.  ``units[p]`` and ``counts[p]`` are
     read-only views into the block's arrays: a consumer writing in place
-    fails instead of corrupting a neighbour's stream.
+    fails instead of corrupting a neighbour's stream.  Processors outside
+    ``[lo, hi)`` get ``None`` in ``units``.
     """
     offsets = np.asarray(epoch.offsets, dtype=np.int64)
-    units: list[np.ndarray] = []
-    counts: list[np.ndarray | None] = []
-    for lo, hi in epoch_blocks(epoch):
-        a0, a1 = int(offsets[lo]), int(offsets[hi])
-        b0, b1 = int(epoch.burst_offsets[lo]), int(epoch.burst_offsets[hi])
+    hi = epoch.nprocs if hi is None else hi
+    units: list[np.ndarray | None] = [None] * lo
+    counts: list[np.ndarray | None] = [None] * lo
+    for blo, bhi in epoch_blocks(epoch, lo, hi):
+        a0, a1 = int(offsets[blo]), int(offsets[bhi])
+        b0, b1 = int(epoch.burst_offsets[blo]), int(epoch.burst_offsets[bhi])
         u, c = layout.units_batch_bursts(
             epoch.burst_region[b0:b1],
             epoch.burst_length[b0:b1],
@@ -258,15 +263,17 @@ def decode_epoch(epoch: PackedEpoch, layout: Layout, unit: int) -> DecodedEpoch:
             return_counts=True,
         )
         u.flags.writeable = c.flags.writeable = False
-        acc = offsets[lo : hi + 1] - a0
+        acc = offsets[blo : bhi + 1] - a0
         ends = acc if u.shape[0] == a1 - a0 else np.cumsum(np.append(0, c))[acc]
         acc, ends = acc.tolist(), ends.tolist()
-        for i in range(hi - lo):
+        for i in range(bhi - blo):
             units.append(u[ends[i] : ends[i + 1]])
             # A processor whose units match its accesses one to one is
             # access-aligned; ``None`` lets ``expand`` skip the repeat.
             aligned = ends[i + 1] - ends[i] == acc[i + 1] - acc[i]
             counts.append(None if aligned else c[acc[i] : acc[i + 1]])
+    units += [None] * (epoch.nprocs - hi)
+    counts += [None] * (epoch.nprocs - hi)
     return DecodedEpoch(units=units, counts=counts)
 
 
@@ -311,14 +318,25 @@ class DecodeMemo:
     def geometry_key(layout: Layout, unit: int) -> tuple:
         return (layout.regions, layout.bases, layout.align, unit)
 
-    def epoch(self, layout: Layout, unit: int, index: int) -> DecodedEpoch:
-        """Decoded streams for ``trace.epochs[index]`` under this geometry."""
+    def epoch(
+        self, layout: Layout, unit: int, index: int, lo: int = 0, hi: int | None = None
+    ) -> DecodedEpoch:
+        """Decoded streams for ``trace.epochs[index]`` under this geometry.
+
+        A request for only processors ``[lo, hi)`` is served from the
+        cached whole-epoch decode if there is one; otherwise just those
+        processors are decoded, and not retained (a parallel replay
+        worker reads each epoch of its block once).
+        """
         gkey = self.geometry_key(layout, unit)
         per_geometry = self._geometries.setdefault(gkey, {})
         decoded = per_geometry.get(index)
         if decoded is None:
             self.decodes += 1
-            decoded = decode_epoch(self._trace.epochs[index], layout, unit)
+            epoch = self._trace.epochs[index]
+            if lo > 0 or (hi is not None and hi < epoch.nprocs):
+                return decode_epoch(epoch, layout, unit, lo, hi)
+            decoded = decode_epoch(epoch, layout, unit)
             per_geometry[index] = decoded
             if self.max_epochs is not None:
                 self._lru[(gkey, index)] = None

@@ -24,10 +24,6 @@ class TestAppConfig:
         with pytest.raises(ValueError):
             AppConfig(iterations=0)
 
-    def test_with_(self):
-        cfg = AppConfig(n=100).with_(nprocs=4)
-        assert cfg.n == 100 and cfg.nprocs == 4
-
 
 class TestBlockPartition:
     def test_covers_range_disjointly(self):

@@ -123,17 +123,6 @@ class TestWalk:
         assert counts.sum() == wr.cell_body.shape[0] + wr.direct_body.shape[0]
         assert np.all(counts > 0)
 
-    def test_per_body_order_sorted(self):
-        pos = uniform_box(80, seed=7)
-        tree = build_octree(pos)
-        wr = walk(tree, pos, theta=0.6)
-        c_order, d_order = wr.per_body_order()
-        cb = wr.cell_body[c_order]
-        assert np.all(np.diff(cb) >= 0)
-        steps = wr.cell_step[c_order]
-        same = cb[1:] == cb[:-1]
-        assert np.all(steps[1:][same] >= steps[:-1][same])
-
     def test_rejects_bad_theta(self):
         pos = uniform_box(10, seed=8)
         tree = build_octree(pos)

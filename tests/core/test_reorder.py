@@ -43,13 +43,6 @@ class TestReorderingObject:
         with pytest.raises(ValueError):
             r.apply(np.zeros(5))
 
-    def test_apply_inplace(self, rng):
-        r = Reordering.from_perm(rng.permutation(16))
-        x = rng.random(16)
-        expected = x[r.perm]
-        r.apply_inplace(x)
-        assert np.array_equal(x, expected)
-
     def test_remap_indices_consistency(self, rng):
         """After moving objects and remapping an index array, dereferencing
         yields the same objects as before — the core invariant that keeps

@@ -1,9 +1,11 @@
-"""Tests for the exact LRU cache models."""
+"""Tests for the per-access LRU cache models the replay kernels are
+checked against (``tests/oracles/cache.py``), and for ``collapse_runs``."""
 
 import numpy as np
 import pytest
+from oracles.cache import LRUCache, SetAssocCache
 
-from repro.machines.cache import LRUCache, SetAssocCache, collapse_runs
+from repro.machines.kernels import collapse_runs
 
 
 class TestCollapseRuns:

@@ -85,7 +85,9 @@ def assert_matches_oracle(trace, prm):
         (k, v.hex()) for k, v in ref.phase_times.items()
     ]
     layout = Layout.for_trace(trace, align=prm.page_size)
-    epoch_l2, epoch_tlb, *_ = hardware._replay_counters(trace, prm, layout)
+    epoch_l2, epoch_tlb, *_ = hardware._replay_counters(
+        trace, prm, layout, 0, trace.nprocs
+    )
     np.testing.assert_array_equal(epoch_l2, ref_l2)
     np.testing.assert_array_equal(epoch_tlb, ref_tlb)
     return got

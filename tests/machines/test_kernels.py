@@ -1,12 +1,13 @@
 """Equivalence tests: vectorized replay kernels vs the loop reference.
 
 The kernels must be *count-for-count* identical to the OrderedDict
-reference — misses, evictions, resident set, and per-set LRU order —
-on randomized streams with interleaved invalidations, including the
-empty-stream and collapse edge cases.  The whole-simulator test then
-checks that the per-processor reference replay produces identical results
-whichever engine its caches dispatch to, and that the batched
-``simulate_hardware`` agrees with it.
+reference in ``tests/oracles/cache.py`` — misses, evictions, resident
+set, and per-set LRU order — on randomized streams with interleaved
+invalidations, including the empty-stream and collapse edge cases.  The
+kernel side carries its state as the resident array between calls, as
+the production replay does.  The whole-simulator test then checks that
+the batched ``simulate_hardware`` agrees with the per-processor
+reference replay.
 """
 
 import numpy as np
@@ -14,9 +15,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.machines import cache as cache_mod
-from repro.machines.cache import LRUCache, SetAssocCache, collapse_runs
+from oracles.cache import LRUCache, SetAssocCache
+
 from repro.machines.kernels import (
+    collapse_runs,
     count_left_le,
     lru_kernel,
     reuse_distances,
@@ -24,12 +26,38 @@ from repro.machines.kernels import (
 )
 
 
-@pytest.fixture
-def force_engine(monkeypatch):
-    def _force(name):
-        monkeypatch.setattr(cache_mod, "DEFAULT_ENGINE", name)
+class KernelCache:
+    """Kernel-side twin of an oracle cache: the resident array carried
+    between :func:`setassoc_kernel` (one set: :func:`lru_kernel`) calls,
+    invalidated with ``np.isin``."""
 
-    return _force
+    def __init__(self, nsets, assoc):
+        self.nsets, self.assoc = nsets, assoc
+        self._resident = np.empty(0, dtype=np.int64)
+        self.misses = self.evictions = self.accesses = 0
+
+    def access_stream(self, keys, *, collapse=True):
+        keys = np.asarray(keys, dtype=np.int64)
+        self.accesses += keys.shape[0]
+        if collapse:
+            keys = collapse_runs(keys)
+        if self.nsets == 1:
+            res = lru_kernel(keys, self.assoc, self._resident)
+        else:
+            res = setassoc_kernel(keys, self.nsets, self.assoc, self._resident)
+        self._resident = res.resident
+        self.misses += res.misses
+        self.evictions += res.evictions
+        return res.misses
+
+    def invalidate_present(self, keys):
+        hit = np.isin(self._resident, keys)
+        removed = self._resident[hit]
+        self._resident = self._resident[~hit]
+        return removed
+
+    def resident(self):
+        return self._resident
 
 
 class TestCountLeftLe:
@@ -138,6 +166,13 @@ def _loop_twin(kind, nsets, assoc):
     return SetAssocCache(nsets, assoc)
 
 
+def assert_twins_equal(loop, kern):
+    assert loop.misses == kern.misses
+    assert loop.evictions == kern.evictions
+    assert loop.accesses == kern.accesses
+    assert loop.resident().tolist() == kern.resident().tolist()
+
+
 @pytest.mark.parametrize(
     "kind,nsets,assoc",
     [("lru", 1, 1), ("lru", 1, 7), ("lru", 1, 64), ("sa", 4, 2), ("sa", 8, 1), ("sa", 16, 4)],
@@ -146,16 +181,13 @@ def test_kernel_equals_loop_with_invalidations(kind, nsets, assoc, rng):
     """Segmented replay with invalidations between segments: all counters
     and the exact resident order must match the reference at every step."""
     loop = _loop_twin(kind, nsets, assoc)
-    kern = _loop_twin(kind, nsets, assoc)
+    kern = KernelCache(nsets, assoc)
     for seg in range(6):
         keys = rng.integers(0, 80, int(rng.integers(0, 300)))
-        m_loop = loop.access_stream(keys, collapse=False, engine="loop")
-        m_kern = kern.access_stream(keys, collapse=False, engine="kernel")
-        assert m_loop == m_kern
-        assert loop.misses == kern.misses
-        assert loop.evictions == kern.evictions
-        assert loop.accesses == kern.accesses
-        assert loop.resident().tolist() == kern.resident().tolist()
+        assert loop.access_stream(keys, collapse=False) == kern.access_stream(
+            keys, collapse=False
+        )
+        assert_twins_equal(loop, kern)
         targets = np.unique(rng.integers(0, 80, int(rng.integers(0, 20))))
         n_loop = loop.invalidate(targets)
         removed = kern.invalidate_present(targets)
@@ -164,9 +196,10 @@ def test_kernel_equals_loop_with_invalidations(kind, nsets, assoc, rng):
 
 
 def test_empty_stream_and_empty_cache():
-    for c in (LRUCache(4), SetAssocCache(4, 2)):
-        assert c.access_stream(np.empty(0, dtype=np.int64), engine="kernel") == 0
-        assert c.misses == 0 and len(c) == 0
+    for nsets, assoc in ((1, 4), (4, 2)):
+        for c in (SetAssocCache(nsets, assoc), KernelCache(nsets, assoc)):
+            assert c.access_stream(np.empty(0, dtype=np.int64)) == 0
+            assert c.misses == 0 and c.resident().shape == (0,)
     res = setassoc_kernel(np.empty(0, dtype=np.int64), 4, 2, None)
     assert res.misses == 0 and res.evictions == 0 and res.resident.shape == (0,)
     res = lru_kernel(np.array([3, 3, 3]), 2)
@@ -175,28 +208,14 @@ def test_empty_stream_and_empty_cache():
 
 def test_collapse_runs_same_counts_both_engines(rng):
     raw = np.repeat(rng.integers(0, 30, 200), rng.integers(1, 5, 200))
-    for engine in ("loop", "kernel"):
-        a = LRUCache(8)
-        b = LRUCache(8)
-        a.access_stream(raw, collapse=True, engine=engine)
-        b.access_stream(raw, collapse=False, engine=engine)
+    for make in (lambda: LRUCache(8), lambda: KernelCache(1, 8)):
+        a, b = make(), make()
+        a.access_stream(raw, collapse=True)
+        b.access_stream(raw, collapse=False)
         assert a.misses == b.misses
         # accesses counts the pre-collapse stream either way
         assert a.accesses == b.accesses == raw.shape[0]
         assert a.resident().tolist() == b.resident().tolist()
-
-
-def test_kernel_threshold_dispatch(force_engine):
-    """auto uses the kernel for long streams and whenever state is already
-    in array form (so hot loops never materialize dicts)."""
-    force_engine("auto")
-    c = LRUCache(16)
-    c.access_stream(np.arange(cache_mod.KERNEL_THRESHOLD + 1))  # kernel path
-    assert c._arr is not None and c._entries is None
-    c.access_stream(np.array([1, 2]))  # short, but state is array: stays kernel
-    assert c._arr is not None
-    assert c.access(1) is True  # point op materializes the dict form
-    assert c._entries is not None and c._arr is None
 
 
 @given(
@@ -207,30 +226,27 @@ def test_kernel_threshold_dispatch(force_engine):
 @settings(max_examples=40, deadline=None)
 def test_property_streams_with_invalidations(data, nsets, assoc):
     loop = SetAssocCache(nsets, assoc)
-    kern = SetAssocCache(nsets, assoc)
+    kern = KernelCache(nsets, assoc)
     nsegs = data.draw(st.integers(1, 4))
     for _ in range(nsegs):
         keys = np.array(
             data.draw(st.lists(st.integers(0, 40), max_size=120)), dtype=np.int64
         )
         collapse = data.draw(st.booleans())
-        assert loop.access_stream(
-            keys, collapse=collapse, engine="loop"
-        ) == kern.access_stream(keys, collapse=collapse, engine="kernel")
+        assert loop.access_stream(keys, collapse=collapse) == kern.access_stream(
+            keys, collapse=collapse
+        )
         inval = np.unique(
             np.array(data.draw(st.lists(st.integers(0, 40), max_size=10)), dtype=np.int64)
         )
         assert loop.invalidate(inval) == kern.invalidate_present(inval).shape[0]
-        assert loop.resident().tolist() == kern.resident().tolist()
-        assert loop.misses == kern.misses
-        assert loop.evictions == kern.evictions
+        assert_twins_equal(loop, kern)
 
 
-def test_simulate_hardware_engine_equivalence(force_engine):
-    """Whole-simulator equality: the per-processor reference replay on the
-    Moldyn trace gives identical counters and timing whether its caches
-    run the loop engine or the kernel engine, and the batched
-    ``simulate_hardware`` matches both."""
+def test_simulate_hardware_engine_equivalence():
+    """Whole-simulator equality: the per-processor loop replay on the
+    Moldyn trace and the batched ``simulate_hardware`` give identical
+    counters and timing."""
     from oracles import hardware as oracle
     from repro.apps import AppConfig, Moldyn
     from repro.machines.hardware import simulate_hardware
@@ -239,17 +255,12 @@ def test_simulate_hardware_engine_equivalence(force_engine):
     app = Moldyn(AppConfig(n=256, nprocs=4, iterations=2, seed=11))
     trace = app.run()
     params = origin2000_scaled(256, 4)
-    results = {}
-    for engine in ("loop", "kernel"):
-        force_engine(engine)
-        results[engine] = oracle.simulate_hardware(trace, params)[0]
-    results["batched"] = simulate_hardware(trace, params)
-    a = results["loop"]
-    for b in (results["kernel"], results["batched"]):
-        assert np.array_equal(a.l2_misses, b.l2_misses)
-        assert np.array_equal(a.tlb_misses, b.tlb_misses)
-        assert np.array_equal(a.invalidations, b.invalidations)
-        assert np.array_equal(a.cold_misses, b.cold_misses)
-        assert np.array_equal(a.coherence_misses, b.coherence_misses)
-        assert np.array_equal(a.capacity_misses, b.capacity_misses)
-        assert a.time == b.time
+    a = oracle.simulate_hardware(trace, params)[0]
+    b = simulate_hardware(trace, params)
+    assert np.array_equal(a.l2_misses, b.l2_misses)
+    assert np.array_equal(a.tlb_misses, b.tlb_misses)
+    assert np.array_equal(a.invalidations, b.invalidations)
+    assert np.array_equal(a.cold_misses, b.cold_misses)
+    assert np.array_equal(a.coherence_misses, b.coherence_misses)
+    assert np.array_equal(a.capacity_misses, b.capacity_misses)
+    assert a.time == b.time

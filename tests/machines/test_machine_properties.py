@@ -6,9 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import bursts as oracle
 
-from repro.machines.cache import LRUCache, SetAssocCache, collapse_runs
 from repro.machines.dsm import simulate_hlrc, simulate_treadmarks
 from repro.machines.hardware import simulate_hardware
+from repro.machines.kernels import collapse_runs, lru_kernel, setassoc_kernel
 from repro.machines.params import HardwareParams, cluster_scaled
 from repro.trace.builder import TraceBuilder
 
@@ -40,13 +40,12 @@ class ReferenceLRU:
 )
 @settings(max_examples=100, deadline=None)
 def test_lru_matches_reference(capacity, keys):
-    fast = LRUCache(capacity)
+    fast = lru_kernel(np.array(keys, dtype=np.int64), capacity)
     ref = ReferenceLRU(capacity)
-    fast.access_stream(np.array(keys, dtype=np.int64), collapse=False)
     for k in keys:
         ref.access(k)
     assert fast.misses == ref.misses
-    assert fast.resident().tolist() == ref.order
+    assert fast.resident.tolist() == ref.order
 
 
 @given(
@@ -57,9 +56,8 @@ def test_lru_matches_reference(capacity, keys):
 @settings(max_examples=100, deadline=None)
 def test_setassoc_matches_per_set_reference(log_nsets, assoc, keys):
     nsets = 1 << log_nsets
-    fast = SetAssocCache(nsets, assoc)
+    fast = setassoc_kernel(np.array(keys, dtype=np.int64), nsets, assoc)
     refs = [ReferenceLRU(assoc) for _ in range(nsets)]
-    fast.access_stream(np.array(keys, dtype=np.int64), collapse=False)
     for k in keys:
         refs[k & (nsets - 1)].access(k)
     assert fast.misses == sum(r.misses for r in refs)
@@ -69,10 +67,7 @@ def test_setassoc_matches_per_set_reference(log_nsets, assoc, keys):
 @settings(max_examples=100, deadline=None)
 def test_collapse_runs_never_changes_lru_misses(keys):
     arr = np.array(keys, dtype=np.int64)
-    a, b = LRUCache(3), LRUCache(3)
-    a.access_stream(arr, collapse=True)
-    b.access_stream(arr, collapse=False)
-    assert a.misses == b.misses
+    assert lru_kernel(collapse_runs(arr), 3).misses == lru_kernel(arr, 3).misses
 
 
 @given(st.lists(st.integers(min_value=0, max_value=30), min_size=1, max_size=200),
@@ -81,10 +76,7 @@ def test_collapse_runs_never_changes_lru_misses(keys):
 def test_lru_miss_count_monotone_in_capacity(keys, capacity):
     """Belady-ish inclusion property of LRU: more capacity never misses more."""
     arr = np.array(keys, dtype=np.int64)
-    small, big = LRUCache(capacity), LRUCache(capacity + 1)
-    small.access_stream(arr, collapse=False)
-    big.access_stream(arr, collapse=False)
-    assert big.misses <= small.misses
+    assert lru_kernel(arr, capacity + 1).misses <= lru_kernel(arr, capacity).misses
 
 
 # ---------------------------------------------------------------- traces

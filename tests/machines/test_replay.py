@@ -3,7 +3,9 @@
 The load-bearing property is *byte-identical results*: the parallel fold
 must reproduce every counter array, the float ``time``, and
 ``phase_times`` of the serial engine exactly — across worker counts,
-uneven processor blocks, and compressed (v3) bundles.  The mmap-sharing
+uneven processor blocks, non-power-of-two and single-processor traces,
+workers running several batch blocks, and mapped (v2) or compressed (v3)
+bundles.  The mmap-sharing
 tests pin the zero-copy contract: workers attach to the trace file's
 pages, they do not receive pickled columns.
 """
@@ -12,15 +14,16 @@ import numpy as np
 import pytest
 
 from repro.apps import APP_REGISTRY, AppConfig
+from repro.machines import hardware
 from repro.machines.hardware import simulate_hardware
 from repro.machines.params import HardwareParams
 from repro.machines.replay import (
     _proc_blocks,
     _replay_block,
-    _written_line_sets,
     build_intervals_parallel,
     simulate_hardware_parallel,
 )
+from repro.runtime.executor import ExecutorConfig
 from repro.trace.io import load_trace, save_trace
 from repro.trace.layout import Layout
 
@@ -31,14 +34,26 @@ RESULT_ARRAYS = (
 )
 
 
+def _save_moldyn(directory, nprocs, compression="none"):
+    app = APP_REGISTRY["moldyn"](
+        AppConfig(n=384, nprocs=nprocs, iterations=2, seed=3)
+    )
+    app.reorder("hilbert")
+    path = directory / f"t{nprocs}_{compression}.npt"
+    save_trace(app.run(), path, compression=compression)
+    return path
+
+
 @pytest.fixture(scope="module")
 def trace_file(tmp_path_factory):
-    app = APP_REGISTRY["moldyn"](AppConfig(n=384, nprocs=8, iterations=2, seed=3))
-    app.reorder("hilbert")
-    trace = app.run()
-    path = tmp_path_factory.mktemp("replay") / "t.npt"
-    save_trace(trace, path)
-    return path
+    return _save_moldyn(tmp_path_factory.mktemp("replay"), 8)
+
+
+@pytest.fixture(scope="module", params=["none", "zlib"])
+def codec_files(request, tmp_path_factory):
+    """P=6 and P=1 bundles, uncompressed (mapped v2) or zlib v3."""
+    directory = tmp_path_factory.mktemp(f"codec_{request.param}")
+    return {p: _save_moldyn(directory, p, request.param) for p in (1, 6)}
 
 
 def assert_results_identical(a, b):
@@ -69,20 +84,76 @@ class TestEquivalence:
         save_trace(load_trace(trace_file), v3, compression="zlib")
         params = HardwareParams()
         serial = simulate_hardware(load_trace(trace_file), params)
-        assert_results_identical(
-            serial, simulate_hardware_parallel(v3, params, jobs=3)
-        )
+        for jobs in (2, 3, 4, 8):
+            assert_results_identical(
+                serial, simulate_hardware_parallel(v3, params, jobs=jobs)
+            )
 
     def test_block_fn_matches_serial_counters(self, trace_file):
-        """The worker body itself (in-process) reproduces serial counters."""
+        """The worker body itself (in-process) reproduces the serial
+        counters of its block, and zeros elsewhere."""
         params = HardwareParams()
         serial = simulate_hardware(load_trace(trace_file), params)
-        out = _replay_block(str(trace_file), 2, 5, params)
-        assert np.array_equal(out["epoch_l2"].sum(axis=0),
-                              serial.l2_misses[2:5])
-        assert np.array_equal(out["invalidations"], serial.invalidations[2:5])
-        assert np.array_equal(out["cold"], serial.cold_misses[2:5])
-        assert np.array_equal(out["coherence"], serial.coherence_misses[2:5])
+        l2, tlb, inval, cold, coherence = _replay_block(
+            str(trace_file), 2, 5, params
+        )
+        for got, want in (
+            (l2.sum(axis=0), serial.l2_misses),
+            (tlb.sum(axis=0), serial.tlb_misses),
+            (inval, serial.invalidations),
+            (cold, serial.cold_misses),
+            (coherence, serial.coherence_misses),
+        ):
+            assert np.array_equal(got[2:5], want[2:5])
+            assert not got[:2].any() and not got[5:].any()
+
+
+class TestWorkerCases:
+    """The parallel replay on the shapes a processor block can take, from
+    a mapped v2 bundle and from a zlib v3 bundle."""
+
+    def test_uneven_blocks_non_power_of_two(self, codec_files):
+        path = codec_files[6]
+        assert _proc_blocks(6, 4) == [(0, 1), (1, 3), (3, 4), (4, 6)]
+        params = HardwareParams()
+        serial = simulate_hardware(load_trace(path), params)
+        assert_results_identical(
+            serial, simulate_hardware_parallel(path, params, jobs=4)
+        )
+
+    def test_single_processor(self, codec_files):
+        path = codec_files[1]
+        params = HardwareParams()
+        serial = simulate_hardware(load_trace(path), params)
+        assert_results_identical(
+            serial, simulate_hardware_parallel(path, params, jobs=2)
+        )
+        l2, tlb, inval, cold, coherence = _replay_block(str(path), 0, 1, params)
+        assert np.array_equal(l2.sum(axis=0), serial.l2_misses)
+        assert np.array_equal(tlb.sum(axis=0), serial.tlb_misses)
+        assert np.array_equal(cold, serial.cold_misses)
+
+    def test_worker_runs_several_batch_blocks(self, codec_files, monkeypatch):
+        path = codec_files[6]
+        params = HardwareParams()
+        serial = simulate_hardware(load_trace(path), params)
+        calls = []
+        real = hardware._l2_epoch_misses
+
+        def spy(*args):
+            calls.append(1)
+            return real(*args)
+
+        monkeypatch.setattr(hardware, "_BATCH_KEYS", 256)
+        monkeypatch.setattr(hardware, "_l2_epoch_misses", spy)
+        # An in-process executor keeps the patches in effect.
+        parallel = simulate_hardware_parallel(
+            path, params, jobs=2,
+            executor=ExecutorConfig(jobs=1, task_timeout=None),
+        )
+        assert_results_identical(serial, parallel)
+        nepochs = len(load_trace(path).epochs)
+        assert len(calls) > 2 * nepochs  # several blocks per worker epoch
 
 
 class TestBlocks:
@@ -95,22 +166,33 @@ class TestBlocks:
                 assert all(hi > lo for lo, hi in blocks)
 
     def test_written_sets_match_serial(self, trace_file):
+        """The write-burst decode of the processors outside a block marks
+        exactly the written lines the serial decode finds for them."""
         params = HardwareParams()
         trace = load_trace(trace_file)
         layout = Layout.for_trace(trace, align=params.page_size)
         nlines = (layout.total_bytes >> (params.line_size.bit_length() - 1)) + 1
-        from repro.machines.hardware import _proc_streams_packed
+        bits = (trace.nprocs - 1).bit_length()
+        from repro.machines.hardware import _mark_outside_writes, _proc_streams_packed
         from repro.trace.layout import decode_memo
 
         memo = decode_memo(trace)
-        sets = _written_line_sets(trace, layout, params.line_size, nlines)
+        lo, hi = 3, 6
         for ei, epoch in enumerate(trace.epochs):
+            wrote = np.zeros(nlines << bits, dtype=bool)
+            _mark_outside_writes(
+                epoch, layout, params.line_size, bits, lo, hi, wrote
+            )
+            keys = np.flatnonzero(wrote)
             decoded = memo.epoch(layout, params.line_size, ei)
             for p in range(trace.nprocs):
                 _, _, written = _proc_streams_packed(
                     epoch, decoded, p, params.line_size, params.page_size, nlines
                 )
-                assert np.array_equal(sets[ei][p], written), (ei, p)
+                if lo <= p < hi:
+                    written = written[:0]
+                got = keys[(keys & ((1 << bits) - 1)) == p] >> bits
+                assert np.array_equal(got, written), (ei, p)
 
 
 def _probe_column_sharing(trace_path):

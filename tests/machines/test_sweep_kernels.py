@@ -4,7 +4,7 @@ The sweep machinery answers *every* capacity from one replay; these
 tests pin it count-for-count to the per-capacity reference engines:
 
 * :func:`miss_curve` / :func:`stack_distance_histogram` vs one
-  ``SetAssocCache.access_stream`` replay per capacity;
+  ``oracles.cache.SetAssocCache`` replay per capacity;
 * :class:`SetAssocSweep` vs per-capacity replays across epoch
   boundaries *and* interleaved barrier invalidations — the hard case,
   since eviction under invalidation is where naive stack algorithms
@@ -18,11 +18,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles.cache import SetAssocCache
 
 from repro.apps import AppConfig
 from repro.apps.moldyn import Moldyn
 from repro.errors import SimulationInputError
-from repro.machines.cache import SetAssocCache
 from repro.machines.hardware import simulate_hardware, simulate_hardware_sweep
 from repro.machines.kernels import (
     SetAssocSweep,

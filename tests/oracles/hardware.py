@@ -3,11 +3,11 @@
 :func:`repro.machines.hardware.simulate_hardware` replays every
 processor's L2 in one kernel call per epoch and every processor's TLB in
 one pass per trace, over encoded ``(proc, key)`` streams.  This oracle is
-the direct statement of the model it batches: one
-:class:`~repro.machines.cache.SetAssocCache` and one
-:class:`~repro.machines.cache.LRUCache` per processor, each fed its own
-stream epoch by epoch, barrier invalidations applied cache by cache, and
-the cold/coherence classification run processor by processor.  It returns
+the direct statement of the model it batches: one per-access
+:class:`oracles.cache.SetAssocCache` and one :class:`oracles.cache.LRUCache`
+per processor, each fed its own stream epoch by epoch, barrier
+invalidations applied cache by cache, and the cold/coherence
+classification run processor by processor.  It returns
 the per-(epoch, processor) miss matrices alongside the result so tests can
 compare counts at that grain.
 """
@@ -17,8 +17,8 @@ from __future__ import annotations
 import warnings
 
 import numpy as np
+from oracles.cache import LRUCache, SetAssocCache
 
-from repro.machines.cache import LRUCache, SetAssocCache
 from repro.machines.hardware import (
     HardwareResult,
     _invalidation_targets,
@@ -31,8 +31,6 @@ def simulate_hardware(trace, params, layout=None):
     """Reference replay: ``(result, epoch_l2, epoch_tlb)``.
 
     ``epoch_l2`` and ``epoch_tlb`` are ``(epochs, nprocs)`` miss matrices.
-    The caches dispatch through :data:`repro.machines.cache.DEFAULT_ENGINE`,
-    so a test can force the OrderedDict loop or the kernel engine.
     """
     if layout is None:
         layout = Layout.for_trace(trace, align=params.page_size)
@@ -81,7 +79,7 @@ def simulate_hardware(trace, params, layout=None):
         for p, w in enumerate(_invalidation_targets(epoch_written)):
             if w is None:
                 continue
-            removed = caches[p].invalidate_present(w, assume_unique=True)
+            removed = caches[p].invalidate_present(w)
             if removed.shape[0]:
                 invalidations[p] += removed.shape[0]
                 pending_inval[p][removed] = True

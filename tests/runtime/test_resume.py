@@ -59,8 +59,8 @@ class TestResumeAfterInterrupt:
         cold = record_fingerprint(run_suite(apps=APPS, scale=scale))
         clear_cache()
 
-        # Interrupted run: the fault harness kills it after 2 of the 4
-        # distinct traces (3 versions at P=4 + the 1-proc baseline).
+        # Interrupted run: the fault harness kills it after 2 of the 6
+        # distinct traces (3 versions at P=4 and at P=1).
         ctx = runtime(tmp_path, fault_plan=FaultPlan(interrupt_after=2))
         with use_runtime(ctx):
             with pytest.raises(KeyboardInterrupt):
@@ -73,7 +73,7 @@ class TestResumeAfterInterrupt:
         ctx2 = runtime(tmp_path)
         with use_runtime(ctx2):
             generated = prefetch_traces(apps=APPS, scale=scale)
-            assert generated == 2  # only the missing cells were generated
+            assert generated == 4  # only the missing cells were generated
             resumed = record_fingerprint(run_suite(apps=APPS, scale=scale))
         assert resumed == cold
         assert ctx2.cache.hits >= 2
@@ -86,9 +86,38 @@ class TestResumeAfterInterrupt:
         ctx2 = runtime(tmp_path)
         with use_runtime(ctx2):
             second = record_fingerprint(run_suite(apps=APPS, scale=scale))
+            # The suite never reads the reordered P=1 traces of Table 2.
+            assert prefetch_traces(apps=APPS, scale=scale) == len(
+                versions_for("moldyn")
+            ) - 1
             assert prefetch_traces(apps=APPS, scale=scale) == 0
         assert second == first
         assert ctx2.cache.hits == 4  # every distinct trace came from disk
+
+    def test_table2_reads_only_prefetched_traces(self, tmp_path, monkeypatch):
+        """Prefetch lists every trace Table 2 reads, the P=1 run of each
+        ordering included, so Table 2 generates none itself."""
+        from repro.experiments import runner
+        from repro.experiments.tables import table2
+
+        small = Scale(
+            n={k: 128 for k in APP_REGISTRY},
+            iterations={k: 1 for k in APP_REGISTRY},
+            nprocs=2,
+            hw_scale=128.0,
+        )
+        ctx = runtime(tmp_path)
+        with use_runtime(ctx):
+            assert prefetch_traces(scale=small) > 0
+            generated = []
+            real = runner.make_app
+            monkeypatch.setattr(
+                runner, "make_app",
+                lambda *a, **kw: generated.append(a) or real(*a, **kw),
+            )
+            table2(small)
+        assert generated == []
+        assert ctx.cache.misses == 0
 
     def test_no_resume_regenerates_but_matches(self, tmp_path, scale):
         ctx = runtime(tmp_path)
@@ -148,7 +177,7 @@ class TestParallelPrefetch:
             executor=ExecutorConfig(jobs=2, task_timeout=120.0),
         )
         with use_runtime(ctx):
-            assert prefetch_traces(apps=APPS, scale=scale) == 4
+            assert prefetch_traces(apps=APPS, scale=scale) == 6
             parallel = record_fingerprint(run_suite(apps=APPS, scale=scale))
         assert parallel == cold
         assert ctx.cache.hits >= 4  # the suite consumed the prefetched traces
@@ -163,14 +192,13 @@ class TestNoResumeRegenerates:
         clear_cache()
         clean = runtime(tmp_path / "clean")
         with use_runtime(clean):
-            assert prefetch_traces(apps=APPS, scale=scale) == 4
+            assert prefetch_traces(apps=APPS, scale=scale) == 6
         clear_cache()
 
         # A stale cache: every entry is a valid trace, stored under the
         # right key, but generated from another seed.
-        keys = [_trace_key(a, v, scale, scale.nprocs)
-                for a in APPS for v in versions_for(a)]
-        keys += [_trace_key(a, "original", scale, 1) for a in APPS]
+        keys = [_trace_key(a, v, scale, nprocs) for a in APPS
+                for nprocs in (scale.nprocs, 1) for v in versions_for(a)]
         stale = TraceCache(tmp_path / "stale")
         for key in keys:
             config = AppConfig(n=key.n, nprocs=key.nprocs,
@@ -185,7 +213,7 @@ class TestNoResumeRegenerates:
             resume=False,
         )
         with use_runtime(ctx):
-            assert prefetch_traces(apps=APPS, scale=scale) == 4
+            assert prefetch_traces(apps=APPS, scale=scale) == 6
             for key in keys:
                 assert (stale.path(key).read_bytes()
                         == clean.cache.path(key).read_bytes()), key

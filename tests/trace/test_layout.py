@@ -27,11 +27,6 @@ class TestPlacement:
         with pytest.raises(ValueError):
             make_layout([("a", 1, 8)], align=3000)
 
-    def test_addresses(self):
-        lay = make_layout([("a", 10, 104)])
-        addr = lay.addresses(0, np.array([0, 1, 2]))
-        assert addr.tolist() == [0, 104, 208]
-
     def test_empty_layout(self):
         lay = Layout.for_regions([], align=4096)
         assert lay.total_bytes == 0
