@@ -10,7 +10,6 @@ from .base import (
     Application,
     block_partition,
     reorder_cycles,
-    reorder_work_units,
     scatter_add,
 )
 from .barnes_hut import BarnesHut
@@ -34,7 +33,6 @@ __all__ = [
     "scatter_add",
     "block_partition",
     "reorder_cycles",
-    "reorder_work_units",
     "BarnesHut",
     "FMM",
     "WaterSpatial",

@@ -45,7 +45,6 @@ __all__ = [
     "ragged_cross",
     "ragged_take",
     "reorder_cycles",
-    "reorder_work_units",
     "scatter_add",
 ]
 
@@ -313,11 +312,6 @@ def block_partition(n: int, nprocs: int) -> list[np.ndarray]:
     """Contiguous block partition of ``range(n)`` (Category 2's scheme)."""
     bounds = (np.arange(nprocs + 1, dtype=np.int64) * n) // nprocs
     return [np.arange(bounds[p], bounds[p + 1], dtype=np.int64) for p in range(nprocs)]
-
-
-def reorder_work_units(n: int, object_size: int) -> float:
-    """Deprecated name for :func:`reorder_cycles` with Hilbert keys."""
-    return reorder_cycles(n, object_size, "hilbert")
 
 
 def reorder_cycles(n: int, object_size: int, method: str = "hilbert") -> float:

@@ -169,18 +169,10 @@ def _install_runtime(args) -> None:
 def _scale(args) -> Scale:
     if args.paper_scale:
         return Scale.paper()
-    s = Scale()
     if args.n:
-        s = Scale(
-            n={k: args.n for k in APP_REGISTRY},
-            iterations=s.iterations,
-            nprocs=args.nprocs,
-            hw_scale=max(65536 / args.n, 1.0),
-        )
-    elif args.nprocs != 16:
-        s = Scale(n=s.n, iterations=s.iterations, nprocs=args.nprocs,
-                  hw_scale=s.hw_scale)
-    return s
+        return Scale(n={k: args.n for k in APP_REGISTRY}, nprocs=args.nprocs,
+                     hw_scale=max(65536 / args.n, 1.0))
+    return Scale(nprocs=args.nprocs)
 
 
 def _emit_fig1_fig4(scale: Scale) -> str:
@@ -591,14 +583,13 @@ def _cmd_adaptive(args) -> int:
 
 def _cmd_diagnose(args) -> int:
     from .experiments.analysis import diagnose
-    from .experiments.runner import make_app
+    from .experiments.runner import _trace_for, _trace_key
 
     scale = _scale(args)
     if args.app not in APP_REGISTRY:
         print(f"unknown application {args.app!r}", file=sys.stderr)
         return 2
-    app = make_app(args.app, scale.config(args.app), args.version)
-    trace = app.run()
+    trace = _trace_for(_trace_key(args.app, args.version, scale, scale.nprocs))
     d = diagnose(trace, scale.hardware(), scale.cluster())
     print(
         render_table(

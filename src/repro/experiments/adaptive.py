@@ -11,7 +11,9 @@ back its reorder cost.
 
 Traces are generated by constructing the apps directly rather than through
 :func:`repro.experiments.runner.run_one` — the runner's memoization keys
-deliberately exclude ``extra`` knobs, and the policy lives in ``extra``.
+deliberately exclude ``extra`` knobs, and the policy lives in ``extra``;
+each trace is then priced through the runner's one platform dispatch
+(:func:`repro.experiments.runner._simulate`), outside its outcome memo.
 The reorder cost is measured *inside* the trace: every policy firing is a
 dedicated ``reorder`` epoch, so each simulator's ``phase_times["reorder"]``
 is that protocol's own price for the migrations (a full re-sort streams
@@ -21,15 +23,13 @@ movers' old slots and writes only the slots that change).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from ..errors import ConfigError
-from ..machines.dsm import simulate_hlrc, simulate_treadmarks
-from ..machines.hardware import simulate_hardware
 from ..machines.params import CLUSTER_16, origin2000_scaled
-from .runner import PLATFORMS, make_app
+from .runner import PLATFORMS, _simulate, make_app
 
 __all__ = [
     "DYNAMIC_APPS",
@@ -127,22 +127,7 @@ class AdaptiveCell:
     breakeven_iterations: float = float("inf")  # cost / per-iter benefit
 
     def as_dict(self) -> dict:
-        return {
-            "app": self.app,
-            "policy": self.policy,
-            "platform": self.platform,
-            "time": self.time,
-            "reorder_cost": self.reorder_cost,
-            "compute_time": self.compute_time,
-            "messages": self.messages,
-            "data_mbytes": round(self.data_mbytes, 3),
-            "l2_misses": self.l2_misses,
-            "reorder_events": self.reorder_events,
-            "reorder_moved": self.reorder_moved,
-            "benefit": self.benefit,
-            "net": self.net,
-            "breakeven_iterations": self.breakeven_iterations,
-        }
+        return {**asdict(self), "data_mbytes": round(self.data_mbytes, 3)}
 
 
 def run_policy(spec: AdaptiveSpec, policy: str):
@@ -159,20 +144,6 @@ def run_policy(spec: AdaptiveSpec, policy: str):
     app = make_app(spec.app, config, version=spec.initial_version)
     trace = app.run()
     return app, trace
-
-
-def _simulate(trace, platform: str, spec: AdaptiveSpec):
-    if platform == "origin":
-        return simulate_hardware(
-            trace, origin2000_scaled(max(spec.hw_scale, 1.0), spec.nprocs)
-        )
-    if platform == "treadmarks":
-        return simulate_treadmarks(trace, CLUSTER_16)
-    if platform == "hlrc":
-        return simulate_hlrc(trace, CLUSTER_16)
-    raise ConfigError(
-        f"unknown platform {platform!r}; expected one of {PLATFORMS}"
-    )
 
 
 def adaptive_breakeven(
@@ -193,22 +164,24 @@ def adaptive_breakeven(
         wanted = list(policies)
         run_order = list(dict.fromkeys(["never", *wanted]))
         results: dict[str, dict[str, AdaptiveCell]] = {}
+        hardware = origin2000_scaled(max(spec.hw_scale, 1.0), spec.nprocs)
         for policy in run_order:
             app, trace = run_policy(spec, policy)
             results[policy] = {}
             for platform in platforms:
-                res = _simulate(trace, platform, spec)
-                reorder_cost = float(res.phase_times.get("reorder", 0.0))
+                params = hardware if platform == "origin" else CLUSTER_16
+                out = _simulate(trace, platform, params)
+                reorder_cost = float(out.phase_times.get("reorder", 0.0))
                 cell = AdaptiveCell(
                     app=spec.app,
                     policy=policy,
                     platform=platform,
-                    time=float(res.time),
+                    time=float(out.time),
                     reorder_cost=reorder_cost,
-                    compute_time=float(res.time) - reorder_cost,
-                    messages=int(getattr(res, "messages", 0)),
-                    data_mbytes=float(getattr(res, "data_mbytes", 0.0) or 0.0),
-                    l2_misses=int(getattr(res, "total_l2_misses", 0)),
+                    compute_time=float(out.time) - reorder_cost,
+                    messages=int(out.counters.get("messages", 0)),
+                    data_mbytes=float(out.counters.get("data_mbytes", 0.0)),
+                    l2_misses=int(out.counters.get("l2_misses", 0)),
                     reorder_events=app.reorder_events,
                     reorder_moved=app.reorder_moved,
                 )

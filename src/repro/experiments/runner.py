@@ -1,33 +1,29 @@
 """Experiment runner: app x version x platform -> paper metrics.
 
-One :func:`run_suite` call executes an application once per data-ordering
-version (sharing the trace across all three platforms, which are pure
-functions of it) and once sequentially (the speedup baseline — "all
+A cell's record is assembled from memoized machine outcomes: each
+(trace, platform, machine params) pair is simulated once per process by
+:func:`_simulate`, the one platform dispatch.  The speedup baseline ("all
 speedups are computed relative to the single-processor version of the
-original benchmark").  Results are memoized in-process so that e.g. the
-Figure 7 bench and the Table 2 bench do not re-run the same simulations.
+original benchmark") is on the Origin the outcome of Table 2's P=1
+original cell, and on a DSM the compute-only time of the same trace.
 
-When a :class:`repro.runtime.RuntimeContext` is installed (CLI ``--jobs``/
-``--cache-dir``, benchmark env vars, or tests), trace generation gains two
-resilience layers: a **persistent cache** under the in-process memo — so a
-run killed mid-matrix resumes from the cells already on disk — and an
-optional **parallel prefetch** (:func:`prefetch_traces`) that fans the
-distinct traces of the evaluation matrix out across worker processes with
-timeouts and retries.  Per-cell progress (cache hit/miss, generation
-duration) is logged on the ``repro.runtime`` logger.
-
-There is one trace path: a trace is named by :func:`_trace_key` (its
-:class:`CacheKey`, also the memo key) and obtained through
+A trace is named by :func:`_trace_key` (its :class:`CacheKey`, also the
+trace memo key) and obtained through
 :func:`repro.runtime.worker.load_or_generate`, in this process or in a
-worker; :func:`_generate_missing` is the one prefetch and
-:func:`run_cells` the one serial-or-executor dispatch.
+worker.  With a :class:`repro.runtime.RuntimeContext` installed (CLI
+``--jobs``/``--cache-dir``, benchmark env vars, or tests), a persistent
+cache lies under the memo, so a run killed mid-matrix resumes from the
+traces already on disk; :func:`_generate_missing` is the one parallel
+prefetch and :func:`run_cells` the one serial-or-executor dispatch.
+Per-cell progress is logged on the ``repro.runtime`` logger.
 """
 
 from __future__ import annotations
 
 import logging
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 from ..apps import APP_REGISTRY, AppConfig, reorder_cycles
 from ..apps.unstructured import base_mesh
@@ -222,16 +218,18 @@ def make_app(name: str, config: AppConfig, version: str = "original"):
     return app
 
 
-_cache: dict = {}
+_cache: dict = {}  # trace memo: CacheKey -> Trace
+_outcomes: dict = {}  # outcome memo: see _outcome_key
 
 
 def clear_cache() -> None:
-    """Drop memoized runs and meshes (tests use this to control memory).
+    """Drop the memoized traces, outcomes and meshes.
 
     Only the in-process memos are dropped; an installed persistent cache
     keeps its files (that is its whole point).
     """
     _cache.clear()
+    _outcomes.clear()
     base_mesh.cache_clear()
 
 
@@ -265,13 +263,6 @@ def _trace_key(
     )
 
 
-def _run_memo_key(name: str, version: str, platform: str, scale: Scale) -> tuple:
-    """In-process memo key of one cell's record: the trace's inputs plus
-    the platform and the machine scaling."""
-    return ("run", name, version, platform, scale.n[name],
-            scale.iterations[name], scale.nprocs, scale.seed, scale.hw_scale)
-
-
 def _trace_for(key: CacheKey):
     """Memoized trace named by ``key``, through the installed runtime's
     cache."""
@@ -281,6 +272,81 @@ def _trace_for(key: CacheKey):
             rt.cache, key, rt.trace_compression, _may_read(rt, key)
         )
     return _cache[key]
+
+
+def _check_platform(platform: str) -> None:
+    if platform not in PLATFORMS:
+        raise UnknownPlatformError(
+            f"unknown platform {platform!r}; expected one of {PLATFORMS}"
+        )
+
+
+class Outcome(NamedTuple):
+    """What a record reads of one machine run; small, so memoizing every
+    run keeps no result arrays."""
+
+    time: float
+    phase_times: dict
+    counters: dict  # l2/tlb_misses (Origin) or messages/data_mbytes (DSM)
+
+
+def _simulate(trace, platform: str, params, trace_path: str | None = None) -> Outcome:
+    """Run ``trace`` on ``platform`` under ``params``.
+
+    With ``trace_path`` (the trace's on-disk bundle) and a runtime with
+    ``replay_jobs > 1``, the models fan out across worker processes
+    (:mod:`repro.machines.replay`); the outcome is byte-identical.
+    """
+    _check_platform(platform)
+    rt = get_runtime()
+    replay_jobs = (rt.replay_jobs if rt is not None else None) or 0
+    fan_out = trace_path is not None and replay_jobs > 1
+    if platform == "origin":
+        if fan_out:
+            res = simulate_hardware_parallel(trace_path, params, jobs=replay_jobs)
+        else:
+            res = simulate_hardware(trace, params)
+        counters = {"l2_misses": res.total_l2_misses,
+                    "tlb_misses": res.total_tlb_misses}
+    else:
+        if fan_out:
+            # Pre-build the interval summaries across workers; the protocol
+            # model below finds them installed in the trace's decode memo.
+            build_intervals_parallel(
+                trace_path, params.page_size, jobs=replay_jobs, trace=trace
+            )
+        sim = simulate_treadmarks if platform == "treadmarks" else simulate_hlrc
+        res = sim(trace, params)
+        counters = {"messages": res.messages, "data_mbytes": res.data_mbytes}
+    return Outcome(res.time, dict(res.phase_times), counters)
+
+
+def _outcome_key(key: CacheKey, platform: str, params) -> tuple:
+    """Memo key of one outcome: the trace's inputs, the platform and its
+    frozen machine params.  The codec is left out (every codec decodes to
+    the same trace), so it is normalized to the uncompressed format."""
+    return (replace(key, format_version=format_version_for("none")),
+            platform, params)
+
+
+def _outcome(key: CacheKey, platform: str, params) -> Outcome:
+    """Memoized outcome of the trace named by ``key`` on ``platform``."""
+    okey = _outcome_key(key, platform, params)
+    if okey not in _outcomes:
+        trace = _trace_for(key)  # stores the trace first, so it may fan out
+        rt = get_runtime()
+        on_disk = rt is not None and rt.cache is not None and rt.cache.contains(key)
+        _outcomes[okey] = _simulate(
+            trace, platform, params,
+            trace_path=str(rt.cache.path(key)) if on_disk else None,
+        )
+    return _outcomes[okey]
+
+
+def _params(platform: str, scale: Scale):
+    """The machine a ``scale`` cell runs on."""
+    _check_platform(platform)
+    return scale.hardware() if platform == "origin" else scale.cluster()
 
 
 def _reorder_time(name: str, version: str, scale: Scale, cycle_time: float) -> float:
@@ -295,97 +361,40 @@ def _reorder_time(name: str, version: str, scale: Scale, cycle_time: float) -> f
     return cycles * cycle_time * amortize
 
 
+def _origin_baseline(name: str, scale: Scale) -> tuple[CacheKey, HardwareParams]:
+    """Trace and params of the Origin speedup baseline: the P=1 original
+    cell, which is also Table 2's 1p original cell."""
+    return _trace_key(name, "original", scale, 1), scale.hardware(nprocs=1)
+
+
 def _seq_time(name: str, platform: str, scale: Scale) -> float:
     """Single-processor original run time on the given platform."""
-    key = ("seq", name, platform, scale.n[name], scale.iterations[name], scale.seed)
-    if key not in _cache:
-        trace = _trace_for(_trace_key(name, "original", scale, 1))
-        if platform == "origin":
-            params = scale.hardware(nprocs=1)
-            _cache[key] = simulate_hardware(trace, params).time
-        else:
-            # Uniprocessor run on a cluster node: compute only.
-            params = scale.cluster()
-            _cache[key] = float(trace.total_work) * params.work_cycles * params.cycle_time
-    return _cache[key]
-
-
-def _cell_record(
-    name: str,
-    version: str,
-    platform: str,
-    scale: Scale,
-    trace,
-    seq_time: float,
-    trace_path: str | None = None,
-) -> RunRecord:
-    """Build one cell's record from an already-materialized trace.
-
-    Pure function of its inputs — :func:`run_one` calls it with the
-    memoized trace and baseline, executor workers
-    (:func:`run_matrix_cell`) with cache-loaded ones; both paths produce
-    identical records.  When ``trace_path`` names the cell's on-disk
-    bundle and the installed runtime sets ``replay_jobs > 1``, the
-    machine models fan out across worker processes
-    (:mod:`repro.machines.replay`) — results are byte-identical either
-    way, so the record does not depend on which path ran.
-    """
-    rt = get_runtime()
-    replay_jobs = (rt.replay_jobs if rt is not None else None) or 0
-    fan_out = trace_path is not None and replay_jobs > 1
+    key, hw = _origin_baseline(name, scale)
     if platform == "origin":
-        params = scale.hardware()
-        if fan_out:
-            res = simulate_hardware_parallel(trace_path, params, jobs=replay_jobs)
-        else:
-            res = simulate_hardware(trace, params)
-        counters = {"l2_misses": res.total_l2_misses,
-                    "tlb_misses": res.total_tlb_misses}
-    else:
-        params = scale.cluster()
-        if fan_out:
-            # Pre-build the interval summaries across workers; the protocol
-            # model below finds them installed in the trace's decode memo.
-            build_intervals_parallel(
-                trace_path, params.page_size, jobs=replay_jobs, trace=trace
-            )
-        sim = simulate_treadmarks if platform == "treadmarks" else simulate_hlrc
-        res = sim(trace, params)
-        counters = {"messages": res.messages, "data_mbytes": res.data_mbytes}
-    return RunRecord(
-        app=name,
-        version=version,
-        platform=platform,
-        nprocs=scale.nprocs,
-        time=res.time,
-        reorder_time=_reorder_time(name, version, scale, params.cycle_time),
-        seq_time=seq_time,
-        phase_times=dict(res.phase_times),
-        **counters,
-    )
+        return _outcome(key, platform, hw).time
+    # Uniprocessor run on a cluster node: compute only.
+    params = scale.cluster()
+    return float(_trace_for(key).total_work) * params.work_cycles * params.cycle_time
 
 
 def run_one(
     name: str, version: str, platform: str, scale: Scale
 ) -> RunRecord:
-    """Run one cell of the evaluation matrix (memoized)."""
-    if platform not in PLATFORMS:
-        raise UnknownPlatformError(
-            f"unknown platform {platform!r}; expected one of {PLATFORMS}"
-        )
-    key = _run_memo_key(name, version, platform, scale)
-    if key in _cache:
-        return _cache[key]
+    """Run one cell of the evaluation matrix from memoized outcomes."""
     started = time.perf_counter()
-    tkey = _trace_key(name, version, scale, scale.nprocs)
-    trace = _trace_for(tkey)
-    rt = get_runtime()
-    on_disk = rt is not None and rt.cache is not None and rt.cache.contains(tkey)
-    rec = _cell_record(
-        name, version, platform, scale, trace, _seq_time(name, platform, scale),
-        trace_path=str(rt.cache.path(tkey)) if on_disk else None,
+    params = _params(platform, scale)
+    out = _outcome(_trace_key(name, version, scale, scale.nprocs), platform, params)
+    rec = RunRecord(
+        app=name,
+        version=version,
+        platform=platform,
+        nprocs=scale.nprocs,
+        time=out.time,
+        reorder_time=_reorder_time(name, version, scale, params.cycle_time),
+        seq_time=_seq_time(name, platform, scale),
+        phase_times=dict(out.phase_times),
+        **out.counters,
     )
-    _cache[key] = rec
     log.info(
         "cell %s/%s/%s p=%d: done in %.2fs",
         name, version, platform, scale.nprocs, time.perf_counter() - started,
@@ -444,8 +453,8 @@ def prefetch_traces(
 
     The matrix's traces are every app's orderings at ``scale.nprocs`` and
     at one processor (Table 2's 1p column, whose original is also every
-    platform's sequential baseline).  Requires an installed runtime with a cache; a
-    no-op (returns 0) otherwise.  Traces memoized in-process are skipped,
+    platform's sequential baseline).  Requires an installed runtime with a
+    cache; a no-op (returns 0) otherwise.  Traces memoized in-process are skipped,
     and so are cached ones when resuming.  Returns the number of traces
     generated.  Worker crashes, hangs, and timeouts follow the executor's
     retry/serial-fallback policy; results land in the cache file-by-file,
@@ -456,13 +465,8 @@ def prefetch_traces(
         return 0
     scale = scale or Scale()
     apps = tuple(APP_REGISTRY) if apps is None else apps
-    keys = []
-    for name in apps:
-        keys += [
-            _trace_key(name, v, scale, nprocs)
-            for nprocs in (scale.nprocs, 1)
-            for v in versions_for(name)
-        ]
+    keys = (_trace_key(name, v, scale, nprocs) for name in apps
+            for nprocs in (scale.nprocs, 1) for v in versions_for(name))
     return _generate_missing(k for k in keys if k not in _cache)
 
 
@@ -470,89 +474,71 @@ def run_matrix_cell(
     cache_root: str,
     key: CacheKey,
     compression: str,
-    platforms: tuple[str, ...],
-    scale: Scale,
-    seq_times: dict[str, float],
-) -> tuple[list[RunRecord], tuple[int, int]]:
-    """Executor worker: every platform cell for one trace.
+    runs: tuple[tuple[str, object], ...],
+) -> tuple[list[Outcome], tuple[int, int]]:
+    """Executor worker: the outcome of every (platform, params) run of one
+    trace.
 
     The trace is mmap-loaded from the persistent ``.npt`` cache (falling
-    back to in-place generation if prefetch was skipped); the sequential
-    baselines arrive precomputed from the parent, which memoizes them
-    across versions.  Returns records aligned with ``platforms``, plus
-    the worker-side cache (hits, misses) so the parent can fold them
-    into its own counters — the load happens in this process, invisible
-    to the parent's ``TraceCache`` otherwise.
+    back to in-place generation if prefetch was skipped).  Returns
+    outcomes aligned with ``runs``, plus the worker-side cache (hits,
+    misses) so the parent can fold them into its own counters — the load
+    happens in this process, invisible to the parent's ``TraceCache``
+    otherwise.
     """
     cache = TraceCache(cache_root)
     trace = load_or_generate(cache, key, compression)
-    records = [
-        _cell_record(key.app, key.version, p, scale, trace, seq_times[p],
-                     trace_path=str(cache.path(key)))
-        for p in platforms
-    ]
-    return records, (cache.hits, cache.misses)
+    path = str(cache.path(key))
+    outcomes = [_simulate(trace, platform, params, trace_path=path)
+                for platform, params in runs]
+    return outcomes, (cache.hits, cache.misses)
 
 
 def run_cells(cells: list[tuple[str, str, str, Scale]]) -> list[RunRecord]:
     """Run (app, version, platform, scale) cells; one record per cell.
 
     Serially through :func:`run_one`, unless the installed runtime has a
-    cache and ``jobs > 1``.  Then cells are grouped by trace — one
-    executor task per (app, version, scale), covering all its platforms —
-    so independent traces run in parallel while each trace is still
-    decoded once per group.  Memoized cells are returned directly and
-    never re-dispatched; fresh records land in the same memo ``run_one``
-    uses, with identical contents (same simulators, same parameters).
+    cache and ``jobs > 1``.  Then the outcomes the cells need and do not
+    have memoized — their own and their Origin baselines' — are grouped
+    by trace, one executor task per trace key, so independent traces run
+    in parallel while each is decoded once.  The outcomes land in the
+    memo :func:`run_one` reads, and every record is assembled by
+    :func:`run_one` from it: serial and parallel records are identical.
     """
     rt = get_runtime()
     if not (rt is not None and rt.cache is not None and rt.executor.jobs > 1):
         return [run_one(*cell) for cell in cells]
-    records: dict[int, RunRecord] = {}
-    groups: dict[tuple, tuple[Scale, list]] = {}  # (trace, hw_scale) -> cells
-    for i, (name, version, platform, scale) in enumerate(cells):
-        if platform not in PLATFORMS:
-            raise UnknownPlatformError(
-                f"unknown platform {platform!r}; expected one of {PLATFORMS}"
-            )
-        key = _run_memo_key(name, version, platform, scale)
-        if key in _cache:
-            records[i] = _cache[key]
-            continue
-        tkey = _trace_key(name, version, scale, scale.nprocs)
-        groups.setdefault((tkey, scale.hw_scale), (scale, []))[1].append(
-            (i, platform, key)
-        )
+    runs: dict[CacheKey, dict[tuple, None]] = {}  # trace -> (platform, params)
+    traces = []
+    for name, version, platform, scale in cells:
+        base, hw = _origin_baseline(name, scale)
+        cell = _trace_key(name, version, scale, scale.nprocs)
+        traces += [cell, base]  # the DSM baseline reads the P=1 trace
+        wanted = [(cell, platform, _params(platform, scale))]
+        if platform == "origin":
+            wanted.append((base, platform, hw))
+        for k, p, params in wanted:
+            if _outcome_key(k, p, params) not in _outcomes:
+                runs.setdefault(k, {})[(p, params)] = None
 
-    # Fan out the distinct traces first (matrix cells and their
-    # 1-processor baselines), then one batched task per group.
-    _generate_missing(
-        k for (tkey, _), (scale, _) in groups.items()
-        for k in (tkey, _trace_key(tkey.app, "original", scale, 1))
-    )
-    tasks = []
-    for (tkey, _), (scale, group) in groups.items():
-        platforms = tuple(dict.fromkeys(p for _, p, _ in group))
-        seq_times = {p: _seq_time(tkey.app, p, scale) for p in platforms}
-        tasks.append((group, platforms, Task(
-            key=f"cells_{tkey.app}_{tkey.version}_p{tkey.nprocs}_n{tkey.n}",
-            fn=run_matrix_cell,
-            args=(str(rt.cache.root), tkey, rt.trace_compression, platforms,
-                  scale, seq_times),
-        )))
+    _generate_missing(k for k in traces if k not in _cache)
+    tasks = [
+        Task(key=f"cells_{key.filename()}", fn=run_matrix_cell,
+             args=(str(rt.cache.root), key, rt.trace_compression, tuple(want)))
+        for key, want in runs.items()
+    ]
     if tasks:
-        log.info("matrix: %d cell group(s) with %d job(s)",
+        log.info("matrix: %d trace task(s) with %d job(s)",
                  len(tasks), rt.executor.jobs)
-        results = run_tasks([t for _, _, t in tasks], rt.executor,
-                            fault_plan=rt.fault_plan)
-    for group, platforms, task in tasks:
-        recs, (hits, misses) = results[task.key]
+        results = run_tasks(tasks, rt.executor, fault_plan=rt.fault_plan)
+    for task in tasks:
+        outcomes, (hits, misses) = results[task.key]
         rt.cache.hits += hits
         rt.cache.misses += misses
-        by_platform = dict(zip(platforms, recs))
-        for i, platform, key in group:
-            records[i] = _cache[key] = by_platform[platform]
-    return [records[i] for i in range(len(cells))]
+        _, key, _, want = task.args
+        for (platform, params), out in zip(want, outcomes):
+            _outcomes[_outcome_key(key, platform, params)] = out
+    return [run_one(*cell) for cell in cells]
 
 
 def run_suite(

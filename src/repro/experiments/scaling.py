@@ -9,7 +9,7 @@ P grows, since false sharing worsens with more sharers per page.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .runner import Scale, run_cells
 
@@ -42,13 +42,7 @@ def scaling_curve(
     base = scale or Scale()
     cells = []
     for p in procs:
-        s = Scale(
-            n=base.n,
-            iterations=base.iterations,
-            nprocs=p,
-            seed=base.seed,
-            hw_scale=base.hw_scale,
-        )
+        s = replace(base, nprocs=p)
         for version in versions:
             # The paper's baseline is the 1-proc original; reordered
             # single-proc runs exist (Table 2) but are not curve

@@ -32,13 +32,12 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
-import os
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 from ..apps import APP_REGISTRY
 from ..errors import ConfigError, UnknownAppError, UnknownPlatformError
-from ..runtime.cache import CacheKey, TraceCache, atomic_write_text
+from ..runtime.cache import CacheKey, TraceCache, atomic_write_text, quarantine_file
 from ..runtime.context import get_runtime
 from ..runtime.executor import Task, run_tasks
 from ..runtime.worker import load_or_generate
@@ -169,10 +168,9 @@ def load_group_checkpoint(path: Path) -> list[dict] | None:
     """Validated checkpoint read: rows, or ``None`` if absent/damaged.
 
     Damage (unparseable JSON, or a payload that is not a list of row
-    dicts) quarantines the file rather than deleting it, mirroring
-    :meth:`repro.runtime.cache.TraceCache.quarantine`; concurrent movers
-    are tolerated the same way (``FileNotFoundError`` means someone else
-    already moved it).
+    dicts) quarantines the file rather than deleting it, through the
+    same :func:`repro.runtime.cache.quarantine_file` as damaged trace
+    entries, concurrent movers included.
     """
     path = Path(path)
     try:
@@ -189,19 +187,8 @@ def load_group_checkpoint(path: Path) -> list[dict] | None:
 
 
 def _quarantine_checkpoint(path: Path, reason: str) -> None:
-    qdir = path.parent / "quarantine"
-    qdir.mkdir(parents=True, exist_ok=True)
-    dest = qdir / path.name
-    i = 0
-    while dest.exists():
-        i += 1
-        dest = qdir / f"{path.stem}.{i}{path.suffix}"
-    try:
-        os.replace(path, dest)
-    except FileNotFoundError:
-        return  # a concurrent mover got here first
-    atomic_write_text(dest.with_suffix(".reason.txt"), reason + "\n")
-    log.warning("sweep checkpoint %s quarantined (%s)", path.name, reason)
+    if quarantine_file(path, path.parent / "quarantine", reason) is not None:
+        log.warning("sweep checkpoint %s quarantined (%s)", path.name, reason)
 
 
 @dataclass(frozen=True)

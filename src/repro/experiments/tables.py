@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from ..apps import APP_REGISTRY
 from .runner import Scale, run_one, versions_for
@@ -51,14 +51,7 @@ def table2(scale: Scale | None = None) -> list[Table2Row]:
     for name in APP_REGISTRY:
         for version in versions_for(name):
             rec16 = run_one(name, version, "origin", scale)
-            scale1 = Scale(
-                n=scale.n,
-                iterations=scale.iterations,
-                nprocs=1,
-                seed=scale.seed,
-                hw_scale=scale.hw_scale,
-            )
-            rec1 = run_one(name, version, "origin", scale1)
+            rec1 = run_one(name, version, "origin", replace(scale, nprocs=1))
             rows.append(
                 Table2Row(
                     app=APP_REGISTRY[name].name,

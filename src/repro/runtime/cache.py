@@ -47,7 +47,10 @@ from ..trace.io import (
     save_trace,
 )
 
-__all__ = ["CacheKey", "TraceCache", "atomic_write_text", "format_version_for"]
+__all__ = [
+    "CacheKey", "TraceCache", "atomic_write_text", "format_version_for",
+    "quarantine_file",
+]
 
 log = logging.getLogger("repro.runtime")
 
@@ -106,7 +109,36 @@ def atomic_write_text(path: Path, text: str) -> None:
         raise
 
 
-_atomic_write_text = atomic_write_text  # historical private name
+def quarantine_file(
+    path: Path, qdir: Path, reason: str, *companions: Path
+) -> Path | None:
+    """Move damaged ``path`` into ``qdir`` under a free name, with its
+    ``companions`` (renamed to the destination's stem), and write
+    ``reason`` beside it as ``.reason.txt``.
+
+    Concurrent movers may race: a file already gone is skipped, and only
+    a call that moved something writes the reason.  Returns the
+    destination, or ``None`` when another mover got there first.
+    """
+    qdir.mkdir(parents=True, exist_ok=True)
+    dest = qdir / path.name
+    i = 0
+    while dest.exists():
+        i += 1
+        dest = qdir / f"{path.stem}.{i}{path.suffix}"
+    moved = False
+    moves = [(path, dest), *((c, dest.with_suffix(c.suffix)) for c in companions)]
+    for src, to in moves:
+        try:
+            os.replace(src, to)
+            moved = True
+        except FileNotFoundError:
+            pass
+    if not moved:
+        return None
+    if reason:
+        atomic_write_text(dest.with_suffix(".reason.txt"), reason + "\n")
+    return dest
 
 
 class TraceCache:
@@ -157,7 +189,7 @@ class TraceCache:
         """
         path = self.path(key)
         save_trace(trace, path, compression=compression)  # atomic write
-        _atomic_write_text(self._sidecar(key), json.dumps(key.meta(), indent=0))
+        atomic_write_text(self._sidecar(key), json.dumps(key.meta(), indent=0))
         self.written.add(key.filename())
         return path
 
@@ -202,46 +234,16 @@ class TraceCache:
             )
 
     # ---- quarantine ------------------------------------------------------
-    def quarantine(self, key: CacheKey, reason: str = "") -> Path:
-        """Move a damaged entry aside so it is regenerated, not retried.
-
-        Tolerant of *concurrent movers*: two workers that both observe a
-        damaged entry can race this call, but only the process whose
-        ``os.replace`` actually moved a file writes the ``.reason.txt``
-        and bumps its ``quarantined`` counter — the loser sees
-        ``FileNotFoundError`` (the entry is already gone) and leaves the
-        winner's quarantine files untouched.  Either way the entry is off
-        the hot path and will be regenerated as a miss.
-        """
-        qdir = self.quarantine_dir
-        qdir.mkdir(exist_ok=True)
+    def quarantine(self, key: CacheKey, reason: str = "") -> Path | None:
+        """Move a damaged entry aside so it is regenerated as a miss, not
+        retried.  Only a call that moved a file counts a quarantine; a
+        late concurrent mover counts nothing and returns ``None``."""
         src = self.path(key)
-        dest = qdir / src.name
-        i = 0
-        while dest.exists():
-            i += 1
-            dest = qdir / f"{src.stem}.{i}{src.suffix}"
-        moved = False
-        try:
-            os.replace(src, dest)
-            moved = True
-        except FileNotFoundError:
-            pass
-        for extra in (self._sidecar(key),):
-            try:
-                os.replace(extra, dest.with_suffix(".json"))
-                moved = True
-            except FileNotFoundError:
-                pass
-        if not moved:
-            # A concurrent quarantine already moved this entry; do not
-            # write a reason file (it would shadow the winner's) or count
-            # a quarantine that this process did not perform.
+        dest = quarantine_file(src, self.quarantine_dir, reason, self._sidecar(key))
+        if dest is None:
             log.info("cache: %s already quarantined by a concurrent mover",
                      src.name)
-            return dest
-        if reason:
-            atomic_write_text(dest.with_suffix(".reason.txt"), reason + "\n")
+            return None
         self.quarantined += 1
         log.warning("cache: quarantined %s (%s)", src.name,
                     reason or "unspecified damage")

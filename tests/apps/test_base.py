@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.apps import APP_REGISTRY
-from repro.apps.base import ADAPT_KNOBS, AppConfig, block_partition, reorder_work_units
+from repro.apps.base import ADAPT_KNOBS, AppConfig, block_partition, reorder_cycles
 from repro.errors import ConfigError
 from repro.experiments.adaptive import ADAPTIVE_POLICIES, DYNAMIC_APPS, AdaptiveSpec
 
@@ -47,11 +47,11 @@ class TestBlockPartition:
 
 class TestReorderWork:
     def test_monotone_in_n_and_size(self):
-        assert reorder_work_units(1000, 104) < reorder_work_units(2000, 104)
-        assert reorder_work_units(1000, 104) < reorder_work_units(1000, 680)
+        assert reorder_cycles(1000, 104) < reorder_cycles(2000, 104)
+        assert reorder_cycles(1000, 104) < reorder_cycles(1000, 680)
 
     def test_zero(self):
-        assert reorder_work_units(0, 8) == 0.0
+        assert reorder_cycles(0, 8) == 0.0
 
 
 class TestRegistry:

@@ -10,7 +10,8 @@ from repro.apps import AppConfig
 from repro.experiments.runner import (
     RunRecord,
     Scale,
-    _run_memo_key,
+    _outcome_key,
+    _params,
     _trace_key,
     clear_cache,
     make_app,
@@ -137,16 +138,38 @@ PERTURB = {
 class TestKeyCompleteness:
     """Every :class:`Scale` input that reaches an app's :class:`AppConfig`
     changes the trace key (the cache key, which is also the trace memo
-    key) and the run memo key, so no cache can serve a trace generated
-    from different inputs."""
+    key) and the outcome memo key, so no cache can serve a trace
+    generated from different inputs."""
 
     APP = "moldyn"
+    # An L2 of 64 lines, so doubling hw_scale changes the Origin times.
+    SMALL = Scale(n={"moldyn": 256}, iterations={"moldyn": 2}, nprocs=4,
+                  hw_scale=1024.0)
 
     def _keys(self, scale):
-        return (
-            _trace_key(self.APP, "hilbert", scale, scale.nprocs),
-            _run_memo_key(self.APP, "hilbert", "origin", scale),
-        )
+        key = _trace_key(self.APP, "hilbert", scale, scale.nprocs)
+        return key, _outcome_key(key, "origin", _params("origin", scale))
+
+    @pytest.mark.parametrize("platform", ["origin", "hlrc"])
+    @pytest.mark.parametrize("field", sorted(PERTURB))
+    def test_record_does_not_depend_on_earlier_scales(self, field, platform):
+        # A memo entry left by the base scale must never serve the
+        # perturbed one: the record equals a fresh-memo record.
+        base = self.SMALL
+        other = dataclasses.replace(base, **PERTURB[field](base, self.APP))
+        fresh = run_one(self.APP, "hilbert", platform, other)
+        clear_cache()
+        run_one(self.APP, "hilbert", platform, base)
+        assert run_one(self.APP, "hilbert", platform, other) == fresh
+
+    def test_outcome_key_ignores_the_codec(self):
+        # Every codec decodes to the same trace, so they share outcomes.
+        none, zlib = (_trace_key(self.APP, "hilbert", self.SMALL, 4, codec)
+                      for codec in ("none", "zlib"))
+        assert none != zlib
+        params = _params("origin", self.SMALL)
+        assert _outcome_key(none, "origin", params) == _outcome_key(
+            zlib, "origin", params)
 
     def test_config_carries_no_extra(self, tiny):
         assert tiny.config(self.APP).extra == {}
@@ -229,6 +252,35 @@ class TestOneTracePath:
             assert all(n.endswith(want[-8:]) for n in names), (site, names)
 
 
+class TestReplayFanOut:
+    def test_cold_cells_fan_out(self, tmp_path, monkeypatch):
+        # A trace generated in this run is on disk before its replay, so
+        # with replay_jobs > 1 the cell and its P=1 baseline both fan out.
+        from repro.experiments import runner
+        from repro.runtime import (
+            ExecutorConfig, RuntimeContext, TraceCache, use_runtime,
+        )
+
+        scale = TestOneTracePath.SCALE
+        serial = run_one("moldyn", "hilbert", "origin", scale)
+        clear_cache()
+        fanned = []
+        real = runner.simulate_hardware_parallel
+        monkeypatch.setattr(
+            runner, "simulate_hardware_parallel",
+            lambda path, params, jobs: fanned.append(path) or real(
+                path, params, jobs=jobs),
+        )
+        ctx = RuntimeContext(
+            cache=TraceCache(tmp_path),
+            executor=ExecutorConfig(jobs=1, task_timeout=None),
+            replay_jobs=2,
+        )
+        with use_runtime(ctx):
+            assert run_one("moldyn", "hilbert", "origin", scale) == serial
+        assert len(fanned) == 2
+
+
 class TestVersionsFor:
     def test_category2_gets_column(self):
         assert versions_for("moldyn") == ("original", "hilbert", "column")
@@ -270,14 +322,20 @@ class TestRunOne:
             rec.seq_time / (rec.time + rec.reorder_time)
         )
 
-    def test_memoized(self, tiny):
+    def test_memoized(self, tiny, monkeypatch):
+        from repro.experiments import runner
+
         a = run_one("moldyn", "original", "origin", tiny)
+        replays = []
+        real = runner.simulate_hardware
+        monkeypatch.setattr(runner, "simulate_hardware",
+                            lambda *args: replays.append(args) or real(*args))
         b = run_one("moldyn", "original", "origin", tiny)
-        assert a is b
+        assert b == a and not replays  # built from memoized outcomes
         clear_cache()
         c = run_one("moldyn", "original", "origin", tiny)
-        assert c is not a
-        assert c.time == a.time  # deterministic
+        assert len(replays) == 2  # the cell and its P=1 baseline
+        assert c == a  # deterministic
 
     def test_unknown_platform(self, tiny):
         with pytest.raises(ValueError, match="unknown platform"):

@@ -1,7 +1,10 @@
 """Tests for the table generators."""
 
+import dataclasses
+
 import pytest
 
+from repro.apps import APP_REGISTRY
 from repro.experiments.runner import Scale
 from repro.experiments.tables import TABLE4_PHASES, table1, table2, table3, table4
 
@@ -105,3 +108,23 @@ class TestTable4:
     def test_reordered_total_lower(self, tiny):
         out = table4(tiny)
         assert out["hilbert"]["total"] < out["original"]["total"]
+
+
+class TestOneReplayPerPair:
+    def test_table2_replays_each_pair_once(self, monkeypatch):
+        # The Origin speedup baseline is Table 2's P=1 original cell, so
+        # the 1p and 16p columns are all the replays there are.
+        from repro.experiments import runner
+
+        scale = dataclasses.replace(
+            Scale.tiny(), n={k: 256 for k in APP_REGISTRY}, nprocs=4)
+        replays = []
+        real = runner.simulate_hardware
+
+        def counting(trace, params, *args, **kwargs):
+            replays.append((id(trace), params))  # the memo keeps traces alive
+            return real(trace, params, *args, **kwargs)
+
+        monkeypatch.setattr(runner, "simulate_hardware", counting)
+        rows = table2(scale)
+        assert len(replays) == len(set(replays)) == 2 * len(rows)

@@ -182,6 +182,28 @@ class TestParallelPrefetch:
         assert parallel == cold
         assert ctx.cache.hits >= 4  # the suite consumed the prefetched traces
 
+    def test_parent_replays_nothing(self, tmp_path, scale, monkeypatch):
+        # Every outcome an executor run needs, Origin baselines included,
+        # comes back from the workers; the parent only assembles records.
+        from repro.experiments import runner
+        from repro.experiments.scaling import scaling_curve
+
+        serial = scaling_curve("moldyn", "origin", procs=(1, 2), scale=scale)
+        clear_cache()
+        replays = []
+        real = runner.simulate_hardware
+        monkeypatch.setattr(runner, "simulate_hardware",
+                            lambda *args: replays.append(args) or real(*args))
+        ctx = RuntimeContext(
+            cache=TraceCache(tmp_path / "cache"),
+            executor=ExecutorConfig(jobs=2, task_timeout=120.0),
+        )
+        with use_runtime(ctx):
+            parallel = scaling_curve("moldyn", "origin", procs=(1, 2),
+                                     scale=scale)
+        assert parallel == serial
+        assert not replays
+
 
 class TestNoResumeRegenerates:
     def test_parallel_no_resume_rewrites_stale_entries(self, tmp_path, scale):
