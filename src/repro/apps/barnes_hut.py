@@ -28,9 +28,8 @@ from time import perf_counter
 import numpy as np
 
 from ..core.reorder import Reordering
-from ..trace.builder import TraceBuilder
 from ..trace.events import Trace
-from .base import AppConfig, Application
+from .base import AppConfig, Application, barrier
 from .distributions import two_plummer
 from .numerics import bh_forces_batch, subtree_spans
 from .octree import build_octree, walk
@@ -84,25 +83,29 @@ class BarnesHut(Application):
 
     # -- physics ---------------------------------------------------------
 
-    def _partition(self, tree, cost: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:
-        """Cost-weighted contiguous split of the in-order body sequence.
+    @staticmethod
+    def _partition(
+        tree, order: np.ndarray, cost: np.ndarray, nprocs: int
+    ) -> tuple[list[np.ndarray], np.ndarray]:
+        """Cost-weighted contiguous split of the in-order body sequence
+        ``order`` over ``nprocs`` processors.
 
         Returns the per-processor body lists and the cells the traversal
         actually *visits*: like SPLASH-2's costzones, whole subtrees that
         fall inside one processor's zone are assigned without descending,
-        so only cells straddling a split boundary are touched.
+        so only cells straddling a split boundary are touched.  The lists
+        concatenate back to ``order``.
         """
-        order = tree.inorder_bodies()
         w = cost[order].astype(np.float64)
         cum = np.cumsum(w)
         total = cum[-1] if cum.size else 0.0
         if total <= 0:
-            bounds = (np.arange(self.nprocs + 1) * order.shape[0]) // self.nprocs
+            bounds = (np.arange(nprocs + 1) * order.shape[0]) // nprocs
         else:
-            targets = np.arange(1, self.nprocs) * (total / self.nprocs)
+            targets = np.arange(1, nprocs) * (total / nprocs)
             inner = np.searchsorted(cum, targets)
             bounds = np.concatenate([[0], inner, [order.shape[0]]])
-        parts = [order[bounds[p] : bounds[p + 1]] for p in range(self.nprocs)]
+        parts = [order[bounds[p] : bounds[p + 1]] for p in range(nprocs)]
 
         # Visited cells: descend only where a split boundary falls inside
         # the subtree's body range.  Body ranges per cell follow from DFS
@@ -122,7 +125,7 @@ class BarnesHut(Application):
 
     # -- trace emission ----------------------------------------------------
 
-    def _emit_forces(self, tb, csr, parts, cost, bodies, cells, max_cells) -> None:
+    def _emit_forces(self, v, csr, cost, bodies, cells, max_cells) -> None:
         """Stage the force-phase access pattern.
 
         Consumes the rank-sorted CSR interaction streams: row ``j`` of the
@@ -132,16 +135,16 @@ class BarnesHut(Application):
         write — go out in one ragged call, the same trace as four builder
         calls per body.
         """
-        P = self.nprocs
+        parts = v.parts
         ci, cbounds, do, dbounds = csr
-        sizes = np.array([parts[p].shape[0] for p in range(P)], dtype=np.int64)
-        pb = np.zeros(P + 1, dtype=np.int64)
+        sizes = np.array([part.shape[0] for part in parts], dtype=np.int64)
+        pb = np.zeros(v.nprocs + 1, dtype=np.int64)
         np.cumsum(sizes, out=pb[1:])
         ci = np.minimum(ci, max_cells - 1)
-        for p in range(P):
+        for p in range(v.nprocs):
             lo, hi = pb[p], pb[p + 1]
             c0, d0 = cbounds[lo], dbounds[lo]
-            tb.emit_ragged(
+            v.tb.emit_ragged(
                 p,
                 [
                     (cells, False, ci[c0 : cbounds[hi]], cbounds[lo : hi + 1] - c0),
@@ -150,27 +153,26 @@ class BarnesHut(Application):
                     (bodies, True, parts[p], 1),
                 ],
             )
-            tb.work(p, float(cost[parts[p]].sum()))
+            v.tb.work(p, float(cost[parts[p]].sum()))
 
     # -- execution ---------------------------------------------------------
 
-    def run(self) -> Trace:
+    def run(self, siblings=()) -> Trace:
         cfg = self.config
-        n, P = self.n, self.nprocs
-        tb = TraceBuilder(P, label="build_tree")
-        bodies = tb.add_region("bodies", n, self.object_size)
+        n = self.n
         # Cell count varies per iteration; size the region for the worst
         # case (every iteration's tree fits well under 2n cells).
         max_cells = max(2 * n, 64)
-        cells = tb.add_region("cells", max_cells, CELL_BYTES)
+        views, bodies, cells = self._open_views(
+            siblings, "build_tree",
+            ("bodies", n, self.object_size),
+            ("cells", max_cells, CELL_BYTES),
+        )
         cost = (
             self._prev_cost
             if self._prev_cost is not None
             else np.ones(n, dtype=np.float64)
         )
-        self.emit_seconds = 0.0
-        self.physics_seconds = 0.0
-        self.physics_stages = {}
         for it in range(cfg.iterations):
             with self._phys("tree_build"):
                 tree = build_octree(
@@ -180,28 +182,34 @@ class BarnesHut(Application):
             # 1. Sequential tree build: proc 0 reads every particle in
             # array order and writes the cell array in creation order.
             t0 = perf_counter()
-            tb.read(0, bodies, np.arange(n))
-            tb.write(0, cells, np.arange(nc))
-            tb.work(0, n + tree.ncells)
-            tb.barrier("partition")
+            for v in views:
+                v.tb.read(0, bodies, np.arange(n))
+                v.tb.write(0, cells, np.arange(nc))
+                v.tb.work(0, n + tree.ncells)
+            barrier(views, "partition")
             self.emit_seconds += perf_counter() - t0
 
             # 2. In-order traversal partition; every processor walks the
-            # boundary cells of the costzone split (read-only).
+            # boundary cells of the costzone split (read-only).  The
+            # in-order sequence and the cost are P-independent; each view
+            # splits them over its own processors.
             with self._phys("partition"):
-                parts, visited = self._partition(tree, cost)
+                order = tree.inorder_bodies()
+                for v in views:
+                    v.parts, v.visited = self._partition(tree, order, cost, v.nprocs)
             t0 = perf_counter()
-            visited = np.minimum(visited, max_cells - 1)
-            for p in range(P):
-                tb.read(p, cells, visited)
-                tb.work(p, visited.shape[0])
-            tb.barrier("forces")
+            for v in views:
+                visited = np.minimum(v.visited, max_cells - 1)
+                for p in range(v.nprocs):
+                    v.tb.read(p, cells, visited)
+                    v.tb.work(p, visited.shape[0])
+            barrier(views, "forces")
             self.emit_seconds += perf_counter() - t0
 
             # 3. Force evaluation: the vectorized frontier walk, then
             # column-wise bincount forces.  The per-body CSR interaction
-            # streams are the access pattern itself.
-            order = np.concatenate(parts) if P > 1 else parts[0]
+            # streams, in in-order body sequence, are the access pattern
+            # itself: every view's partition is a run of slices of it.
             with self._phys("walk"):
                 wr = walk(tree, self.pos, self.theta)
             with self._phys("forces"):
@@ -209,8 +217,9 @@ class BarnesHut(Application):
                 cost = wr.interactions_per_body(n).astype(np.float64)
                 csr = wr.per_body_csr(n, order=order)
             t0 = perf_counter()
-            self._emit_forces(tb, csr, parts, cost, bodies, cells, max_cells)
-            tb.barrier("update")
+            for v in views:
+                self._emit_forces(v, csr, cost, bodies, cells, max_cells)
+            barrier(views, "update")
             self.emit_seconds += perf_counter() - t0
 
             # 4. Leapfrog update of owned particles, in partition order.
@@ -219,10 +228,11 @@ class BarnesHut(Application):
                 self.vel += self.dt * acc
                 self.pos += self.dt * self.vel
             t0 = perf_counter()
-            for p in range(P):
-                tb.read(p, bodies, parts[p])
-                tb.write(p, bodies, parts[p])
-                tb.work(p, parts[p].shape[0])
+            for v in views:
+                for p, part in enumerate(v.parts):
+                    v.tb.read(p, bodies, part)
+                    v.tb.write(p, bodies, part)
+                    v.tb.work(p, part.shape[0])
             self.emit_seconds += perf_counter() - t0
 
             # Policy check at the iteration boundary.  The costzone weights
@@ -237,11 +247,9 @@ class BarnesHut(Application):
             cost = self._prev_cost
             t0 = perf_counter()
             if info is not None:
-                tb.barrier("reorder")
-                self._emit_reorder_epoch(tb, bodies, info)
-            tb.barrier("build_tree")
+                barrier(views, "reorder")
+                self._emit_reorder_epoch(views, bodies, info)
+            barrier(views, "build_tree")
             self.emit_seconds += perf_counter() - t0
         self._prev_cost = cost
-        trace = tb.finish()
-        self.seal_seconds = tb.seal_seconds
-        return trace
+        return self._finish_views(views)

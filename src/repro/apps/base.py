@@ -10,6 +10,13 @@ Every benchmark implements :class:`Application`:
 * :meth:`Application.run` executes the computation and returns the
   :class:`repro.trace.Trace` of shared-memory accesses.
 
+The physics of a run does not depend on the processor count: only the
+partition and the trace emission do.  So one :meth:`Application.run` can
+emit the traces of several processor counts ("siblings") at once: it keeps
+one :class:`ProcView` per count — the builder, the count and the partition
+derived from it — and every emission block loops over the views while each
+physics block runs once.
+
 Category 1 applications partition work through a spatial structure (tree or
 grid); Category 2 applications block-partition the object array.  The class
 records which, as the paper's guidance on choosing an ordering depends on it.
@@ -30,6 +37,7 @@ from ..core.keys import KEY_FROM_AXES, ORDERINGS
 from ..core.quantize import BoundingBox
 from ..core.reorder import Reordering, reorder as compute_reordering
 from ..errors import ConfigError
+from ..trace.builder import TraceBuilder
 from ..trace.events import Trace
 
 __all__ = [
@@ -39,6 +47,8 @@ __all__ = [
     "AppConfig",
     "Application",
     "HALF_STENCIL",
+    "ProcView",
+    "barrier",
     "block_partition",
     "counts_to_offsets",
     "half_stencil_neighbors",
@@ -314,6 +324,26 @@ def block_partition(n: int, nprocs: int) -> list[np.ndarray]:
     return [np.arange(bounds[p], bounds[p + 1], dtype=np.int64) for p in range(nprocs)]
 
 
+class ProcView:
+    """One processor count's share of a run.
+
+    Holds the :class:`TraceBuilder` of that count and the count itself;
+    each app attaches the partition it derives from the count (Moldyn's
+    ``parts``, Water-Spatial's ``cell_owner``, ...).  Nothing the physics
+    reads lives here.
+    """
+
+    def __init__(self, nprocs: int, label: str):
+        self.nprocs = nprocs
+        self.tb = TraceBuilder(nprocs, label=label)
+
+
+def barrier(views: list[ProcView], next_label: str) -> None:
+    """Close the current epoch of every view's builder."""
+    for v in views:
+        v.tb.barrier(next_label)
+
+
 def reorder_cycles(n: int, object_size: int, method: str = "hilbert") -> float:
     """Processor cycles charged for one reordering call.
 
@@ -392,6 +422,9 @@ class Application(ABC):
         #: attributes generate-stage time.
         self.physics_seconds = 0.0
         self.physics_stages: dict[str, float] = {}
+        #: Traces of the extra processor counts the last :meth:`run` was
+        #: asked for, keyed by count.
+        self.sibling_traces: dict[int, Trace] = {}
         #: Re-reordering policy for drifting objects (shared by the three
         #: dynamic apps), parsed from ``extra`` — see :class:`AdaptivePolicy`.
         self.adapt = AdaptivePolicy.from_extra(config.extra)
@@ -566,12 +599,13 @@ class Application(ABC):
             "full": False,
         }
 
-    def _emit_reorder_epoch(self, tb, region: int, info: dict) -> None:
+    def _emit_reorder_epoch(self, views, region: int, info: dict) -> None:
         """Trace the ``reorder`` epoch produced by :meth:`_policy_rereorder`."""
-        tb.read(0, region, info["read"])
-        if info["write"].shape[0]:
-            tb.write(0, region, info["write"])
-        tb.work(0, info["work"])
+        for v in views:
+            v.tb.read(0, region, info["read"])
+            if info["write"].shape[0]:
+                v.tb.write(0, region, info["write"])
+            v.tb.work(0, info["work"])
 
     def reorder_work(self, method: str = "hilbert") -> float:
         """Cycles for the reorder routine's cost (see :func:`reorder_cycles`)."""
@@ -579,13 +613,40 @@ class Application(ABC):
 
     # ---- execution ----------------------------------------------------
     @abstractmethod
-    def run(self) -> Trace:
+    def run(self, siblings=()) -> Trace:
         """Execute ``config.iterations`` timesteps, returning the trace.
 
         Must be callable repeatedly; each call continues from the current
         simulation state (the first call covers the steady-state iterations
-        the paper measures).
+        the paper measures).  The returned trace is the one at
+        ``config.nprocs``; each extra processor count in ``siblings`` gets
+        its trace of the same pass in :attr:`sibling_traces`, byte-identical
+        to a run of its own at that count.
         """
+
+    def _open_views(self, siblings, label: str, *regions: tuple[str, int, int]):
+        """Start a run: reset the timers and open one :class:`ProcView`
+        per processor count (``config.nprocs`` first), each builder with
+        ``regions`` — ``(name, objects, bytes)`` — declared in order, so a
+        region has the same id in every builder.  Returns the views
+        followed by the region ids."""
+        counts = dict.fromkeys([self.nprocs, *(int(p) for p in siblings)])
+        self.emit_seconds = 0.0
+        self.physics_seconds = 0.0
+        self.physics_stages = {}
+        views = [ProcView(p, label) for p in counts]
+        ids = [[v.tb.add_region(*region) for region in regions] for v in views]
+        return (views, *ids[0])
+
+    def _finish_views(self, views: list[ProcView]) -> Trace:
+        """Finish every builder; returns the ``config.nprocs`` trace and
+        keeps the others in :attr:`sibling_traces`."""
+        traces = [v.tb.finish() for v in views]
+        self.seal_seconds = sum(v.tb.seal_seconds for v in views)
+        self.sibling_traces = {
+            v.nprocs: t for v, t in zip(views[1:], traces[1:])
+        }
+        return traces[0]
 
     # ---- conveniences --------------------------------------------------
     def describe(self) -> dict:

@@ -39,9 +39,8 @@ import numpy as np
 
 from ..core.reorder import Reordering
 from ..core.sfc.morton import morton_key_from_axes
-from ..trace.builder import TraceBuilder
 from ..trace.events import Trace
-from .base import AppConfig, Application, counts_to_offsets, ragged_take
+from .base import AppConfig, Application, barrier, counts_to_offsets, ragged_take
 from .distributions import two_plummer
 from . import fmm_math as fm
 from .numerics import (
@@ -161,8 +160,11 @@ class FMM(Application):
 
     # -- partition ----------------------------------------------------------
 
-    def _partition(self, counts: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
-        """Split the Morton-ordered finest cells into cost-contiguous runs.
+    def _partition(
+        self, counts: np.ndarray, nprocs: int
+    ) -> tuple[np.ndarray, list[np.ndarray]]:
+        """Split the Morton-ordered finest cells into cost-contiguous runs,
+        one per processor.
 
         Returns (owner array indexed by row-major finest cell, per-proc
         lists of row-major finest cell indices in Morton order).
@@ -173,12 +175,12 @@ class FMM(Application):
         order = np.argsort(rank, kind="stable")  # row-major ids in Morton order
         w = counts[order].astype(np.float64) + 0.05  # small floor: empty cells
         cum = np.cumsum(w)
-        targets = np.arange(1, self.nprocs) * (cum[-1] / self.nprocs)
+        targets = np.arange(1, nprocs) * (cum[-1] / nprocs)
         inner = np.searchsorted(cum, targets)
         bounds = np.concatenate([[0], inner, [side * side]])
         owner = np.empty(side * side, dtype=np.int64)
         parts = []
-        for pidx in range(self.nprocs):
+        for pidx in range(nprocs):
             cells = order[bounds[pidx] : bounds[pidx + 1]]
             owner[cells] = pidx
             parts.append(cells)
@@ -186,16 +188,15 @@ class FMM(Application):
 
     # -- execution ----------------------------------------------------------
 
-    def run(self) -> Trace:  # noqa: C901 - one phase per block, kept linear
+    def run(self, siblings=()) -> Trace:  # noqa: C901 - one phase per block, kept linear
         cfg = self.config
-        n, P, L, p = self.n, self.nprocs, self.levels, self.p
-        tb = TraceBuilder(P, label="build_tree")
-        particles = tb.add_region("particles", n, self.object_size)
-        cells_r = tb.add_region("cells", self.ncells, CELL_BYTES)
+        n, L, p = self.n, self.levels, self.p
+        views, particles, cells_r = self._open_views(
+            siblings, "build_tree",
+            ("particles", n, self.object_size),
+            ("cells", self.ncells, CELL_BYTES),
+        )
         binom = self._binom
-        self.emit_seconds = 0.0
-        self.physics_seconds = 0.0
-        self.physics_stages = {}
 
         for _ in range(cfg.iterations):
             lo, w = self._bbox()
@@ -222,8 +223,12 @@ class FMM(Application):
                 """Members of the row-major leaves ``rms``, concatenated."""
                 return ragged_take(sort_order, starts_m[rank_L[rms]], counts[rms])
 
+            # Each view splits the P-independent leaf counts over its own
+            # processors; the owners of coarser levels follow in M2M.
             with self._phys("partition"):
-                owner_rm, parts = self._partition(counts)
+                for v in views:
+                    v.owner_rm, v.parts = self._partition(counts, v.nprocs)
+                    v.owner_lvl = {L: v.owner_rm}
             # Occupied finest cells in Morton order; their particles are
             # exactly `sort_order`, segmented by `occm_cnt`.  Every physics
             # stage below indexes this layout.
@@ -236,30 +241,31 @@ class FMM(Application):
             z0occ.imag = lo[1] + (occm // side + 0.5) * step
             d_sorted = zpos[sort_order] - np.repeat(z0occ, occm_cnt)
             t0 = perf_counter()
-            for pidx in range(P):
-                mine = gather(parts[pidx])
-                tb.read(pidx, particles, mine)
-                ids = self._cell_id(L, parts[pidx] % side, parts[pidx] // side)
-                tb.write(pidx, cells_r, ids)
-                tb.work(pidx, mine.shape[0] + ids.shape[0])
-            tb.barrier("partition")
+            for v in views:
+                for pidx, part in enumerate(v.parts):
+                    mine = gather(part)
+                    v.tb.read(pidx, particles, mine)
+                    ids = self._cell_id(L, part % side, part // side)
+                    v.tb.write(pidx, cells_r, ids)
+                    v.tb.work(pidx, mine.shape[0] + ids.shape[0])
+            barrier(views, "partition")
 
             # ---- partition.
-            for pidx in range(P):
-                ids = self._cell_id(
-                    L, parts[pidx] % side, parts[pidx] // side
-                )
-                tb.read(pidx, cells_r, ids)
-                tb.work(pidx, ids.shape[0])
-            tb.barrier("build_list")
+            for v in views:
+                for pidx, part in enumerate(v.parts):
+                    ids = self._cell_id(L, part % side, part // side)
+                    v.tb.read(pidx, cells_r, ids)
+                    v.tb.work(pidx, ids.shape[0])
+            barrier(views, "build_list")
 
             # ---- build_list: enumerate V lists (local index math).
-            for pidx in range(P):
-                ids = self._cell_id(L, parts[pidx] % side, parts[pidx] // side)
-                tb.read(pidx, cells_r, ids)
-                tb.write(pidx, cells_r, ids)
-                tb.work(pidx, ids.shape[0] * 27)
-            tb.barrier("tree_traversal")
+            for v in views:
+                for pidx, part in enumerate(v.parts):
+                    ids = self._cell_id(L, part % side, part // side)
+                    v.tb.read(pidx, cells_r, ids)
+                    v.tb.write(pidx, cells_r, ids)
+                    v.tb.work(pidx, ids.shape[0] * 27)
+            barrier(views, "tree_traversal")
             self.emit_seconds += perf_counter() - t0
 
             # ---- tree_traversal: the actual FMM math.
@@ -278,23 +284,23 @@ class FMM(Application):
                     occm.shape[0], p,
                 )
             t0 = perf_counter()
-            for pidx in range(P):
-                occ = parts[pidx][counts[parts[pidx]] > 0]
-                if occ.shape[0]:
-                    tb.emit_ragged(
-                        pidx,
-                        [
-                            (particles, False, gather(occ),
-                             counts_to_offsets(counts[occ])),
-                            (cells_r, True,
-                             self._cell_id(L, occ % side, occ // side), 1),
-                        ],
-                    )
-                tb.work(pidx, EXPANSION_WORK * float(counts[parts[pidx]].sum()) * (p + 1))
+            for v in views:
+                for pidx, part in enumerate(v.parts):
+                    occ = part[counts[part] > 0]
+                    if occ.shape[0]:
+                        v.tb.emit_ragged(
+                            pidx,
+                            [
+                                (particles, False, gather(occ),
+                                 counts_to_offsets(counts[occ])),
+                                (cells_r, True,
+                                 self._cell_id(L, occ % side, occ // side), 1),
+                            ],
+                        )
+                    v.tb.work(pidx, EXPANSION_WORK * float(counts[part].sum()) * (p + 1))
             self.emit_seconds += perf_counter() - t0
 
             # Upward M2M, level L-1 .. 0, vectorized per child quadrant.
-            owner_lvl = {L: owner_rm}
             for l in range(L - 1, -1, -1):
                 sidel = 1 << l
                 sidec = sidel * 2
@@ -302,8 +308,8 @@ class FMM(Application):
                 iy, ix = np.divmod(np.arange(sidel * sidel, dtype=np.int64), sidel)
                 parent_ids = self._cell_id(l, ix, iy)
                 # Owner of a parent = owner of its first child.
-                child_owner = owner_lvl[l + 1]
-                owner_lvl[l] = child_owner[(iy * 2) * sidec + ix * 2]
+                for v in views:
+                    v.owner_lvl[l] = v.owner_lvl[l + 1][(iy * 2) * sidec + ix * 2]
                 quads = [(qx, qy) for qx in (0, 1) for qy in (0, 1)]
                 shifts = [
                     complex((qx - 0.5) * stepl / 2.0, (qy - 0.5) * stepl / 2.0)
@@ -317,21 +323,22 @@ class FMM(Application):
                         mult[parent_ids] += mult[child_ids] @ t.T
                 # Trace: each parent's owner reads children, writes parent.
                 t0 = perf_counter()
-                for pidx in range(P):
-                    mine = np.nonzero(owner_lvl[l] == pidx)[0]
-                    if mine.shape[0] == 0:
-                        continue
-                    mix, miy = mine % sidel, mine // sidel
-                    kid_ids = np.concatenate(
-                        [
-                            self._cell_id(l + 1, mix * 2 + qx, miy * 2 + qy)
-                            for qx in (0, 1)
-                            for qy in (0, 1)
-                        ]
-                    )
-                    tb.read(pidx, cells_r, np.sort(kid_ids))
-                    tb.write(pidx, cells_r, parent_ids[mine])
-                    tb.work(pidx, EXPANSION_WORK * mine.shape[0] * 4 * (p + 1))
+                for v in views:
+                    for pidx in range(v.nprocs):
+                        mine = np.nonzero(v.owner_lvl[l] == pidx)[0]
+                        if mine.shape[0] == 0:
+                            continue
+                        mix, miy = mine % sidel, mine // sidel
+                        kid_ids = np.concatenate(
+                            [
+                                self._cell_id(l + 1, mix * 2 + qx, miy * 2 + qy)
+                                for qx in (0, 1)
+                                for qy in (0, 1)
+                            ]
+                        )
+                        v.tb.read(pidx, cells_r, np.sort(kid_ids))
+                        v.tb.write(pidx, cells_r, parent_ids[mine])
+                        v.tb.work(pidx, EXPANSION_WORK * mine.shape[0] * 4 * (p + 1))
                 self.emit_seconds += perf_counter() - t0
 
             # M2L per level (2..L), vectorized per (parity, offset).
@@ -370,29 +377,30 @@ class FMM(Application):
                         # emitted below, per cell, to keep traversal order.
                 # Emit per-cell V-list reads in Morton order per owner.
                 t0 = perf_counter()
-                own = owner_lvl[l]
-                for pidx in range(P):
-                    mine_rm = np.nonzero(own == pidx)[0]
-                    if mine_rm.shape[0] == 0:
-                        continue
-                    mine_rm = mine_rm[np.argsort(self._morton_rank[l][mine_rm])]
-                    tix, tiy = mine_rm % sidel, mine_rm // sidel
-                    offs = self._v_off_table[tix % 2, tiy % 2]
-                    sx = tix[:, None] + offs[:, :, 0]
-                    sy = tiy[:, None] + offs[:, :, 1]
-                    ok = (sx >= 0) & (sx < sidel) & (sy >= 0) & (sy < sidel)
-                    vcnt = ok.sum(axis=1)
-                    kept = vcnt > 0
-                    tb.emit_ragged(
-                        pidx,
-                        [
-                            (cells_r, False, self._cell_id(l, sx[ok], sy[ok]),
-                             counts_to_offsets(vcnt[kept])),
-                            (cells_r, True,
-                             self._cell_id(l, tix[kept], tiy[kept]), 1),
-                        ],
-                    )
-                    tb.work(pidx, EXPANSION_WORK * float(vcount[mine_rm].sum()) * (p + 1) ** 2 / 4.0)
+                for v in views:
+                    own = v.owner_lvl[l]
+                    for pidx in range(v.nprocs):
+                        mine_rm = np.nonzero(own == pidx)[0]
+                        if mine_rm.shape[0] == 0:
+                            continue
+                        mine_rm = mine_rm[np.argsort(self._morton_rank[l][mine_rm])]
+                        tix, tiy = mine_rm % sidel, mine_rm // sidel
+                        offs = self._v_off_table[tix % 2, tiy % 2]
+                        sx = tix[:, None] + offs[:, :, 0]
+                        sy = tiy[:, None] + offs[:, :, 1]
+                        ok = (sx >= 0) & (sx < sidel) & (sy >= 0) & (sy < sidel)
+                        vcnt = ok.sum(axis=1)
+                        kept = vcnt > 0
+                        v.tb.emit_ragged(
+                            pidx,
+                            [
+                                (cells_r, False, self._cell_id(l, sx[ok], sy[ok]),
+                                 counts_to_offsets(vcnt[kept])),
+                                (cells_r, True,
+                                 self._cell_id(l, tix[kept], tiy[kept]), 1),
+                            ],
+                        )
+                        v.tb.work(pidx, EXPANSION_WORK * float(vcount[mine_rm].sum()) * (p + 1) ** 2 / 4.0)
                 self.emit_seconds += perf_counter() - t0
 
             # Downward L2L, levels 0..L-1 -> children.
@@ -412,17 +420,18 @@ class FMM(Application):
                         child_ids = self._cell_id(l + 1, ix * 2 + qx, iy * 2 + qy)
                         local[child_ids] += local[parent_ids] @ t.T
                 t0 = perf_counter()
-                own_child = owner_lvl[l + 1]
                 sidec = sidel * 2
-                for pidx in range(P):
-                    minec = np.nonzero(own_child == pidx)[0]
-                    if minec.shape[0] == 0:
-                        continue
-                    cxs, cys = minec % sidec, minec // sidec
-                    par = self._cell_id(l, cxs // 2, cys // 2)
-                    tb.read(pidx, cells_r, np.sort(np.unique(par)))
-                    tb.write(pidx, cells_r, self._cell_id(l + 1, cxs, cys))
-                    tb.work(pidx, EXPANSION_WORK * minec.shape[0] * (p + 1))
+                for v in views:
+                    own_child = v.owner_lvl[l + 1]
+                    for pidx in range(v.nprocs):
+                        minec = np.nonzero(own_child == pidx)[0]
+                        if minec.shape[0] == 0:
+                            continue
+                        cxs, cys = minec % sidec, minec // sidec
+                        par = self._cell_id(l, cxs // 2, cys // 2)
+                        v.tb.read(pidx, cells_r, np.sort(np.unique(par)))
+                        v.tb.write(pidx, cells_r, self._cell_id(l + 1, cxs, cys))
+                        v.tb.work(pidx, EXPANSION_WORK * minec.shape[0] * (p + 1))
                 self.emit_seconds += perf_counter() - t0
 
             # L2P: evaluate local expansions at owned particles.
@@ -436,22 +445,23 @@ class FMM(Application):
                 )
                 self.field[sort_order] += np.conj(out)
             t0 = perf_counter()
-            for pidx in range(P):
-                occ = parts[pidx][counts[parts[pidx]] > 0]
-                if occ.shape[0]:
-                    moffs = counts_to_offsets(counts[occ])
-                    mem_col = gather(occ)
-                    tb.emit_ragged(
-                        pidx,
-                        [
-                            (cells_r, False,
-                             self._cell_id(L, occ % side, occ // side), 1),
-                            (particles, False, mem_col, moffs),
-                            (particles, True, mem_col, moffs),
-                        ],
-                    )
-                tb.work(pidx, EXPANSION_WORK * float(counts[parts[pidx]].sum()) * (p + 1))
-            tb.barrier("inter_particle")
+            for v in views:
+                for pidx, part in enumerate(v.parts):
+                    occ = part[counts[part] > 0]
+                    if occ.shape[0]:
+                        moffs = counts_to_offsets(counts[occ])
+                        mem_col = gather(occ)
+                        v.tb.emit_ragged(
+                            pidx,
+                            [
+                                (cells_r, False,
+                                 self._cell_id(L, occ % side, occ // side), 1),
+                                (particles, False, mem_col, moffs),
+                                (particles, True, mem_col, moffs),
+                            ],
+                        )
+                    v.tb.work(pidx, EXPANSION_WORK * float(counts[part].sum()) * (p + 1))
+            barrier(views, "inter_particle")
             self.emit_seconds += perf_counter() - t0
 
             # ---- inter_particle: P2P with the 8 neighbouring leaves.
@@ -491,48 +501,49 @@ class FMM(Application):
                 tt = sort_order[scp > 0]
                 self.field[tt] += np.conj(sums[tt])
             t0 = perf_counter()
-            for pidx in range(P):
-                occ = parts[pidx][counts[parts[pidx]] > 0]
-                npairs = 0.0
-                if occ.shape[0]:
-                    tix, tiy = occ % side, occ // side
-                    sx = tix[:, None] + _P2P_STENCIL[None, :, 0]
-                    sy = tiy[:, None] + _P2P_STENCIL[None, :, 1]
-                    ok = (sx >= 0) & (sx < side) & (sy >= 0) & (sy < side)
-                    nbr = (sy * side + sx)[ok]
-                    grp = np.repeat(
-                        np.arange(occ.shape[0], dtype=np.int64),
-                        ok.sum(axis=1),
-                    )
-                    tot = np.bincount(
-                        grp, weights=counts[nbr], minlength=occ.shape[0]
-                    ).astype(np.int64)
-                    kept = tot > 0
-                    nbo = nbr[counts[nbr] > 0]
-                    tb.emit_ragged(
-                        pidx,
-                        [
-                            (particles, False,
-                             ragged_take(sort_order, starts_m[rank_L[nbo]],
-                                         counts[nbo]),
-                             counts_to_offsets(tot[kept])),
-                            (particles, True, gather(occ[kept]),
-                             counts_to_offsets(counts[occ[kept]])),
-                        ],
-                    )
-                    # Lock per remotely-owned in-bounds neighbour leaf
-                    # of every leaf that emitted a unit.
-                    remote = np.bincount(
-                        grp,
-                        weights=(owner_rm[nbr] != pidx),
-                        minlength=occ.shape[0],
-                    )
-                    nlocks = int(remote[kept].sum())
-                    if nlocks:
-                        tb.lock(pidx, nlocks)
-                    npairs = float((counts[occ] * tot)[kept].sum())
-                tb.work(pidx, P2P_WORK * npairs)
-            tb.barrier("intra_particle")
+            for v in views:
+                for pidx, part in enumerate(v.parts):
+                    occ = part[counts[part] > 0]
+                    npairs = 0.0
+                    if occ.shape[0]:
+                        tix, tiy = occ % side, occ // side
+                        sx = tix[:, None] + _P2P_STENCIL[None, :, 0]
+                        sy = tiy[:, None] + _P2P_STENCIL[None, :, 1]
+                        ok = (sx >= 0) & (sx < side) & (sy >= 0) & (sy < side)
+                        nbr = (sy * side + sx)[ok]
+                        grp = np.repeat(
+                            np.arange(occ.shape[0], dtype=np.int64),
+                            ok.sum(axis=1),
+                        )
+                        tot = np.bincount(
+                            grp, weights=counts[nbr], minlength=occ.shape[0]
+                        ).astype(np.int64)
+                        kept = tot > 0
+                        nbo = nbr[counts[nbr] > 0]
+                        v.tb.emit_ragged(
+                            pidx,
+                            [
+                                (particles, False,
+                                 ragged_take(sort_order, starts_m[rank_L[nbo]],
+                                             counts[nbo]),
+                                 counts_to_offsets(tot[kept])),
+                                (particles, True, gather(occ[kept]),
+                                 counts_to_offsets(counts[occ[kept]])),
+                            ],
+                        )
+                        # Lock per remotely-owned in-bounds neighbour leaf
+                        # of every leaf that emitted a unit.
+                        remote = np.bincount(
+                            grp,
+                            weights=(v.owner_rm[nbr] != pidx),
+                            minlength=occ.shape[0],
+                        )
+                        nlocks = int(remote[kept].sum())
+                        if nlocks:
+                            v.tb.lock(pidx, nlocks)
+                        npairs = float((counts[occ] * tot)[kept].sum())
+                    v.tb.work(pidx, P2P_WORK * npairs)
+            barrier(views, "intra_particle")
             self.emit_seconds += perf_counter() - t0
 
             # ---- intra_particle: P2P within each owned leaf.  Self pairs
@@ -565,21 +576,22 @@ class FMM(Application):
                 sums = complex_segsum(tpart, terms, n)
                 self.field[touched] += np.conj(sums[touched])
             t0 = perf_counter()
-            for pidx in range(P):
-                sel = parts[pidx][counts[parts[pidx]] >= 2]
-                if sel.shape[0]:
-                    moffs = counts_to_offsets(counts[sel])
-                    mem_col = gather(sel)
-                    tb.emit_ragged(
-                        pidx,
-                        [
-                            (particles, False, mem_col, moffs),
-                            (particles, True, mem_col, moffs),
-                        ],
-                    )
-                npairs = float((counts[sel] * (counts[sel] - 1)).sum())
-                tb.work(pidx, P2P_WORK * npairs)
-            tb.barrier("other")
+            for v in views:
+                for pidx, part in enumerate(v.parts):
+                    sel = part[counts[part] >= 2]
+                    if sel.shape[0]:
+                        moffs = counts_to_offsets(counts[sel])
+                        mem_col = gather(sel)
+                        v.tb.emit_ragged(
+                            pidx,
+                            [
+                                (particles, False, mem_col, moffs),
+                                (particles, True, mem_col, moffs),
+                            ],
+                        )
+                    npairs = float((counts[sel] * (counts[sel] - 1)).sum())
+                    v.tb.work(pidx, P2P_WORK * npairs)
+            barrier(views, "other")
             self.emit_seconds += perf_counter() - t0
 
             # ---- other: integrate owned particles.
@@ -588,13 +600,12 @@ class FMM(Application):
                 self.vel += self.dt * accel
                 self.pos += self.dt * self.vel
             t0 = perf_counter()
-            for pidx in range(P):
-                mine = gather(parts[pidx])
-                tb.read(pidx, particles, mine)
-                tb.write(pidx, particles, mine)
-                tb.work(pidx, mine.shape[0])
-            tb.barrier("build_tree")
+            for v in views:
+                for pidx, part in enumerate(v.parts):
+                    mine = gather(part)
+                    v.tb.read(pidx, particles, mine)
+                    v.tb.write(pidx, particles, mine)
+                    v.tb.work(pidx, mine.shape[0])
+            barrier(views, "build_tree")
             self.emit_seconds += perf_counter() - t0
-        trace = tb.finish()
-        self.seal_seconds = tb.seal_seconds
-        return trace
+        return self._finish_views(views)

@@ -34,11 +34,11 @@ from time import perf_counter
 import numpy as np
 
 from ..core.reorder import Reordering
-from ..trace.builder import TraceBuilder
 from ..trace.events import Trace
 from .base import (
     AppConfig,
     Application,
+    barrier,
     block_partition,
     half_stencil_neighbors,
     ragged_cross,
@@ -153,7 +153,6 @@ class Moldyn(Application):
         self.force = np.zeros_like(self.pos)
         self.pairs = self._build_pairs()
         self._steps_since_rebuild = 0
-        self.parts = block_partition(config.n, config.nprocs)
 
     def positions(self) -> np.ndarray:
         return self.pos
@@ -213,22 +212,22 @@ class Moldyn(Application):
         """Index of the first pair of each molecule in the sorted pair list."""
         return np.searchsorted(self.pairs[:, 0], np.arange(self.n + 1))
 
-    def _emit_build_list(self, tb: TraceBuilder, mol: int) -> None:
+    def _emit_build_list(self, views, mol: int) -> None:
         """Rebuild the interaction list and trace the per-block scan."""
         with self._phys("build_list"):
             self.pairs = self._build_pairs()
         self._steps_since_rebuild = 0
         t0 = perf_counter()
         bounds = self._owned_pair_bounds()
-        for p in range(self.nprocs):
-            mine = self.parts[p]
-            lo, hi = bounds[mine[0]], bounds[mine[-1] + 1]
-            tb.read(p, mol, mine)
-            tb.read(p, mol, self.pairs[lo:hi, 1])
-            tb.work(p, float(hi - lo) + mine.shape[0])
-        self._emit_acc += perf_counter() - t0
+        for v in views:
+            for p, mine in enumerate(v.parts):
+                lo, hi = bounds[mine[0]], bounds[mine[-1] + 1]
+                v.tb.read(p, mol, mine)
+                v.tb.read(p, mol, self.pairs[lo:hi, 1])
+                v.tb.work(p, float(hi - lo) + mine.shape[0])
+        self.emit_seconds += perf_counter() - t0
 
-    def _emit_forces(self, tb: TraceBuilder, mol: int) -> None:
+    def _emit_forces(self, views, mol: int) -> None:
         """Force evaluation: per owned molecule, read partners via the
         interaction list; write both partners of every pair.
 
@@ -243,44 +242,45 @@ class Moldyn(Application):
         t0 = perf_counter()
         bounds = self._owned_pair_bounds()
         pj = np.ascontiguousarray(self.pairs[:, 1])
-        for p in range(self.nprocs):
-            mine = self.parts[p]
-            cnt = np.diff(bounds[mine[0] : mine[-1] + 2])
-            mols = mine[cnt > 0]
-            offs = np.zeros(mols.shape[0] + 1, dtype=np.int64)
-            np.cumsum(cnt[cnt > 0], out=offs[1:])
-            part = pj[bounds[mine[0]] : bounds[mine[-1] + 1]]
-            tb.emit_ragged(
-                p,
-                [
-                    (mol, False, mols, 1),
-                    (mol, False, part, offs),
-                    (mol, True, mols, 1),
-                    (mol, True, part, offs),
-                ],
-            )
-            tb.work(p, float(part.shape[0]))
-        self._emit_acc += perf_counter() - t0
+        for v in views:
+            for p, mine in enumerate(v.parts):
+                cnt = np.diff(bounds[mine[0] : mine[-1] + 2])
+                mols = mine[cnt > 0]
+                offs = np.zeros(mols.shape[0] + 1, dtype=np.int64)
+                np.cumsum(cnt[cnt > 0], out=offs[1:])
+                part = pj[bounds[mine[0]] : bounds[mine[-1] + 1]]
+                v.tb.emit_ragged(
+                    p,
+                    [
+                        (mol, False, mols, 1),
+                        (mol, False, part, offs),
+                        (mol, True, mols, 1),
+                        (mol, True, part, offs),
+                    ],
+                )
+                v.tb.work(p, float(part.shape[0]))
+        self.emit_seconds += perf_counter() - t0
 
-    def _emit_update(self, tb: TraceBuilder, mol: int) -> None:
+    def _emit_update(self, views, mol: int) -> None:
         """Leapfrog integration of the owned block."""
         with self._phys("integrate"):
             self._integrate()
         t0 = perf_counter()
-        for p in range(self.nprocs):
-            tb.read(p, mol, self.parts[p])
-            tb.write(p, mol, self.parts[p])
-            tb.work(p, self.parts[p].shape[0])
-        self._emit_acc += perf_counter() - t0
+        for v in views:
+            for p, mine in enumerate(v.parts):
+                v.tb.read(p, mol, mine)
+                v.tb.write(p, mol, mine)
+                v.tb.work(p, mine.shape[0])
+        self.emit_seconds += perf_counter() - t0
 
-    def run(self) -> Trace:
+    def run(self, siblings=()) -> Trace:
         cfg = self.config
-        tb = TraceBuilder(self.nprocs, label="build_list")
-        mol = tb.add_region("molecules", self.n, self.object_size)
+        views, mol = self._open_views(
+            siblings, "build_list", ("molecules", self.n, self.object_size)
+        )
+        for v in views:
+            v.parts = block_partition(self.n, v.nprocs)
         first = True
-        self._emit_acc = 0.0
-        self.physics_seconds = 0.0
-        self.physics_stages = {}
         for _ in range(cfg.iterations):
             # Policy check at the top of the iteration: the re-reordering
             # (legacy full re-sort or incremental migration) is applied
@@ -289,24 +289,23 @@ class Moldyn(Application):
             info = self._policy_rereorder(self._steps_total)
             if info is not None:
                 if not first:
-                    tb.barrier("reorder")
+                    barrier(views, "reorder")
                 t0 = perf_counter()
-                self._emit_reorder_epoch(tb, mol, info)
-                self._emit_acc += perf_counter() - t0
-                tb.barrier("build_list")
-                self._emit_build_list(tb, mol)
+                self._emit_reorder_epoch(views, mol, info)
+                self.emit_seconds += perf_counter() - t0
+                barrier(views, "build_list")
+                self._emit_build_list(views, mol)
             elif first or self._steps_since_rebuild >= self.rebuild_every:
                 if not first:
-                    tb.barrier("build_list")
-                self._emit_build_list(tb, mol)
-            tb.barrier("forces")
+                    barrier(views, "build_list")
+                self._emit_build_list(views, mol)
+            barrier(views, "forces")
             first = False
             self._steps_since_rebuild += 1
             self._steps_total += 1
-            self._emit_forces(tb, mol)
-            tb.barrier("update")
-            self._emit_update(tb, mol)
-        trace = tb.finish()
-        self.seal_seconds = tb.seal_seconds
-        self.emit_seconds = self._emit_acc + tb.seal_seconds
+            self._emit_forces(views, mol)
+            barrier(views, "update")
+            self._emit_update(views, mol)
+        trace = self._finish_views(views)
+        self.emit_seconds += self.seal_seconds  # barriers seal outside the timed blocks
         return trace

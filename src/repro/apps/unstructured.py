@@ -32,9 +32,8 @@ import numpy as np
 
 from ..core.reorder import Reordering
 from ..errors import ConfigError
-from ..trace.builder import TraceBuilder
 from ..trace.events import Trace
-from .base import AppConfig, Application, block_partition, scatter_add
+from .base import AppConfig, Application, barrier, block_partition, scatter_add
 from .distributions import clustered, shuffle
 from .mesh import Mesh, make_mesh
 
@@ -82,7 +81,6 @@ class Unstructured(Application):
             raise ConfigError(f"extra['mesh'] has {mesh.nnodes} nodes, n is {config.n}")
         self.mesh = mesh
         self.value = np.random.default_rng(config.seed + 2).random(config.n)
-        self.node_parts = block_partition(config.n, config.nprocs)
 
     def positions(self) -> np.ndarray:
         return self.mesh.points
@@ -121,59 +119,62 @@ class Unstructured(Application):
 
     # -- execution ---------------------------------------------------------
 
-    def _conn_phase(
-        self, tb: TraceBuilder, region: int, conn: np.ndarray, label_next: str
-    ) -> None:
-        """One connectivity loop: block partition of ``conn`` rows."""
-        P = self.nprocs
-        parts = block_partition(conn.shape[0], P)
+    def _conn_phase(self, views, region: int, conn_name: str, label_next: str) -> None:
+        """One connectivity loop: block partition of the ``conn_name`` rows
+        of the mesh."""
+        conn = getattr(self.mesh, conn_name)
         width = conn.shape[1]
-        for p in range(P):
-            rows = conn[parts[p][0] : parts[p][-1] + 1] if parts[p].shape[0] else conn[:0]
-            if rows.shape[0] == 0:
-                continue
-            stream = rows.ravel()  # interleaved endpoint order, as iterated
-            # The stream is one read-modify-write burst pair; the ragged
-            # API stages it without re-normalizing.
-            tb.update_ragged(p, region, stream, stream.shape[0])
-            tb.work(p, float(rows.shape[0]) * width)
-            # Lock-protected remote updates.  Like the Chaos runtime, the
-            # benchmark aggregates off-block accumulations and flushes them
-            # under one lock per remote partition, not one per endpoint.
-            blk = self.node_parts[p]
-            lo, hi = (int(blk[0]), int(blk[-1])) if blk.shape[0] else (0, -1)
-            remote = stream[(stream < lo) | (stream > hi)]
-            if remote.shape[0]:
-                owners = np.unique(remote * self.nprocs // self.n)
-                tb.lock(p, int(owners.shape[0]))
-        tb.barrier(label_next)
+        for v in views:
+            for p, blk_rows in enumerate(v.conn_parts[conn_name]):
+                rows = conn[blk_rows[0] : blk_rows[-1] + 1] if blk_rows.shape[0] else conn[:0]
+                if rows.shape[0] == 0:
+                    continue
+                stream = rows.ravel()  # interleaved endpoint order, as iterated
+                # The stream is one read-modify-write burst pair; the ragged
+                # API stages it without re-normalizing.
+                v.tb.update_ragged(p, region, stream, stream.shape[0])
+                v.tb.work(p, float(rows.shape[0]) * width)
+                # Lock-protected remote updates.  Like the Chaos runtime, the
+                # benchmark aggregates off-block accumulations and flushes them
+                # under one lock per remote partition, not one per endpoint.
+                blk = v.node_parts[p]
+                lo, hi = (int(blk[0]), int(blk[-1])) if blk.shape[0] else (0, -1)
+                remote = stream[(stream < lo) | (stream > hi)]
+                if remote.shape[0]:
+                    owners = np.unique(remote * v.nprocs // self.n)
+                    v.tb.lock(p, int(owners.shape[0]))
+        barrier(views, label_next)
 
-    def run(self) -> Trace:
+    def run(self, siblings=()) -> Trace:
         cfg = self.config
-        n, P = self.n, self.nprocs
-        tb = TraceBuilder(P, label="node_loop")
-        nodes = tb.add_region("nodes", n, self.object_size)
-        self.emit_seconds = 0.0
-        self.physics_seconds = 0.0
-        self.physics_stages = {}
+        n = self.n
+        views, nodes = self._open_views(
+            siblings, "node_loop", ("nodes", n, self.object_size)
+        )
+        for v in views:
+            v.node_parts = block_partition(n, v.nprocs)
+            v.conn_parts = {
+                name: block_partition(getattr(self.mesh, name).shape[0], v.nprocs)
+                for name in ("edges", "faces")
+            }
         for _ in range(cfg.iterations):
             # Node loop: local relaxation of the owned block.
             with self._phys("node_loop"):
                 self.value *= 1.0 - 1e-3
             t0 = perf_counter()
-            for p in range(P):
-                blk = self.node_parts[p]
-                tb.read(p, nodes, blk)
-                tb.write(p, nodes, blk)
-                tb.work(p, blk.shape[0])
-            tb.barrier("edge_loop")
+            for v in views:
+                for p, blk in enumerate(v.node_parts):
+                    v.tb.read(p, nodes, blk)
+                    v.tb.write(p, nodes, blk)
+                    v.tb.work(p, blk.shape[0])
+            barrier(views, "edge_loop")
             self.emit_seconds += perf_counter() - t0
 
             # Edge loop.
             with self._phys("edge_loop"):
                 self._edge_relax()
             t0 = perf_counter()
-            self._conn_phase(tb, nodes, self.mesh.edges, "face_loop" if self.use_faces else "node_loop")
+            self._conn_phase(views, nodes, "edges", "face_loop" if self.use_faces else "node_loop")
             self.emit_seconds += perf_counter() - t0
 
             # Face loop.
@@ -181,8 +182,6 @@ class Unstructured(Application):
                 with self._phys("face_loop"):
                     self._face_relax()
                 t0 = perf_counter()
-                self._conn_phase(tb, nodes, self.mesh.faces, "node_loop")
+                self._conn_phase(views, nodes, "faces", "node_loop")
                 self.emit_seconds += perf_counter() - t0
-        trace = tb.finish()
-        self.seal_seconds = tb.seal_seconds
-        return trace
+        return self._finish_views(views)

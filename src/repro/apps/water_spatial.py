@@ -33,11 +33,11 @@ from time import perf_counter
 import numpy as np
 
 from ..core.reorder import Reordering
-from ..trace.builder import TraceBuilder
 from ..trace.events import Trace
 from .base import (
     AppConfig,
     Application,
+    barrier,
     counts_to_offsets,
     half_stencil_neighbors,
     ragged_take,
@@ -133,7 +133,6 @@ class WaterSpatial(Application):
         self.pos = pos
         self.vel = np.zeros_like(self.pos)
         self.force = np.zeros_like(self.pos)
-        self.cell_owner = _grid_blocks(self.side, config.nprocs)
         self._pairs_cache: np.ndarray | None = None
         self._steps_total = 0
 
@@ -205,7 +204,7 @@ class WaterSpatial(Application):
 
     # -- trace emission ----------------------------------------------------
 
-    def _emit_forces(self, tb, order, starts, own_list, mol, cells) -> None:
+    def _emit_forces(self, v, order, starts, mol, cells) -> None:
         """Stage the force-phase access pattern.
 
         The sweep emits one *unit* per occupied own cell (cell-entry read,
@@ -215,10 +214,9 @@ class WaterSpatial(Application):
         four CSR lanes; the intra-cell units carry a zero-length fourth
         lane, which the builder drops.
         """
-        P = self.nprocs
+        tb = v.tb
         cnt_all = np.diff(starts)
-        for p in range(P):
-            occ = own_list[p]
+        for p, occ in enumerate(v.own_list):
             occ = occ[cnt_all[occ] > 0]
             if occ.shape[0] == 0:
                 tb.work(p, 0.0)
@@ -253,7 +251,7 @@ class WaterSpatial(Application):
                      counts_to_offsets(cnt_nw)),
                 ],
             )
-            crossings = int((self.cell_owner[nbr] != p).sum())
+            crossings = int((v.cell_owner[nbr] != p).sum())
             if crossings:
                 tb.lock(p, crossings)
             npairs = int((mcnt * (mcnt - 1) // 2).sum())
@@ -266,17 +264,16 @@ class WaterSpatial(Application):
 
     # -- execution ---------------------------------------------------------
 
-    def run(self) -> Trace:
+    def run(self, siblings=()) -> Trace:
         cfg = self.config
-        n, P = self.n, self.nprocs
-        ncells = self.side**3
-        tb = TraceBuilder(P, label="forces")
-        mol = tb.add_region("molecules", n, self.object_size)
-        cells = tb.add_region("cells", ncells, CELL_ENTRY_BYTES)
-        self.emit_seconds = 0.0
-        self.physics_seconds = 0.0
-        self.physics_stages = {}
-        own_list = [np.nonzero(self.cell_owner == p)[0] for p in range(P)]
+        views, mol, cells = self._open_views(
+            siblings, "forces",
+            ("molecules", self.n, self.object_size),
+            ("cells", self.side**3, CELL_ENTRY_BYTES),
+        )
+        for v in views:
+            v.cell_owner = _grid_blocks(self.side, v.nprocs)
+            v.own_list = [np.nonzero(v.cell_owner == p)[0] for p in range(v.nprocs)]
         for it in range(cfg.iterations):
             with self._phys("binning"):
                 order, starts = self._bin()
@@ -287,20 +284,22 @@ class WaterSpatial(Application):
             with self._phys("forces"):
                 self._lj_forces()
             t0 = perf_counter()
-            self._emit_forces(tb, order, starts, own_list, mol, cells)
-            tb.barrier("update")
+            for v in views:
+                self._emit_forces(v, order, starts, mol, cells)
+            barrier(views, "update")
             self.emit_seconds += perf_counter() - t0
 
             # Update: integrate owned molecules, in cell-sweep order.
             with self._phys("integrate"):
                 self._integrate()
             t0 = perf_counter()
-            for p in range(P):
-                mine = self._owned(order, starts, own_list[p])
-                tb.read(p, mol, mine)
-                tb.write(p, mol, mine)
-                tb.work(p, mine.shape[0])
-            tb.barrier("move")
+            for v in views:
+                for p, own in enumerate(v.own_list):
+                    mine = self._owned(order, starts, own)
+                    v.tb.read(p, mol, mine)
+                    v.tb.write(p, mol, mine)
+                    v.tb.work(p, mine.shape[0])
+            barrier(views, "move")
             self.emit_seconds += perf_counter() - t0
 
             # Move: re-bin into cells; crossing into a remote cell takes
@@ -308,16 +307,17 @@ class WaterSpatial(Application):
             with self._phys("move"):
                 new_cell = self._cell_of(self.pos)
             t0 = perf_counter()
-            for p in range(P):
-                mine = self._owned(order, starts, own_list[p])
-                tb.read(p, mol, mine)
-                if mine.shape[0]:
-                    dest = new_cell[mine]
-                    tb.write(p, cells, dest)
-                    crossed = dest[self.cell_owner[dest] != p]
-                    if crossed.shape[0]:
-                        tb.lock(p, int(crossed.shape[0]))
-                tb.work(p, mine.shape[0])
+            for v in views:
+                for p, own in enumerate(v.own_list):
+                    mine = self._owned(order, starts, own)
+                    v.tb.read(p, mol, mine)
+                    if mine.shape[0]:
+                        dest = new_cell[mine]
+                        v.tb.write(p, cells, dest)
+                        crossed = dest[v.cell_owner[dest] != p]
+                        if crossed.shape[0]:
+                            v.tb.lock(p, int(crossed.shape[0]))
+                    v.tb.work(p, mine.shape[0])
             self.emit_seconds += perf_counter() - t0
 
             # Policy check at the iteration boundary: molecules just moved,
@@ -330,10 +330,8 @@ class WaterSpatial(Application):
                 info = self._policy_rereorder(self._steps_total)
             t0 = perf_counter()
             if info is not None:
-                tb.barrier("reorder")
-                self._emit_reorder_epoch(tb, mol, info)
-            tb.barrier("forces")
+                barrier(views, "reorder")
+                self._emit_reorder_epoch(views, mol, info)
+            barrier(views, "forces")
             self.emit_seconds += perf_counter() - t0
-        trace = tb.finish()
-        self.seal_seconds = tb.seal_seconds
-        return trace
+        return self._finish_views(views)

@@ -21,6 +21,7 @@ from .runner import (
     Scale,
     clear_cache,
     make_app,
+    prefetch_outcomes,
     prefetch_traces,
     run_cells,
     run_one,
@@ -54,6 +55,7 @@ __all__ = [
     "make_app",
     "versions_for",
     "clear_cache",
+    "prefetch_outcomes",
     "prefetch_traces",
     "fig1_fig4",
     "fig2_fig5",

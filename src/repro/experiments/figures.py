@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..apps import AppConfig
+from ..apps import AppConfig, block_partition
 from ..apps.distributions import two_plummer
 from ..apps.moldyn import Moldyn
 from ..apps.octree import build_octree
@@ -175,8 +175,7 @@ def fig6(
             app.reorder(ordering)
         pages_l, procs_l, count_l = [], [], []
         osize = app.object_size
-        for p in range(nprocs):
-            blk = app.parts[p]
+        for blk in block_partition(n, nprocs):
             lo, hi = int(blk[0]), int(blk[-1])
             sel = (app.pairs[:, 0] >= lo) & (app.pairs[:, 0] <= hi)
             partners = np.unique(app.pairs[sel, 1])

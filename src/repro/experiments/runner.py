@@ -10,10 +10,15 @@ original cell, and on a DSM the compute-only time of the same trace.
 A trace is named by :func:`_trace_key` (its :class:`CacheKey`, also the
 trace memo key) and obtained through
 :func:`repro.runtime.worker.load_or_generate`, in this process or in a
-worker.  With a :class:`repro.runtime.RuntimeContext` installed (CLI
+worker.  Traces that must be generated go in sibling groups (keys that
+differ only in ``nprocs``), one app pass per group, since the physics does
+not depend on the processor count: a P=16 cell's generation also yields
+its P=1 sibling, which Table 2 and every speedup baseline read.  With a
+:class:`repro.runtime.RuntimeContext` installed (CLI
 ``--jobs``/``--cache-dir``, benchmark env vars, or tests), a persistent
 cache lies under the memo, so a run killed mid-matrix resumes from the
 traces already on disk; :func:`_generate_missing` is the one parallel
+trace prefetch, :func:`prefetch_outcomes` the one parallel replay
 prefetch and :func:`run_cells` the one serial-or-executor dispatch.
 Per-cell progress is logged on the ``repro.runtime`` logger.
 """
@@ -40,7 +45,11 @@ from ..machines.replay import build_intervals_parallel, simulate_hardware_parall
 from ..runtime.cache import CacheKey, TraceCache, format_version_for
 from ..runtime.context import RuntimeContext, get_runtime
 from ..runtime.executor import Task, run_tasks
-from ..runtime.worker import generate_trace_into_cache, load_or_generate
+from ..runtime.worker import (
+    generate_trace_into_cache,
+    load_or_generate,
+    sibling_groups,
+)
 
 __all__ = [
     "Scale",
@@ -49,6 +58,7 @@ __all__ = [
     "run_cells",
     "make_app",
     "clear_cache",
+    "prefetch_outcomes",
     "prefetch_traces",
 ]
 
@@ -239,6 +249,16 @@ def _may_read(rt: RuntimeContext, key: CacheKey) -> bool:
     return rt.resume or rt.cache is None or key.filename() in rt.cache.written
 
 
+def _readable(rt: RuntimeContext, key: CacheKey) -> bool:
+    """Whether ``rt``'s cache holds ``key`` and may serve it."""
+    return rt.cache is not None and _may_read(rt, key) and rt.cache.contains(key)
+
+
+def _fans_out(rt: RuntimeContext | None) -> bool:
+    """Whether cells run on the executor: a cache and ``jobs > 1``."""
+    return rt is not None and rt.cache is not None and rt.executor.jobs > 1
+
+
 def _trace_key(
     name: str, version: str, scale: Scale, nprocs: int,
     compression: str | None = None,
@@ -263,14 +283,37 @@ def _trace_key(
     )
 
 
+def _memoize(keys) -> list:
+    """The traces named by ``keys``, memoized through the installed
+    runtime's cache: each readable entry on its own, and one app pass per
+    sibling group of the rest.  Brings no sibling along that ``keys``
+    does not name (see :func:`_trace_for`)."""
+    keys = list(keys)
+    rt = get_runtime() or RuntimeContext()
+    todo = [k for k in dict.fromkeys(keys) if k not in _cache]
+    hits = [k for k in todo if _readable(rt, k)]
+    groups = [[k] for k in hits]
+    groups += sibling_groups(k for k in todo if k not in hits)
+    for group in groups:
+        traces = load_or_generate(
+            rt.cache, group, rt.trace_compression, _may_read(rt, group[0])
+        )
+        _cache.update(zip(group, traces))
+    return [_cache[k] for k in keys]
+
+
 def _trace_for(key: CacheKey):
     """Memoized trace named by ``key``, through the installed runtime's
-    cache."""
+    cache.  Generating a trace at ``nprocs > 1`` also yields its P=1
+    sibling, unless that one is memoized or readable already."""
     if key not in _cache:
         rt = get_runtime() or RuntimeContext()
-        _cache[key] = load_or_generate(
-            rt.cache, key, rt.trace_compression, _may_read(rt, key)
-        )
+        group = [key]
+        base = replace(key, nprocs=1)
+        if not (key.nprocs == 1 or _readable(rt, key) or base in _cache
+                or _readable(rt, base)):
+            group.append(base)
+        _memoize(group)
     return _cache[key]
 
 
@@ -421,28 +464,25 @@ def versions_for(name: str) -> tuple[str, ...]:
 def _generate_missing(keys) -> int:
     """The one prefetch: generate ``keys`` into the installed runtime's cache.
 
-    One executor task per distinct filename, run under the runtime's fault
+    One executor task per sibling group, run under the runtime's fault
     plan.  Entries the cache already holds are skipped when resuming;
     with ``resume=False`` every entry not yet rewritten in this run is
     regenerated.  Returns the number of traces generated.
     """
     rt = get_runtime()
-    tasks: dict[str, Task] = {}
-    for key in keys:
-        name = key.filename()
-        if name in tasks or (_may_read(rt, key) and rt.cache.contains(key)):
-            continue
-        tasks[name] = Task(
-            key=name,
-            fn=generate_trace_into_cache,
-            args=(str(rt.cache.root), key, rt.trace_compression, rt.resume),
-        )
+    todo = [k for k in dict.fromkeys(keys) if not _readable(rt, k)]
+    tasks = [
+        Task(key=group[0].filename(), fn=generate_trace_into_cache,
+             args=(str(rt.cache.root), group, rt.trace_compression, rt.resume))
+        for group in sibling_groups(todo)
+    ]
     if tasks:
-        log.info("prefetch: generating %d trace(s) with %d job(s)",
-                 len(tasks), rt.executor.jobs)
-        run_tasks(list(tasks.values()), rt.executor, fault_plan=rt.fault_plan)
-        rt.cache.written.update(tasks)
-    return len(tasks)
+        log.info("prefetch: generating %d trace(s) in %d task(s) with %d job(s)",
+                 len(todo), len(tasks), rt.executor.jobs)
+        results = run_tasks(tasks, rt.executor, fault_plan=rt.fault_plan)
+        for names in results.values():
+            rt.cache.written.update(names)
+    return len(todo)
 
 
 def prefetch_traces(
@@ -453,7 +493,8 @@ def prefetch_traces(
 
     The matrix's traces are every app's orderings at ``scale.nprocs`` and
     at one processor (Table 2's 1p column, whose original is also every
-    platform's sequential baseline).  Requires an installed runtime with a
+    platform's sequential baseline); each ordering's two are one task and
+    one physics pass.  Requires an installed runtime with a
     cache; a no-op (returns 0) otherwise.  Traces memoized in-process are skipped,
     and so are cached ones when resuming.  Returns the number of traces
     generated.  Worker crashes, hangs, and timeouts follow the executor's
@@ -487,50 +528,61 @@ def run_matrix_cell(
     otherwise.
     """
     cache = TraceCache(cache_root)
-    trace = load_or_generate(cache, key, compression)
+    (trace,) = load_or_generate(cache, [key], compression)
     path = str(cache.path(key))
     outcomes = [_simulate(trace, platform, params, trace_path=path)
                 for platform, params in runs]
     return outcomes, (cache.hits, cache.misses)
 
 
-def run_cells(cells: list[tuple[str, str, str, Scale]]) -> list[RunRecord]:
-    """Run (app, version, platform, scale) cells; one record per cell.
+def _cell_traces(cells) -> list[CacheKey]:
+    """Every trace the cells read: their own, and the P=1 original of
+    their speedup baselines."""
+    keys = []
+    for name, version, _platform, scale in cells:
+        keys += [_trace_key(name, version, scale, scale.nprocs),
+                 _origin_baseline(name, scale)[0]]
+    return keys
 
-    Serially through :func:`run_one`, unless the installed runtime has a
-    cache and ``jobs > 1``.  Then the outcomes the cells need and do not
-    have memoized — their own and their Origin baselines' — are grouped
-    by trace, one executor task per trace key, so independent traces run
-    in parallel while each is decoded once.  The outcomes land in the
-    memo :func:`run_one` reads, and every record is assembled by
-    :func:`run_one` from it: serial and parallel records are identical.
+
+def prefetch_outcomes(cells: list[tuple[str, str, str, Scale]]) -> None:
+    """Compute on the executor every outcome the cells need and do not
+    have memoized — their own and their Origin baselines'.
+
+    A no-op unless the installed runtime has a cache and ``jobs > 1``.
+    Missing traces are generated first (one task per sibling group); then
+    the outcomes are grouped by trace, one executor task per trace key, so
+    independent traces run in parallel while each is decoded once.  The
+    outcomes land in the memo :func:`run_one` reads, so a record built
+    after this call is identical to a serial one and replays nothing in
+    this process.
     """
     rt = get_runtime()
-    if not (rt is not None and rt.cache is not None and rt.executor.jobs > 1):
-        return [run_one(*cell) for cell in cells]
+    if not _fans_out(rt):
+        return
     runs: dict[CacheKey, dict[tuple, None]] = {}  # trace -> (platform, params)
-    traces = []
     for name, version, platform, scale in cells:
         base, hw = _origin_baseline(name, scale)
-        cell = _trace_key(name, version, scale, scale.nprocs)
-        traces += [cell, base]  # the DSM baseline reads the P=1 trace
-        wanted = [(cell, platform, _params(platform, scale))]
+        wanted = [(_trace_key(name, version, scale, scale.nprocs), platform,
+                   _params(platform, scale))]
         if platform == "origin":
             wanted.append((base, platform, hw))
         for k, p, params in wanted:
             if _outcome_key(k, p, params) not in _outcomes:
                 runs.setdefault(k, {})[(p, params)] = None
 
-    _generate_missing(k for k in traces if k not in _cache)
+    # The DSM baseline reads the P=1 trace, so every cell lists it.
+    _generate_missing(k for k in _cell_traces(cells) if k not in _cache)
     tasks = [
         Task(key=f"cells_{key.filename()}", fn=run_matrix_cell,
              args=(str(rt.cache.root), key, rt.trace_compression, tuple(want)))
         for key, want in runs.items()
     ]
-    if tasks:
-        log.info("matrix: %d trace task(s) with %d job(s)",
-                 len(tasks), rt.executor.jobs)
-        results = run_tasks(tasks, rt.executor, fault_plan=rt.fault_plan)
+    if not tasks:
+        return
+    log.info("matrix: %d trace task(s) with %d job(s)",
+             len(tasks), rt.executor.jobs)
+    results = run_tasks(tasks, rt.executor, fault_plan=rt.fault_plan)
     for task in tasks:
         outcomes, (hits, misses) = results[task.key]
         rt.cache.hits += hits
@@ -538,6 +590,22 @@ def run_cells(cells: list[tuple[str, str, str, Scale]]) -> list[RunRecord]:
         _, key, _, want = task.args
         for (platform, params), out in zip(want, outcomes):
             _outcomes[_outcome_key(key, platform, params)] = out
+
+
+def run_cells(cells: list[tuple[str, str, str, Scale]]) -> list[RunRecord]:
+    """Run (app, version, platform, scale) cells; one record per cell.
+
+    With a cache and ``jobs > 1``, :func:`prefetch_outcomes` computes the
+    outcomes on the executor first.  Otherwise the traces the cells read
+    are memoized up front, one app pass per sibling group, so a curve over
+    processor counts runs each version's physics once.  Every record is
+    then assembled by :func:`run_one` from the memo: serial and parallel
+    records are identical.
+    """
+    if _fans_out(get_runtime()):
+        prefetch_outcomes(cells)
+    else:
+        _memoize(_cell_traces(cells))
     return [run_one(*cell) for cell in cells]
 
 

@@ -41,7 +41,7 @@ from ..runtime.cache import CacheKey, TraceCache, atomic_write_text, quarantine_
 from ..runtime.context import get_runtime
 from ..runtime.executor import Task, run_tasks
 from ..runtime.worker import load_or_generate
-from .runner import Scale, _generate_missing, _trace_for, _trace_key, versions_for
+from .runner import Scale, _generate_missing, _memoize, _trace_key, versions_for
 
 __all__ = [
     "SweepGrid",
@@ -215,18 +215,21 @@ class SweepGroup:
         return len(self.page_sizes or (0,))
 
     def key(self, scale: Scale) -> str:
-        """Stable id for executor task keys and resume checkpoints."""
-        blob = json.dumps(
-            {
-                "axes": [self.l2_bytes, self.line_sizes, self.page_sizes],
-                "n": scale.n[self.app],
-                "iterations": scale.iterations[self.app],
-                "nprocs": scale.nprocs,
-                "seed": scale.seed,
-                "hw_scale": scale.hw_scale,
-            },
-            sort_keys=True,
-        )
+        """Stable id for executor task keys and resume checkpoints.
+
+        ``hw_scale`` shapes only the Origin's caches, so only an
+        ``origin`` group's key holds it.
+        """
+        inputs = {
+            "axes": [self.l2_bytes, self.line_sizes, self.page_sizes],
+            "n": scale.n[self.app],
+            "iterations": scale.iterations[self.app],
+            "nprocs": scale.nprocs,
+            "seed": scale.seed,
+        }
+        if self.platform == "origin":
+            inputs["hw_scale"] = scale.hw_scale
+        blob = json.dumps(inputs, sort_keys=True)
         digest = hashlib.sha1(blob.encode()).hexdigest()[:10]
         return f"{self.app}_{self.version}_{self.platform}_{digest}"
 
@@ -318,7 +321,7 @@ def run_sweep_group(
     plus the worker-side cache (hits, misses) for the parent's counters.
     """
     cache = TraceCache(cache_root)
-    trace = load_or_generate(cache, group.trace_key(scale), group.compression)
+    (trace,) = load_or_generate(cache, [group.trace_key(scale)], group.compression)
     return _group_rows(trace, group, scale), (cache.hits, cache.misses)
 
 
@@ -354,13 +357,9 @@ class SweepPlan:
         rt = get_runtime()
         groups = self.groups(rt.trace_compression if rt is not None else "none")
         if rt is None or rt.cache is None:
-            return [
-                row
-                for g in groups
-                for row in _group_rows(
-                    _trace_for(g.trace_key(self.scale)), g, self.scale
-                )
-            ]
+            traces = _memoize(g.trace_key(self.scale) for g in groups)
+            return [row for g, trace in zip(groups, traces)
+                    for row in _group_rows(trace, g, self.scale)]
 
         sweep_dir = Path(rt.cache.root) / "sweeps"
         keys = {g: g.key(self.scale) for g in groups}

@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 from ..apps import APP_REGISTRY
-from .runner import Scale, run_one, versions_for
+from .runner import Scale, prefetch_outcomes, run_one, versions_for
 
 __all__ = ["table1", "table2", "table3", "table4", "Table2Row", "Table3Row"]
 
@@ -47,11 +47,14 @@ def table2(scale: Scale | None = None) -> list[Table2Row]:
     """Table 2: execution time, reorder cost, L2 and TLB misses on the
     simulated Origin 2000, single-processor and 16-processor runs."""
     scale = scale or Scale()
+    one = replace(scale, nprocs=1)
+    prefetch_outcomes([(name, version, "origin", s) for name in APP_REGISTRY
+                       for version in versions_for(name) for s in (scale, one)])
     rows = []
     for name in APP_REGISTRY:
         for version in versions_for(name):
             rec16 = run_one(name, version, "origin", scale)
-            rec1 = run_one(name, version, "origin", replace(scale, nprocs=1))
+            rec1 = run_one(name, version, "origin", one)
             rows.append(
                 Table2Row(
                     app=APP_REGISTRY[name].name,
@@ -88,6 +91,9 @@ def table3(scale: Scale | None = None) -> list[Table3Row]:
     """Table 3: sequential time, reorder cost, and per-protocol parallel
     time / data volume / message count on TreadMarks and HLRC."""
     scale = scale or Scale()
+    prefetch_outcomes([(name, version, platform, scale) for name in APP_REGISTRY
+                       for version in versions_for(name)
+                       for platform in ("treadmarks", "hlrc")])
     rows = []
     for name in APP_REGISTRY:
         for version in versions_for(name):

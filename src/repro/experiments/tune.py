@@ -11,7 +11,7 @@ library** so the next invocation answers instantly.
 Pipeline per candidate ordering:
 
 1. generate (or load from the trace cache) the app's access trace under
-   that ordering — :func:`repro.experiments.runner._trace_for`, so tuning
+   that ordering — :func:`repro.experiments.runner._memoize`, so tuning
    shares traces with every other experiment;
 2. hardware machines: :func:`repro.machines.hardware.simulate_hardware_sweep`
    over a small L2-capacity family — the score weighs L2 and TLB misses
@@ -42,7 +42,7 @@ from ..errors import ConfigError, UnknownAppError, UnknownPlatformError
 from ..machines.dsm import simulate_dsm_sweep
 from ..machines.hardware import simulate_hardware_sweep
 from ..runtime.cache import atomic_write_text
-from .runner import PLATFORMS, Scale, _reorder_time, _trace_for, _trace_key
+from .runner import PLATFORMS, Scale, _memoize, _reorder_time, _trace_key
 
 __all__ = [
     "COST_MODEL_VERSION",
@@ -239,7 +239,7 @@ def _dsm_cost(trace, scale: Scale, protocol: str) -> tuple[float, dict]:
 
 
 def _score_candidate(spec: TuneSpec, version: str, scale: Scale) -> CandidateScore:
-    trace = _trace_for(_trace_key(spec.app, version, scale, spec.nprocs))
+    (trace,) = _memoize([_trace_key(spec.app, version, scale, spec.nprocs)])
     if spec.machine == "origin":
         access, counters = _hardware_cost(trace, scale)
         cycle_time = scale.hardware().cycle_time

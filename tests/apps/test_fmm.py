@@ -56,7 +56,7 @@ class TestStructure:
         side = 1 << app.levels
         counts = np.zeros(side * side, dtype=np.int64)
         counts[: side * side // 2] = 1
-        owner, parts = app._partition(counts)
+        owner, parts = app._partition(counts, app.nprocs)
         ranks = app._morton_rank[app.levels]
         for p in range(4):
             r = np.sort(ranks[parts[p]])

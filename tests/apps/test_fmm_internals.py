@@ -86,7 +86,7 @@ class TestPartition:
     def test_partition_covers_all_finest_cells(self, app):
         side = 1 << app.levels
         counts = np.ones(side * side, dtype=np.int64)
-        owner, parts = app._partition(counts)
+        owner, parts = app._partition(counts, app.nprocs)
         allcells = np.sort(np.concatenate(parts))
         assert np.array_equal(allcells, np.arange(side * side))
         for pidx, cells in enumerate(parts):
@@ -96,6 +96,6 @@ class TestPartition:
         side = 1 << app.levels
         rng = np.random.default_rng(0)
         counts = rng.integers(0, 50, side * side)
-        owner, parts = app._partition(counts)
+        owner, parts = app._partition(counts, app.nprocs)
         loads = np.array([counts[c].sum() for c in parts])
         assert loads.max() <= 2.5 * max(loads.mean(), 1.0)

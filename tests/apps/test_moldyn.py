@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from oracles import bursts as oracle
 
-from repro.apps.base import AppConfig
+from repro.apps.base import AppConfig, block_partition
 from repro.apps.moldyn import Moldyn, build_interaction_list
 
 
@@ -84,10 +84,10 @@ class TestTrace:
         app = small()
         t = app.run()
         upd = t.epochs_labelled("update")[0]
-        for p in range(app.nprocs):
+        for p, blk in enumerate(block_partition(app.n, app.nprocs)):
             for _region, write, idx in oracle.bursts(upd, p):
                 if write:
-                    assert np.array_equal(idx, app.parts[p])
+                    assert np.array_equal(idx, blk)
 
     def test_forces_write_remote_partners(self):
         """Category 2 signature: symmetric updates write other blocks."""
@@ -95,8 +95,8 @@ class TestTrace:
         t = app.run()
         forces = t.epochs_labelled("forces")[0]
         found_remote = False
-        for p in range(app.nprocs):
-            lo, hi = app.parts[p][0], app.parts[p][-1]
+        for p, blk in enumerate(block_partition(app.n, app.nprocs)):
+            lo, hi = blk[0], blk[-1]
             for _region, write, idx in oracle.bursts(forces, p):
                 if write and ((idx < lo) | (idx > hi)).any():
                     found_remote = True
@@ -133,8 +133,7 @@ class TestReordering:
             app = small(n=2048, nprocs=8, seed=13)
             app.reorder(version)
             total = 0
-            for p in range(8):
-                blk = app.parts[p]
+            for blk in block_partition(app.n, 8):
                 lo, hi = blk[0], blk[-1]
                 sel = (app.pairs[:, 0] >= lo) & (app.pairs[:, 0] <= hi)
                 partners = np.unique(app.pairs[sel, 1])

@@ -374,3 +374,19 @@ class TestScalingCurve:
         assert {(p.nprocs, p.version) for p in pts} == {
             (2, "original"), (2, "column"),
         }
+
+    def test_each_version_runs_its_physics_once(self, tiny, monkeypatch):
+        # A serial curve groups its traces by sibling: one app pass per
+        # version covers every processor count, the baseline included.
+        from repro.apps.base import Application
+        from repro.experiments.scaling import scaling_curve
+
+        built = []
+        real = Application.__init__
+        monkeypatch.setattr(
+            Application, "__init__",
+            lambda self, config: built.append(config.nprocs) or real(self, config),
+        )
+        pts = scaling_curve("moldyn", "hlrc", procs=(1, 2, 4), scale=tiny)
+        assert len(pts) == 6
+        assert len(built) == 2

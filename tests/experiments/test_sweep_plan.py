@@ -6,6 +6,7 @@ cache, and its per-point rows must match direct per-point simulator
 calls.  Resume must reuse on-disk group checkpoints.
 """
 
+import dataclasses
 import json
 
 import numpy as np
@@ -293,6 +294,18 @@ class TestTraceCodec:
         zlib = SweepPlan(GRID, SCALE).groups("zlib")
         assert [g.compression for g in plain] == ["none"] * len(plain)
         assert [g.key(SCALE) for g in plain] == [g.key(SCALE) for g in zlib]
+
+    def test_only_the_origin_key_holds_hw_scale(self):
+        # hw_scale shapes the Origin's caches alone: a DSM checkpoint
+        # stays valid when only the Origin scaling changes.
+        from repro.experiments.sweep import SweepGroup
+
+        other = dataclasses.replace(SCALE, hw_scale=2 * SCALE.hw_scale)
+        dsm = SweepGroup("moldyn", "original", "hlrc", page_sizes=(4096,))
+        origin = SweepGroup("moldyn", "original", "origin",
+                            l2_bytes=(32768,), line_sizes=(128,))
+        assert dsm.key(SCALE) == dsm.key(other)
+        assert origin.key(SCALE) != origin.key(other)
 
     def test_parent_era_group_spec_loads(self):
         from repro.experiments.sweep import SweepGroup

@@ -128,3 +128,95 @@ class TestOneReplayPerPair:
         monkeypatch.setattr(runner, "simulate_hardware", counting)
         rows = table2(scale)
         assert len(replays) == len(set(replays)) == 2 * len(rows)
+
+
+class TestSiblingGeneration:
+    """Each (app, ordering) runs its physics once for both processor
+    counts: Table 3's P=16 generation also yields Table 2's P=1 trace."""
+
+    def test_cold_tables_build_each_pair_once(self, monkeypatch):
+        from repro.apps.base import Application
+        from repro.experiments import runner
+
+        scale = Scale.tiny()
+        built, replays = [], []
+        real_init = Application.__init__
+        real_hw = runner.simulate_hardware
+        monkeypatch.setattr(
+            Application, "__init__",
+            lambda self, config: built.append(config) or real_init(self, config),
+        )
+        monkeypatch.setattr(
+            runner, "simulate_hardware",
+            lambda *args: replays.append(args) or real_hw(*args),
+        )
+        rows = (table3(scale), table2(scale))
+        monkeypatch.undo()
+        assert len(built) == 12  # one app per (app, ordering), not 24
+        assert len(replays) == 24
+
+        # The records equal those of one standalone run per trace.
+        runner.clear_cache()
+        for name in APP_REGISTRY:
+            for version in runner.versions_for(name):
+                for nprocs in (scale.nprocs, 1):
+                    key = runner._trace_key(name, version, scale, nprocs)
+                    config = scale.config(name, nprocs=nprocs)
+                    runner._cache[key] = runner.make_app(
+                        name, config, version).run()
+        assert (table3(scale), table2(scale)) == rows
+
+    def test_prefetch_sends_one_task_per_sibling_group(self, tmp_path,
+                                                       monkeypatch):
+        from repro.experiments import runner
+        from repro.runtime import (
+            ExecutorConfig, RuntimeContext, TraceCache, use_runtime,
+        )
+
+        scale = dataclasses.replace(
+            Scale.tiny(), n={k: 128 for k in APP_REGISTRY},
+            iterations={k: 1 for k in APP_REGISTRY})
+        sent = []
+        real = runner.run_tasks
+        monkeypatch.setattr(
+            runner, "run_tasks",
+            lambda tasks, *a, **kw: sent.append(len(tasks)) or real(tasks, *a, **kw),
+        )
+        # resume=False: only entries written in this run may be read, so
+        # every sibling must be recorded as written to be skipped below.
+        ctx = RuntimeContext(
+            cache=TraceCache(tmp_path),
+            executor=ExecutorConfig(jobs=2, task_timeout=120.0),
+            resume=False,
+        )
+        with use_runtime(ctx):
+            assert runner.prefetch_traces(scale=scale) == 24
+            assert runner.prefetch_traces(scale=scale) == 0
+        assert sent == [12]
+        assert len(list(tmp_path.glob("*.npt"))) == 24
+        assert len(ctx.cache.written) == 24
+
+    def test_tables_fan_out_replays_under_jobs(self, tmp_path, monkeypatch):
+        # With a cache and jobs > 1 the tables prefetch their outcomes on
+        # the executor: the parent replays nothing and the rows match.
+        from repro.experiments import runner
+        from repro.runtime import (
+            ExecutorConfig, RuntimeContext, TraceCache, use_runtime,
+        )
+
+        scale = dataclasses.replace(
+            Scale.tiny(), n={k: 128 for k in APP_REGISTRY},
+            iterations={k: 1 for k in APP_REGISTRY}, nprocs=4)
+        serial = (table3(scale), table2(scale))
+        runner.clear_cache()
+        replays = []
+        real = runner.simulate_hardware
+        monkeypatch.setattr(runner, "simulate_hardware",
+                            lambda *args: replays.append(args) or real(*args))
+        ctx = RuntimeContext(
+            cache=TraceCache(tmp_path),
+            executor=ExecutorConfig(jobs=2, task_timeout=120.0),
+        )
+        with use_runtime(ctx):
+            assert (table3(scale), table2(scale)) == serial
+        assert not replays

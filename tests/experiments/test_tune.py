@@ -117,7 +117,7 @@ class TestLibrary:
         lib.store(fresh)
         # A warm hit must not touch trace generation at all.
         monkeypatch.setattr(
-            tune_mod, "_trace_for",
+            tune_mod, "_memoize",
             lambda *a, **k: pytest.fail("simulated on a warm library hit"),
         )
         warm = tune(spec, library=lib)

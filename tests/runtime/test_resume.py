@@ -59,21 +59,21 @@ class TestResumeAfterInterrupt:
         cold = record_fingerprint(run_suite(apps=APPS, scale=scale))
         clear_cache()
 
-        # Interrupted run: the fault harness kills it after 2 of the 6
-        # distinct traces (3 versions at P=4 and at P=1).
+        # Interrupted run: the fault harness kills it after 2 of the 3
+        # generation tasks (3 versions, each one pass emitting P=4 and P=1).
         ctx = runtime(tmp_path, fault_plan=FaultPlan(interrupt_after=2))
         with use_runtime(ctx):
             with pytest.raises(KeyboardInterrupt):
                 prefetch_traces(apps=APPS, scale=scale)
         clear_cache()
         cached = list(ctx.cache.root.glob("*.npt"))
-        assert len(cached) == 2  # exactly the completed cells persist
+        assert len(cached) == 4  # exactly the completed cells persist
 
-        # Resumed run: completes from cell 3 and matches the cold run.
+        # Resumed run: completes the third version and matches the cold run.
         ctx2 = runtime(tmp_path)
         with use_runtime(ctx2):
             generated = prefetch_traces(apps=APPS, scale=scale)
-            assert generated == 4  # only the missing cells were generated
+            assert generated == 2  # only the missing cells were generated
             resumed = record_fingerprint(run_suite(apps=APPS, scale=scale))
         assert resumed == cold
         assert ctx2.cache.hits >= 2
