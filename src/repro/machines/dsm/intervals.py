@@ -270,7 +270,8 @@ def build_interval_ladder(
     counters match what a per-size default layout would produce).  Each
     materialized level is registered in the trace's decode memo under the
     same key :func:`build_intervals` uses, so later per-size calls with
-    this layout are cache hits.
+    this layout are cache hits, and a later ladder whose sizes are all
+    memoized skips the finest-level pass.
     """
     sizes = sorted({int(s) for s in page_sizes})
     if not sizes:
@@ -281,6 +282,9 @@ def build_interval_ladder(
     if layout is None:
         layout = Layout.for_trace(trace, align=sizes[-1])
     memo = decode_memo(trace)
+    keys = {s: ("intervals", DecodeMemo.geometry_key(layout, s)) for s in sizes}
+    if all(k in memo for k in keys.values()):
+        return {s: memo.derived(k, None) for s, k in keys.items()}, layout
     finest = sizes[0]
     levels = [
         _epoch_ladder_packed(epoch, memo.epoch(layout, finest, ei), layout, finest)
@@ -296,8 +300,7 @@ def build_interval_ladder(
                     for epoch, level in zip(trace.epochs, levels)
                 ]
 
-            key = ("intervals", DecodeMemo.geometry_key(layout, size))
-            out[size] = memo.derived(key, _materialize)
+            out[size] = memo.derived(keys[size], _materialize)
         if size >= sizes[-1]:
             break
         levels = [_fold_ladder(level) for level in levels]

@@ -32,8 +32,14 @@ whole processors, which bounds memory on paper-size traces.  The timing
 model then runs epoch by epoch with fixed float operations, so ``time``
 and ``phase_times`` do not depend on the batching.  A parallel replay
 worker (:mod:`repro.machines.replay`) runs this same replay over one
-range of processors.  The per-processor replay these batches are checked
-against lives in ``tests/oracles/hardware.py``.
+range of processors.
+
+:func:`simulate_hardware_sweep` batches the same way: every L2 capacity
+of a line size is read off one :class:`SetAssocSweep` over ``nsets x P``
+sets, in which each processor owns a contiguous range of sets, fed an
+epoch at a time in blocks of whole processors, with the barrier drop one
+mask over its tracked keys.  The per-processor replay and sweep these
+batches are checked against live in ``tests/oracles/hardware.py``.
 
 False sharing appears naturally: two processors writing *different* objects
 on the same 128-byte line invalidate each other, which is precisely the
@@ -129,80 +135,6 @@ class HardwareResult:
         }
 
 
-def _proc_streams_packed(
-    epoch: PackedEpoch,
-    decoded: DecodedEpoch,
-    proc: int,
-    line_size: int,
-    page_size: int,
-    nlines: int,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Line stream, page stream and written-line set for one processor.
-
-    The line stream comes straight from the (memoized) decoded epoch, so
-    the decode is shared across platforms and sweep points.  Write flags
-    are expanded from the burst columns for this processor only
-    (``epoch.write_flags``), so the whole-epoch derived
-    ``region``/``is_write`` columns are never materialized.  The
-    written-line set is collected through a dense line mask rather than a
-    hash-based ``np.unique`` over the (much longer) expanded write stream.
-    """
-    lines = decoded.units[proc]
-    empty = np.empty(0, dtype=np.int64)
-    if lines.shape[0] == 0:
-        return empty, empty, empty
-    b0 = int(epoch.burst_offsets[proc])
-    b1 = int(epoch.burst_offsets[proc + 1])
-    if epoch.burst_write[b0:b1].any():
-        wflags = epoch.write_flags(proc)
-        wmask = np.zeros(nlines, dtype=bool)
-        wmask[lines[decoded.expand(proc, wflags)]] = True
-        written = np.flatnonzero(wmask)
-    else:
-        written = empty
-    shift = line_size.bit_length() - 1
-    pshift = page_size.bit_length() - 1
-    pages = (lines << shift) >> pshift
-    return lines, pages, written
-
-
-def _invalidation_targets(
-    epoch_written: list[np.ndarray],
-) -> list[np.ndarray | None]:
-    """Per-processor invalidation target sets for one barrier.
-
-    Processor ``p`` must drop every line written by any *other* processor
-    this epoch.  Instead of the O(P^2) pairwise loop, the written sets
-    (each already sorted-unique) are unioned once with multiplicity
-    (``np.unique`` + counts); ``p``'s targets are then "lines written by
-    >= 2 processors, or by exactly one processor that is not ``p``" — one
-    ``isin`` per processor.  Exact: line removals commute and
-    ``invalidate_present`` acts idempotently per line, so invalidating the
-    union once equals invalidating each writer's set in turn.
-    """
-    nprocs = len(epoch_written)
-    writers = [q for q in range(nprocs) if epoch_written[q].shape[0]]
-    if not writers:
-        return [None] * nprocs
-    if len(writers) == 1:
-        q = writers[0]
-        wq = epoch_written[q]
-        return [None if p == q else wq for p in range(nprocs)]
-    uniq, cnt = np.unique(
-        np.concatenate([epoch_written[q] for q in writers]), return_counts=True
-    )
-    shared = cnt >= 2
-    targets: list[np.ndarray | None] = []
-    for p in range(nprocs):
-        wp = epoch_written[p]
-        if wp.shape[0] == 0:
-            targets.append(uniq)
-        else:
-            mine = np.isin(uniq, wp, assume_unique=True)
-            targets.append(uniq[shared | ~mine])
-    return targets
-
-
 def _key_dtype(max_key: int) -> type:
     """Narrowest unsigned dtype holding encoded keys up to ``max_key``."""
     for dt in (np.uint16, np.uint32):
@@ -212,17 +144,24 @@ def _key_dtype(max_key: int) -> type:
 
 
 def _encode_epoch(
-    units: list[np.ndarray], bits: int, dtype: type, first: int = 0
+    units: list[np.ndarray], bits: int, dtype: type, first: int = 0, low: int = 0
 ) -> np.ndarray:
     """Concatenate the streams of processors ``first, first+1, ...`` as
-    encoded keys ``key << bits | proc``."""
+    encoded keys: processor ``p``'s unit ``u`` with ``p`` inserted above
+    its ``low`` low bits, ``(u >> low) << (low + bits) | p << low | u mod
+    2**low`` — ``u << bits | p`` at the default ``low=0``."""
     keys = np.empty(sum(u.shape[0] for u in units), dtype=dtype)
     lo = 0
     for p, u in enumerate(units, start=first):
         seg = keys[lo : lo + u.shape[0]]
-        np.left_shift(u, bits, out=seg, casting="unsafe")
+        if low:
+            np.right_shift(u, low, out=seg, casting="unsafe")
+            seg <<= low + bits
+            np.bitwise_or(seg, u & ((1 << low) - 1), out=seg, casting="unsafe")
+        else:
+            np.left_shift(u, bits, out=seg, casting="unsafe")
         if p:
-            seg |= dtype(p)
+            seg |= dtype(p << low)
         lo += u.shape[0]
     return keys
 
@@ -580,6 +519,12 @@ def simulate_hardware(
     return _hardware_result(trace, params, *counters)
 
 
+#: Keys per block of the L2 sweep.  A sweep call costs several passes over
+#: its block plus the state of the sets it touches, so blocks small enough
+#: to stay in the CPU cache beat one call per epoch.
+_SWEEP_KEYS = 1 << 16
+
+
 def _sweep_line_family(
     trace: Trace,
     base: HardwareParams,
@@ -597,6 +542,17 @@ def _sweep_line_family(
     counts of every point, and the invalidation/coherence/cold counters
     come from capacity thresholds accumulated alongside.  The TLB is
     keyed by page, not line, so one replay serves the whole family too.
+
+    The replay is batched across processors like :func:`_replay_counters`.
+    Processor ``p``'s line ``l`` is the key with ``p`` inserted above the
+    set bits, so its set index ``p << log2(nsets) | (l mod nsets)`` gives
+    every processor a contiguous range of sets of one sweep over ``nsets
+    << bits`` sets.  An epoch then goes through the sweep in blocks of
+    whole processors (about ``_SWEEP_KEYS`` keys each), each call
+    returning per-processor histograms, and the blocks' states are
+    slices of the sweep's state.  At the barrier a tracked key is dropped
+    iff another processor wrote its line, and the cold and coherence
+    thresholds live in flat ``(proc, line)`` tables.
     """
     span = line_size * base.l2_assoc
     if base.l2_bytes % span:
@@ -624,120 +580,105 @@ def _sweep_line_family(
     cmax = max(assocs)
     nprocs = trace.nprocs
     nepochs = len(trace.epochs)
-    shift = line_size.bit_length() - 1
-    nlines = (layout.total_bytes >> shift) + 1
-
-    sweeps = [SetAssocSweep(nsets, cmax) for _ in range(nprocs)]
     bits = (nprocs - 1).bit_length()
+    pmask = (1 << bits) - 1
+    low = nsets.bit_length() - 1
+    shift = line_size.bit_length() - 1
     pshift = base.page_size.bit_length() - 1
+    nlines = (layout.total_bytes >> shift) + 1
     npages = (((nlines - 1) << shift) >> pshift) + 1
-    kdt = _key_dtype((npages << bits) - 1)
-    page_chunks: list[np.ndarray] = []
+    nkeys = (((nlines - 1) >> low) + 1) << (low + bits)
+    kdt = _key_dtype(nkeys - 1)
+    pdt = _key_dtype((npages << bits) - 1)
+
+    def owner(k: np.ndarray) -> np.ndarray:
+        return (k >> low) & pmask
+
+    def line(k: np.ndarray) -> np.ndarray:
+        return ((k >> (low + bits)) << low) | (k & (nsets - 1))
+
+    sweep = SetAssocSweep(nsets << bits, cmax)
     g_hists = np.zeros((nepochs, nprocs, cmax + 1), dtype=np.int64)
-    inval_hist = np.zeros((nprocs, cmax), dtype=np.int64)
-    coh_hist = np.zeros((nprocs, cmax), dtype=np.int64)
+    inval_hist = np.zeros(nprocs * cmax, dtype=np.int64)
+    coh_hist = np.zeros(nprocs * cmax, dtype=np.int64)
     cold = np.zeros(nprocs, dtype=np.int64)
-    seen = np.zeros((nprocs, nlines), dtype=bool)
-    # pend_thr[p, line] < a: the line is awaiting a coherence re-miss at
-    # associativity ``a`` (it was resident there when invalidated); the
-    # sentinel ``cmax`` means no pending invalidation at any capacity.
-    pend_thr = np.full((nprocs, nlines), cmax, dtype=np.int64)
-    touched = np.zeros(nlines, dtype=bool)
-    works = np.zeros((nepochs, nprocs), dtype=np.float64)
-    locks_e = np.zeros((nepochs, nprocs), dtype=np.int64)
-    labels: list[str] = []
+    page_chunks: list[np.ndarray] = []
+    # Flat tables over encoded (proc, line) keys.  pend_thr[k] < a: the
+    # key awaits a coherence re-miss at associativity ``a`` (it was
+    # resident there when invalidated); ``cmax`` means none pending.
+    seen = np.zeros(nkeys, dtype=bool)
+    touched = np.zeros(nkeys, dtype=bool)
+    wrote = np.zeros(nkeys, dtype=bool)
+    pend_thr = np.full(nkeys, cmax, dtype=np.int64)
 
     for ei, epoch in enumerate(trace.epochs):
         decoded = memo.epoch(layout, line_size, ei)
-        epoch_written: list[np.ndarray] = []
-        epoch_pages: list[np.ndarray] = []
-        for p in range(nprocs):
-            lines, pages, written = _proc_streams_packed(
-                epoch, decoded, p, line_size, base.page_size, nlines
-            )
-            epoch_written.append(written)
-            if lines.shape[0]:
-                g_hists[ei, p] = sweeps[p].access_stream(lines)
-                epoch_pages.append((collapse_runs(pages).astype(kdt) << bits) | kdt(p))
-                touched[lines] = True
-                fresh = touched & ~seen[p]
-                cold[p] += int(np.count_nonzero(fresh))
-                seen[p] |= fresh
-                tl = np.flatnonzero(touched)
-                thr = pend_thr[p, tl]
-                pend = thr < cmax
-                if pend.any():
-                    coh_hist[p] += np.bincount(thr[pend], minlength=cmax)
-                    pend_thr[p, tl[pend]] = cmax
-                touched.fill(False)
-        for p, w in enumerate(_invalidation_targets(epoch_written)):
-            if w is None or w.shape[0] == 0:
+        lens = np.array([u.shape[0] for u in decoded.units], dtype=np.int64)
+        page_parts = []
+        any_write = False
+        for blo, bhi in batch_blocks(lens, _SWEEP_KEYS):
+            keys = _encode_epoch(decoded.units[blo:bhi], bits, kdt, blo, low)
+            if not keys.shape[0]:
                 continue
-            removed, thr = sweeps[p].invalidate_present(w, assume_unique=True)
-            if thr.shape[0]:
-                inval_hist[p] += np.bincount(thr, minlength=cmax)
-                pend_thr[p, removed] = thr
+            ckeys = collapse_runs(keys)
+            g_hists[ei] += sweep.access_stream(ckeys, owner_bits=bits)[:nprocs]
+            touched[ckeys] = True
+            # Pages from the collapsed lines: collapsing commutes with any
+            # per-key map.
+            pkeys = (line(ckeys.astype(np.int64)) << shift) >> pshift
+            pkeys = (pkeys << bits) | owner(ckeys)
+            page_parts.append(collapse_runs(pkeys).astype(pdt, copy=False))
+            wflags = _write_flags(epoch, decoded, blo, bhi)
+            if wflags is not None:
+                any_write = True
+                wrote[keys[wflags]] = True
         page_chunks.append(
-            np.concatenate(epoch_pages) if epoch_pages else np.empty(0, dtype=kdt)
+            np.concatenate(page_parts) if page_parts else np.empty(0, dtype=pdt)
         )
-        works[ei] = epoch.work
-        locks_e[ei] = epoch.lock_acquires
-        labels.append(epoch.label)
+        # Classify: first-ever touches are cold; re-touches of keys
+        # invalidated at associativity ``a`` are coherence misses there.
+        u = np.flatnonzero(touched)
+        touched[u] = False
+        fresh = u[~seen[u]]
+        seen[fresh] = True
+        cold += np.bincount(owner(fresh), minlength=nprocs)
+        thr = pend_thr[u]
+        pend = thr < cmax
+        if pend.any():
+            coh_hist += np.bincount(
+                owner(u[pend]) * cmax + thr[pend], minlength=nprocs * cmax
+            )
+            pend_thr[u[pend]] = cmax
+        # Barrier: drop every tracked key whose line another processor
+        # wrote, recording the associativities it was resident at.
+        if not any_write:
+            continue
+        wkeys = np.flatnonzero(wrote)
+        writers = np.bincount(line(wkeys), minlength=nlines)
+        tracked = sweep.keys
+        removed, thr = sweep.drop(writers[line(tracked)] > wrote[tracked])
+        wrote[wkeys] = False
+        if thr.shape[0]:
+            inval_hist += np.bincount(
+                owner(removed) * cmax + thr, minlength=nprocs * cmax
+            )
+            pend_thr[removed] = thr
 
-    tlb_epoch = _tlb_epoch_misses(page_chunks, nprocs, base.tlb_entries)
-    results = []
-    tlb_misses = tlb_epoch.sum(axis=0)
-    barrier = base.barrier_time if nprocs > 1 else 0.0
-    for nbytes, assoc in zip(l2_list, assocs):
-        params = replace(base, line_size=line_size, l2_bytes=nbytes, l2_assoc=assoc)
-        epoch_l2 = g_hists[:, :, assoc:].sum(axis=2)
-        l2_misses = epoch_l2.sum(axis=0)
-        coherence = coh_hist[:, :assoc].sum(axis=1)
-        proc_time = (
-            works * (params.work_cycles * params.cycle_time)
-            + epoch_l2 * params.l2_miss_time()
-            + tlb_epoch * params.tlb_miss_time
-            + locks_e * params.lock_time
+    epoch_tlb = _tlb_epoch_misses(page_chunks, nprocs, base.tlb_entries)
+    inval_hist = inval_hist.reshape(nprocs, cmax)
+    coh_hist = coh_hist.reshape(nprocs, cmax)
+    return [
+        _hardware_result(
+            trace,
+            replace(base, line_size=line_size, l2_bytes=nbytes, l2_assoc=assoc),
+            g_hists[:, :, assoc:].sum(axis=2),
+            epoch_tlb,
+            inval_hist[:, :assoc].sum(axis=1),
+            cold.copy(),
+            coh_hist[:, :assoc].sum(axis=1),
         )
-        epoch_times = (
-            proc_time.max(axis=1) + barrier
-            if nepochs
-            else np.zeros(0, dtype=np.float64)
-        )
-        phase_times: dict[str, float] = {}
-        for lbl, t in zip(labels, epoch_times):
-            if lbl:
-                phase_times[lbl] = phase_times.get(lbl, 0.0) + float(t)
-        residual = l2_misses - cold - coherence
-        overcount = np.maximum(-residual, 0)
-        if overcount.any():
-            warnings.warn(
-                "miss classification drift: cold + coherence exceed total L2"
-                f" misses by {overcount.tolist()} per processor (total"
-                f" {int(overcount.sum())}); capacity_misses carries the exact"
-                " (negative) residual and classification_overcount the excess",
-                RuntimeWarning,
-                stacklevel=3,
-            )
-        results.append(
-            HardwareResult(
-                params=params,
-                nprocs=nprocs,
-                l2_misses=l2_misses,
-                tlb_misses=tlb_misses.copy(),
-                invalidations=inval_hist[:, :assoc].sum(axis=1),
-                work=works.sum(axis=0),
-                lock_acquires=locks_e.sum(axis=0, dtype=np.int64),
-                barriers=nepochs,
-                time=float(sum(epoch_times.tolist())),
-                phase_times=phase_times,
-                cold_misses=cold.copy(),
-                coherence_misses=coherence,
-                capacity_misses=residual,
-                classification_overcount=overcount,
-            )
-        )
-    return results
+        for nbytes, assoc in zip(l2_list, assocs)
+    ]
 
 
 def simulate_hardware_sweep(

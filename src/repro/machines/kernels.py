@@ -254,13 +254,9 @@ def _miss_mask(prev: np.ndarray, seg_end: np.ndarray, capacity: int) -> np.ndarr
     * ``live >= capacity`` — at least ``capacity`` distinct keys already
       in the lookback suffix: a certain miss;
 
-    Undecided positions (long gap, low-diversity suffix) retry with a 4x
-    larger gathered lookback.  Each retry round costs ``W`` Python-level
-    passes however few rows remain, so a small sliver (at most ``n/64``
-    rows — the rule :func:`_clamped_distances` uses) is finished instead
-    by the per-query exact count :func:`_count_left_le_at`; if the
-    lookback budget blows up, the exact O(n log^2 n) dominance count
-    (:func:`reuse_distances`) finishes the job.  Segment boundaries are
+    Undecided positions (long gap, low-diversity suffix) are finished by
+    :func:`_finish_undecided`: 4x larger gathered lookbacks, then an
+    exact count for the last sliver.  Segment boundaries are
     folded into the liveness horizon (``next`` capped at ``seg_end - 1``),
     so no per-position segment comparison is needed in the hot loop.
     """
@@ -298,17 +294,46 @@ def _miss_mask(prev: np.ndarray, seg_end: np.ndarray, capacity: int) -> np.ndarr
     near = (gap <= W + 1) & ~miss  # window inside lookback: acc is exact
     miss |= acc >= capacity  # exact verdict for near rows, certain for far
     undec = np.flatnonzero(~(near | miss))
+    if undec.size:
+        dist = _finish_undecided(prev, gap, rem, undec, W, capacity)
+        miss[undec] = dist >= capacity
+    return miss
 
+
+def _finish_undecided(
+    prev: np.ndarray,
+    gap: np.ndarray,
+    rem: np.ndarray,
+    undec: np.ndarray,
+    W: int,
+    cap: int,
+) -> np.ndarray:
+    """Reuse distances ``min(dist, cap)`` of the rows a first lookback pass
+    of width ``W`` left undecided (``undec``, ascending).
+
+    ``gap`` and ``rem`` are the first pass's ``i - prev[i]`` and capped
+    next-occurrence offsets.  Each round retries the rows with a 4x
+    larger gathered lookback: a row is decided once its window fits the
+    lookback (the live count is its exact distance) or the lookback
+    already holds ``cap`` live keys (it clamps).  Each round costs ``W``
+    Python-level passes however few rows remain, so a sliver of at most
+    ``n/64`` rows is finished instead by the per-query exact count
+    :func:`_count_left_le_at`; if the lookback budget blows up, the exact
+    O(n log^2 n) dominance count :func:`count_left_le` finishes the job.
+    """
+    n = prev.shape[0]
+    out = np.empty(undec.size, dtype=np.int64)
+    rows = np.arange(undec.size)  # where each still-open row goes in ``out``
     while undec.size:
         if undec.size * 64 <= n:
             dist = _count_left_le_at(prev, undec) - (prev[undec] + 1)
-            miss[undec] = dist >= capacity
+            out[rows] = np.minimum(dist, cap)
             break
         W = min(W * 4, n)
         if undec.size * W > 64 * n + (1 << 22):
             # Adversarial stream shape: finish with the exact global count.
             dist = count_left_le(prev) - (prev + 1)
-            miss[undec] = dist[undec] >= capacity
+            out[rows] = np.minimum(dist[undec], cap)
             break
         g = gap[undec]
         acc2 = np.zeros(undec.size, dtype=np.int32)
@@ -325,12 +350,11 @@ def _miss_mask(prev: np.ndarray, seg_end: np.ndarray, capacity: int) -> np.ndarr
             a = rem[tail - k] >= k
             a &= k < g_t
             acc_t += a
-        near2 = g <= W + 1
-        sub_miss = acc2 >= capacity
-        sub_decided = near2 | sub_miss
-        miss[undec[sub_decided]] = sub_miss[sub_decided]
-        undec = undec[~sub_decided]
-    return miss
+        decided = (g <= W + 1) | (acc2 >= cap)
+        out[rows[decided]] = np.minimum(acc2[decided], cap)
+        undec = undec[~decided]
+        rows = rows[~decided]
+    return out
 
 
 def _replay_small_assoc(
@@ -565,14 +589,13 @@ def _clamped_distances(
     keeping the accumulator *value* where the window fits the lookback
     (exact distance) instead of only the ``>= capacity`` verdict; far
     positions whose lookback already holds ``cmax`` distinct live keys
-    are certain to clamp, and only the remaining sliver pays an exact
-    dominance count — per-query via :func:`_count_left_le_at` when the
-    sliver is small, the full O(n log^2 n) pass otherwise.
+    are certain to clamp, and the rest go through the same lookback
+    retries and exact finish as :func:`_miss_mask`
+    (:func:`_finish_undecided`).
     """
     n = prev.shape[0]
-    out = np.full(n, cmax, dtype=np.int64)
     if n == 0 or cmax <= 0:
-        return out
+        return np.full(n, cmax, dtype=np.int64)
     cold = prev < 0
     if cmax >= n:
         dist = count_left_le(prev) - (prev + 1)
@@ -581,10 +604,11 @@ def _clamped_distances(
         return dist
     iota = np.arange(n, dtype=np.int32)
     gap = iota - prev.astype(np.int32)
-    has_next = prev >= 0
-    rem = np.empty(n, dtype=np.int32)
-    rem[:] = seg_end - 1
-    rem[prev[has_next]] = iota[has_next]
+    # rem as in _miss_mask; cold rows scatter into the spare slot 0.
+    rem = np.empty(n + 1, dtype=np.int32)
+    rem[1:] = seg_end - 1
+    rem[prev + 1] = iota
+    rem = rem[1:]
     rem -= iota
     W = int(min(max(cmax + cmax // 2, 8), 64, n - 1))
     acc = np.zeros(n, dtype=np.uint8 if W <= 255 else np.int32)
@@ -595,15 +619,10 @@ def _clamped_distances(
         a &= np.greater(gap[k:], k, out=win[: n - k])
         acc[k:] += a
     near = (gap <= W + 1) & ~cold
-    out[near] = np.minimum(acc[near], cmax)
+    out = np.where(near, np.minimum(acc, cmax), cmax).astype(np.int64)
     undec = np.flatnonzero(~cold & ~near & (acc < cmax))
     if undec.size:
-        if undec.size * 64 > n:
-            dist = count_left_le(prev) - (prev + 1)
-            out[undec] = np.minimum(dist[undec], cmax)
-        else:
-            dist = _count_left_le_at(prev, undec) - (prev[undec] + 1)
-            out[undec] = np.minimum(dist, cmax)
+        out[undec] = _finish_undecided(prev, gap, rem, undec, W, cmax)
     return out
 
 
@@ -633,11 +652,17 @@ class SetAssocSweep:
     capacity line; ``mdepth`` pins the historical maximum.)
 
     :meth:`access_stream` returns the histogram of ``g`` clamped at
-    ``max_assoc``; miss counts are its suffix sums (:meth:`curve`).
-    :meth:`invalidate_present` drops keys and returns their ``mdepth``
-    thresholds: the key was resident — hence actually invalidated — at
-    associativity ``a`` iff its threshold is ``< a``.  Equality with
-    per-capacity replays of the per-access oracle is asserted in
+    ``max_assoc`` — split by owner when the top ``owner_bits`` bits of
+    the set index name one (a processor, say); miss counts are its
+    suffix sums (:meth:`curve`).  A call replays only the state of the
+    sets its keys touch, so a stream cut into blocks of ascending,
+    disjoint set ranges costs no more than one call, and each block's
+    state stays small.  :meth:`drop` removes the tracked keys (see
+    :attr:`keys`) flagged by a mask and returns their ``mdepth``
+    thresholds: a key was resident — hence actually invalidated — at
+    associativity ``a`` iff its threshold is ``< a``;
+    :meth:`invalidate_present` is the same drop by key list.  Equality
+    with per-capacity replays of the per-access oracle is asserted in
     ``tests/machines/test_sweep_kernels.py``.
     """
 
@@ -648,11 +673,17 @@ class SetAssocSweep:
             raise ValueError(f"max_assoc must be >= 1, got {max_assoc}")
         self.nsets = nsets
         self.max_assoc = max_assoc
-        # Tracked keys grouped by ascending set, mdepth-ascending
-        # (MRU-first) within each set; mdepth strictly increasing within
-        # a set mirrors the recency order of the valid keys.
+        # Tracked keys grouped by ascending set, LRU-first (mdepth
+        # strictly decreasing) within each set, with their set ids.
         self._keys = np.empty(0, dtype=np.int64)
         self._mdepth = np.empty(0, dtype=np.int64)
+        self._sets = np.empty(0, dtype=np.int64)
+        # Calls over ascending set ranges defer the splice: ``_parts``
+        # holds the new state of everything before ``_pos`` in the arrays
+        # above (sets below ``_next_set``), which :meth:`_splice` joins.
+        self._parts: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
+        self._pos = 0
+        self._next_set = 0
 
     @staticmethod
     def curve(hist: np.ndarray, capacities: np.ndarray) -> np.ndarray:
@@ -661,138 +692,138 @@ class SetAssocSweep:
         tail = np.concatenate([np.cumsum(hist[::-1])[::-1], [0]])
         return tail[np.minimum(caps, hist.shape[0])]
 
-    def access_stream(self, keys: np.ndarray) -> np.ndarray:
+    def _splice(self) -> None:
+        """Join the deferred parts and the untouched rest of the state."""
+        if self._parts:
+            rest = (self._keys, self._mdepth, self._sets)
+            cols = zip(*self._parts, (c[self._pos :] for c in rest))
+            self._keys, self._mdepth, self._sets = (np.concatenate(c) for c in cols)
+            self._parts = []
+        self._pos = self._next_set = 0
+
+    @property
+    def keys(self) -> np.ndarray:
+        """The tracked keys, grouped by ascending set (the mask order of
+        :meth:`drop`)."""
+        self._splice()
+        return self._keys
+
+    def access_stream(
+        self, keys: np.ndarray, owner_bits: int | None = None
+    ) -> np.ndarray:
         """Replay one epoch's accesses; return the clamped-g histogram.
 
         ``hist[v]`` counts (run-collapsed) accesses with
         ``min(g, max_assoc) == v``; the miss count at associativity
         ``a <= max_assoc`` is ``hist[a:].sum()``, matching a
-        ``setassoc_kernel(keys, nsets, a)`` replay.
+        ``setassoc_kernel(keys, nsets, a)`` replay.  With ``owner_bits``
+        the histogram is split by owner ``set >> (log2(nsets) -
+        owner_bits)``: shape ``(2**owner_bits, max_assoc + 1)``.
         """
+        cmax = self.max_assoc
+        nown = 1 if owner_bits is None else 1 << owner_bits
         # Collapse duplicate runs: distance-0 hits at any capacity.
         keys = collapse_runs(np.ascontiguousarray(keys, dtype=np.int64))
-        cmax = self.max_assoc
         n = keys.shape[0]
         if n == 0:
-            return np.zeros(cmax + 1, dtype=np.int64)
-        nsets = self.nsets
-        skeys, smd = self._keys, self._mdepth
-        m = skeys.shape[0]
+            hist = np.zeros((nown, cmax + 1), dtype=np.int64)
+            return hist[0] if owner_bits is None else hist
+        sets = keys & (self.nsets - 1)
+        s0, s1 = int(sets.min()), int(sets.max())
+        if s0 < self._next_set:
+            self._splice()
+        # The state of sets [s0, s1] is one slice; sets are local from here.
+        a = self._pos + int(np.searchsorted(self._sets[self._pos :], s0))
+        b = a + int(np.searchsorted(self._sets[a:], s1, side="right"))
+        m = b - a
+        nloc = s1 - s0 + 1
+        sdt = np.uint16 if nloc <= 1 << 16 else np.int64
+        local = np.concatenate([self._sets[a:b] - s0, sets - s0]).astype(sdt)
 
-        # Build the combined stream: per set, the valid keys LRU-first
-        # (an uncharged prefix reconstructing the recency order) followed
-        # by the epoch's accesses in program order.
-        if nsets > 1:
-            mask = nsets - 1
-            stream_sets = keys & mask
-            state_sets = skeys & mask
-        else:
-            stream_sets = np.zeros(n, dtype=np.int64)
-            state_sets = np.zeros(m, dtype=np.int64)
-        mcounts = np.bincount(state_sets, minlength=nsets)
-        ncounts = np.bincount(stream_sets, minlength=nsets)
-        seg_sizes = mcounts + ncounts
-        seg_cum = np.cumsum(seg_sizes)
-        seg_start = seg_cum - seg_sizes
-        # State is stored MRU-first per set; reverse into LRU-first slots.
-        m_local = np.arange(m, dtype=np.int64) - np.repeat(
-            np.cumsum(mcounts) - mcounts, mcounts
+        # Combined stream: per set, the tracked keys LRU-first (an
+        # uncharged prefix reconstructing the recency order) followed by
+        # the accesses in program order.
+        order = np.argsort(local, kind="stable")
+        combined = np.concatenate([self._keys[a:b], keys])[order]
+        md_at = np.concatenate([self._mdepth[a:b], np.zeros(n, np.int64)])[order]
+        is_stream = order >= m
+        seg = local[order]
+        counts = np.bincount(seg, minlength=nloc)
+        ends = np.cumsum(counts)
+        # Equal keys share a set, so relabelling each key by (tag, local
+        # set) keeps equality and fits the radix sort's 16 bits far more
+        # often than the raw key does.
+        tag_shift = self.nsets.bit_length() - 1
+        prev = _prev_occurrence((combined >> tag_shift) * nloc + seg)
+        dist = _clamped_distances(prev, np.repeat(ends, counts), cmax)
+        # A stream position's own mdepth is 0, so the max only lifts
+        # re-accesses of prefix keys; cold positions are already cmax.
+        # Prefix positions go to the spare bin cmax + 1.
+        g = np.where(
+            is_stream, np.maximum(md_at[np.maximum(prev, 0)], dist), cmax + 1
         )
-        pdst = seg_start[state_sets] + (mcounts[state_sets] - 1 - m_local)
-        sorder = (
-            np.argsort(_narrow(stream_sets), kind="stable")
-            if nsets > 1
-            else np.arange(n, dtype=np.int64)
-        )
-        s_local = np.arange(n, dtype=np.int64) - np.repeat(
-            np.cumsum(ncounts) - ncounts, ncounts
-        )
-        ssets = stream_sets[sorder]
-        sdst = seg_start[ssets] + mcounts[ssets] + s_local
-        N = m + n
-        combined = np.empty(N, dtype=np.int64)
-        combined[pdst] = skeys
-        combined[sdst] = keys[sorder]
-        is_stream = np.ones(N, dtype=bool)
-        is_stream[pdst] = False
-        md_at = np.zeros(N, dtype=np.int64)
-        md_at[pdst] = smd
-        seg_id = np.repeat(np.arange(nsets, dtype=np.int64), seg_sizes)
-        seg_end = np.repeat(seg_cum, seg_sizes)
-        prefix_end = np.repeat(seg_start + mcounts, seg_sizes)
+        # Each owner's sets are contiguous, so its accesses are one slice
+        # of the set-grouped stream.
+        oshift = tag_shift - (owner_bits or 0)
+        o0, o1 = s0 >> oshift, (s1 >> oshift) + 1
+        cuts = np.clip((np.arange(o0, o1 + 1) << oshift) - s0, 0, nloc)
+        bounds = np.concatenate([[0], ends])[cuts]
+        hist = np.zeros((nown, cmax + 2), dtype=np.int64)
+        for o, lo, hi in zip(range(o0, o1), bounds[:-1], bounds[1:]):
+            hist[o] = np.bincount(g[lo:hi], minlength=cmax + 2)
+        hist = hist[:, : cmax + 1]
 
-        prev = _prev_occurrence(combined)
-        dist = _clamped_distances(prev, seg_end, cmax)
-        cold = prev < 0
-        # prev lies inside the same segment, so "prefix hit" is just
-        # prev < the segment's prefix end.
-        phit = ~cold & (prev < prefix_end)
-        g = np.where(phit, np.maximum(md_at[np.maximum(prev, 0)], dist), dist)
-        g[cold] = cmax
-        hist = np.bincount(g[is_stream], minlength=cmax + 1).astype(np.int64)
+        # New state: each key's last position.  In LRU-first order, a
+        # key's new mdepth is the number of keys after it in its set (for
+        # an un-accessed prefix key, at least its old mdepth); keys that
+        # reach ``cmax`` are gone at every capacity.  First occurrences
+        # mark the spare slot 0.
+        is_last = np.ones(m + n + 1, dtype=bool)
+        is_last[prev + 1] = False
+        idx = np.flatnonzero(is_last[1:])
+        lseg = seg[idx]
+        after = np.cumsum(np.bincount(lseg, minlength=nloc))[lseg] - 1
+        after -= np.arange(idx.shape[0])
+        md = np.maximum(md_at[idx], after)
+        keep = md < cmax
+        pos = self._pos
+        self._parts += [
+            (self._keys[pos:a], self._mdepth[pos:a], self._sets[pos:a]),
+            (combined[idx[keep]], md[keep], lseg[keep].astype(np.int64) + s0),
+        ]
+        self._pos, self._next_set = b, s1 + 1
+        return hist[0] if owner_bits is None else hist
 
-        # --- new state ---------------------------------------------------
-        is_last = np.ones(N, dtype=bool)
-        has_next = prev >= 0
-        is_last[prev[has_next]] = False
-        # Keys accessed this epoch: their stream last occurrences, in
-        # position order = LRU-first; new mdepth = #later last occurrences.
-        sl = np.flatnonzero(is_last & is_stream)
-        sl_sets = seg_id[sl]
-        acc_counts = np.bincount(sl_sets, minlength=nsets)
-        a_local = np.arange(sl.shape[0], dtype=np.int64) - np.repeat(
-            np.cumsum(acc_counts) - acc_counts, acc_counts
-        )
-        md_accessed = acc_counts[sl_sets] - 1 - a_local
-        # Un-accessed valid keys: depth only grows within an epoch, so
-        # the epoch max is the end depth — every distinct stream key is
-        # now above, plus the un-accessed prefix slots that were already
-        # above (accessed ones are part of the stream-key count).
-        unacc = np.flatnonzero(~is_stream & is_last)
-        acc_flag = (~is_stream & ~is_last).astype(np.int64)
-        accs = np.cumsum(acc_flag)
-        acc_after = accs[prefix_end[unacc] - 1] - accs[unacc]
-        slots_after = prefix_end[unacc] - 1 - unacc
-        end_depth = slots_after - acc_after + acc_counts[seg_id[unacc]]
-        md_unacc = np.maximum(md_at[unacc], end_depth)
-
-        all_keys = np.concatenate([combined[sl], combined[unacc]])
-        all_md = np.concatenate([md_accessed, md_unacc])
-        all_sets = np.concatenate([sl_sets, seg_id[unacc]])
-        keep = all_md < cmax
-        if not keep.all():
-            all_keys, all_md, all_sets = (
-                all_keys[keep],
-                all_md[keep],
-                all_sets[keep],
-            )
-        order2 = np.lexsort((all_md, all_sets))
-        self._keys = all_keys[order2]
-        self._mdepth = all_md[order2]
-        return hist
-
-    def invalidate_present(
-        self, keys: np.ndarray, assume_unique: bool = False
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Drop tracked keys in ``keys``; return ``(removed, thresholds)``.
+    def drop(self, mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Drop the tracked keys flagged in ``mask`` (aligned with
+        :attr:`keys`); return ``(removed, thresholds)``.
 
         A dropped key was resident — and therefore counted as an
         invalidation by the per-capacity simulator — at associativity
         ``a`` iff its returned threshold is ``< a``; at smaller
         capacities it had already been evicted, so the invalidation was
-        a no-op there.  Keys absent from the state are not returned.
+        a no-op there.
         """
+        self._splice()
+        removed, thr = self._keys[mask], self._mdepth[mask]
+        if thr.shape[0]:
+            keep = ~mask
+            self._keys, self._mdepth, self._sets = (
+                self._keys[keep], self._mdepth[keep], self._sets[keep]
+            )
+        return removed, thr
+
+    def invalidate_present(
+        self, keys: np.ndarray, assume_unique: bool = False
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Drop tracked keys in ``keys``; return ``(removed, thresholds)``
+        as :meth:`drop` does.  Keys absent from the state are not
+        returned."""
         w = np.asarray(keys, dtype=np.int64)
         if not assume_unique:
             w = np.unique(w)
-        empty = np.empty(0, dtype=np.int64)
-        if self._keys.shape[0] == 0 or w.shape[0] == 0:
+        tracked = self.keys
+        if tracked.shape[0] == 0 or w.shape[0] == 0:
+            empty = np.empty(0, dtype=np.int64)
             return empty, empty
-        hit = np.isin(self._keys, w, assume_unique=True)
-        removed = self._keys[hit]
-        thr = self._mdepth[hit]
-        if thr.shape[0]:
-            keep = ~hit
-            self._keys = self._keys[keep]
-            self._mdepth = self._mdepth[keep]
-        return removed, thr
+        return self.drop(np.isin(tracked, w, assume_unique=True))

@@ -350,6 +350,10 @@ class DecodeMemo:
                 self._lru.move_to_end((gkey, index))
         return decoded
 
+    def __contains__(self, key: tuple) -> bool:
+        """Whether a derived product is cached under ``key``."""
+        return key in self._derived
+
     def derived(self, key: tuple, build):
         """Get-or-build an arbitrary derived product cached on this trace."""
         try:

@@ -12,8 +12,12 @@ misses), idle processors, empty epochs, epochs where every processor
 writes, direct-mapped/2-way/4-way L2s and a TLB larger than the stream.
 """
 
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import hardware as oracle
 from repro.apps import AppConfig, BarnesHut, Moldyn
@@ -185,6 +189,51 @@ def test_sweep_points_match_oracle(nprocs):
                 getattr(got, name), getattr(ref, name), err_msg=name
             )
         assert got.time.hex() == ref.time.hex()
+
+
+def assert_same_result(got, ref):
+    assert got.params == ref.params
+    assert got.nprocs == ref.nprocs and got.barriers == ref.barriers
+    for name in RESULT_ARRAYS:
+        np.testing.assert_array_equal(
+            getattr(got, name), getattr(ref, name), err_msg=name
+        )
+    assert got.time.hex() == ref.time.hex()
+    assert [(k, v.hex()) for k, v in got.phase_times.items()] == [
+        (k, v.hex()) for k, v in ref.phase_times.items()
+    ]
+
+
+@given(
+    nprocs=st.sampled_from([1, 2, 3, 5, 16]),
+    seed=st.integers(0, 2**32 - 1),
+    ways=st.lists(st.integers(1, 9), min_size=1, max_size=4, unique=True),
+    budget=st.sampled_from([hardware._SWEEP_KEYS, 64, 1]),
+)
+@settings(max_examples=40, deadline=None)
+def test_batched_sweep_matches_per_processor_sweep(nprocs, seed, ways, budget):
+    """Every field of every sweep point equals the per-processor sweep
+    oracle and the per-point replay: two line sizes, associativity lists
+    that skip values, idle processors, lines written by one processor and
+    by several, and (small budgets) epochs cut into processor blocks."""
+    rng = np.random.default_rng(seed)
+    trace = random_trace(rng, nprocs, idle=0.4)
+    base = params(nprocs, nsets=4, assoc=2)
+    set_span = base.l2_bytes // base.l2_assoc
+    l2_bytes = [set_span * w for w in ways]
+    line_sizes = [64, 128]
+    with mock.patch.object(hardware, "_SWEEP_KEYS", budget):
+        got = hardware.simulate_hardware_sweep(
+            trace, base, l2_bytes=l2_bytes, line_sizes=line_sizes
+        )
+    want = [
+        r for s in line_sizes
+        for r in oracle.simulate_hardware_sweep(trace, base, l2_bytes, line_size=s)
+    ]
+    assert len(got) == len(want) == len(l2_bytes) * len(line_sizes)
+    for g, w in zip(got, want):
+        assert_same_result(g, w)
+        assert_same_result(g, hardware.simulate_hardware(trace, g.params))
 
 
 def test_app_traces_match_oracle():

@@ -71,6 +71,30 @@ class TestLadderEqualsPerSizeBuild:
         want, _ = build_intervals(trace, lay, page_size=4096)
         assert_infos_equal(infos[4096], want)
 
+    def test_memoized_sizes_skip_the_finest_pass(self, monkeypatch):
+        """A second sweep on the same trace reads every size from the
+        decode memo: no epoch is summarized again."""
+        from repro.machines.dsm import intervals
+
+        passes = []
+        real = intervals._epoch_ladder_packed
+        monkeypatch.setattr(
+            intervals, "_epoch_ladder_packed",
+            lambda *a: passes.append(1) or real(*a),
+        )
+        trace = _trace(Moldyn, n=256, iterations=1)
+        base = cluster_scaled(nprocs=4)
+        first = simulate_dsm_sweep(trace, base, PAGE_SIZES, protocols=("hlrc",))
+        assert len(passes) == len(trace.epochs)
+        passes.clear()
+        again = simulate_dsm_sweep(trace, base, PAGE_SIZES, protocols=("hlrc",))
+        assert passes == []
+        for size in PAGE_SIZES:
+            assert again["hlrc"][size].time == first["hlrc"][size].time
+        # A size not yet memoized still needs the pass.
+        simulate_dsm_sweep(trace, base, (256, 1024), protocols=("hlrc",))
+        assert len(passes) == len(trace.epochs)
+
     def test_rejects_non_power_of_two(self):
         trace = _trace(Moldyn, n=128, iterations=1)
         with pytest.raises(Exception):

@@ -159,6 +159,26 @@ class TestMissMaskDeepRounds:
         assert bool(calls) == sliver
         assert all(m * 64 <= n for m in calls)
 
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_clamped_distances_retry_like_miss_mask(self, case, monkeypatch):
+        """``_clamped_distances`` shares the retry rounds: exact clamped
+        distances, and no full O(n log^2 n) count on these streams."""
+        from repro.machines import kernels
+
+        keys, capacities, _ = self.CASES[case]
+        n = keys.shape[0]
+        prev = kernels._prev_occurrence(keys)
+        dist = reuse_distances(keys)
+        full = []
+        real = kernels.count_left_le
+        monkeypatch.setattr(
+            kernels, "count_left_le", lambda v: full.append(1) or real(v)
+        )
+        for cmax in capacities:
+            got = kernels._clamped_distances(prev, np.full(n, n), cmax)
+            np.testing.assert_array_equal(got, np.minimum(dist, cmax))
+        assert full == []
+
 
 def _loop_twin(kind, nsets, assoc):
     if kind == "lru":

@@ -173,7 +173,9 @@ class TestBlocks:
         layout = Layout.for_trace(trace, align=params.page_size)
         nlines = (layout.total_bytes >> (params.line_size.bit_length() - 1)) + 1
         bits = (trace.nprocs - 1).bit_length()
-        from repro.machines.hardware import _mark_outside_writes, _proc_streams_packed
+        from oracles.hardware import _proc_streams_packed
+
+        from repro.machines.hardware import _mark_outside_writes
         from repro.trace.layout import decode_memo
 
         memo = decode_memo(trace)

@@ -1,8 +1,9 @@
 """Per-burst reference decoders for the columnar trace fast paths.
 
-The production decoders (:func:`repro.machines.hardware._proc_streams_packed`,
-:func:`repro.machines.dsm.intervals._epoch_info_packed`, the decode memo)
-work on whole column slices at once.  These oracles restate the same
+The production decoders (the decode memo, read per processor through
+:func:`oracles.hardware._proc_streams_packed`, and
+:func:`repro.machines.dsm.intervals._epoch_info_packed`) work on whole
+column slices at once.  These oracles restate the same
 quantities one burst and one object at a time, straight from the
 definitions: an object of ``size`` bytes at ``base + index * size`` covers
 every unit from its first byte's to its last byte's.  They are slow and

@@ -12,6 +12,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import bursts as oracle
+from oracles.hardware import _proc_streams_packed
 
 from repro.machines import simulate_hardware, simulate_hlrc, simulate_treadmarks
 from repro.machines.dsm.intervals import (
@@ -19,7 +20,6 @@ from repro.machines.dsm.intervals import (
     build_interval_ladder,
     build_intervals,
 )
-from repro.machines.hardware import _proc_streams_packed
 from repro.machines.params import cluster_scaled, origin2000_scaled
 from repro.trace import stats
 from repro.trace.builder import TraceBuilder
