@@ -116,6 +116,11 @@ class SweepGrid:
             raise ConfigError("SweepGrid needs at least one app and platform")
         for name in ("l2_bytes", "line_sizes", "page_sizes"):
             object.__setattr__(self, name, _as_sizes(name, getattr(self, name)))
+        odd = [s for s in self.page_sizes or () if s & (s - 1)]
+        if odd:
+            raise ConfigError(
+                f"SweepGrid.page_sizes must be powers of two, got {odd}"
+            )
 
 
 def grid_to_dict(grid: SweepGrid) -> dict:

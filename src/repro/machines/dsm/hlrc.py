@@ -15,6 +15,11 @@ wrote (their writes live at the home after the release).
 Homes are assigned by blocks of each region's pages across processors,
 approximating the first-touch-after-block-initialization assignment used by
 real HLRC systems.
+
+Within an interval processor ``p`` reads and writes only its own
+``(page, p)`` entries of the validity table, and writes invalidate copies
+only at the interval's end, so each interval is folded for all processors
+at once over flat ``(page, proc)`` rows.
 """
 
 from __future__ import annotations
@@ -25,7 +30,7 @@ from ...errors import SimulationInputError
 from ...trace.events import Trace
 from ...trace.layout import Layout
 from ..params import CLUSTER_16, ClusterParams
-from .common import DSMResult
+from .common import DSMResult, fold_intervals, proc_sums, protocol_inputs
 from .intervals import EpochPageInfo, build_intervals, total_pages
 
 __all__ = ["simulate_hlrc", "block_homes"]
@@ -56,120 +61,57 @@ def simulate_hlrc(
     intervals: list[EpochPageInfo] | None = None,
 ) -> DSMResult:
     """Run a trace through the HLRC protocol model."""
-    if not isinstance(trace, Trace):
-        raise SimulationInputError(
-            f"simulate_hlrc expects a Trace, got {type(trace).__name__}"
-        )
-    if intervals is None:
-        intervals, layout = build_intervals(trace, layout, params.page_size)
-    assert layout is not None
-    nprocs = trace.nprocs
-    npages = total_pages(layout, params.page_size)
-    if homes is None:
-        homes = block_homes(layout, params.page_size, nprocs)
-    homes = np.asarray(homes, dtype=np.int64)
-    if homes.shape[0] != npages:
-        raise SimulationInputError("homes array does not cover the address space")
-
-    # valid[g, p]: p's copy of g is current. Homes are always valid.
-    valid = np.zeros((npages, nprocs), dtype=bool)
-    valid[np.arange(npages), homes] = True
-
-    messages = 0
-    data_bytes = 0
-    page_fetches = np.zeros(nprocs, dtype=np.int64)
-    diffs_to_home = np.zeros(nprocs, dtype=np.int64)
-    diff_bytes_moved = np.zeros(nprocs, dtype=np.int64)
-    lock_total = 0
-    time = 0.0
-    phase_times: dict[str, float] = {}
-
-    work_time = params.work_cycles * params.cycle_time
+    intervals, layout, npages = protocol_inputs(
+        "simulate_hlrc", trace, params, layout, intervals, build_intervals
+    )
+    P = trace.nprocs
     hdr = params.msg_header_bytes
+    if homes is None:
+        homes = block_homes(layout, params.page_size, P)
+    homes = np.asarray(homes, dtype=np.int64)
+    if homes.shape != (npages,):
+        raise SimulationInputError("homes array does not cover the address space")
+    if npages and (homes.min() < 0 or homes.max() >= P):
+        raise SimulationInputError(f"homes must name processors in [0, {P})")
 
-    for info in intervals:
-        proc_time = np.zeros(nprocs, dtype=np.float64)
+    # valid[g * P + p]: p's copy of g is current. Homes are always valid.
+    valid = np.zeros(npages * P, dtype=bool)
+    valid[np.arange(npages) * P + homes] = True
+    by_page = valid.reshape(npages, P)
+
+    def interval(info: EpochPageInfo, acc_procs, wr_procs):
         # --- Faults: any access to an invalid page fetches it from home.
-        for p in range(nprocs):
-            acc = info.accesses[p]
-            if acc.shape[0] == 0:
-                continue
-            faulting = acc[~valid[acc, p]]
-            n = int(faulting.shape[0])
-            if n:
-                page_fetches[p] += n
-                messages += 2 * n
-                data_bytes += n * (params.page_size + 2 * hdr)
-                proc_time[p] += n * params.page_fetch_time
-                valid[faulting, p] = True
+        rows = info.acc_pages * P + acc_procs
+        faulting = ~valid[rows]
+        fetches = proc_sums(faulting, info.acc_bounds)
+        n = int(fetches.sum())
+        messages = 2 * n
+        data_bytes = n * (params.page_size + 2 * hdr)
+        proc_time = fetches * params.page_fetch_time
+        valid[rows[faulting]] = True
 
         # --- Release: non-home writers push diffs to the homes; everyone's
         # non-home copy of a written page is invalidated (unless the sole
         # writer is that processor itself — its own writes don't invalidate
         # its copy, but *remote* writes do).
-        writer_count = np.zeros(npages, dtype=np.int64)
-        for w in range(nprocs):
-            wp = info.writes[w]
-            if wp.shape[0] == 0:
-                continue
-            writer_count[wp] += 1
-            remote = wp[homes[wp] != w]
-            n = int(remote.shape[0])
-            if n:
-                sel = homes[wp] != w
-                payload = int(info.write_bytes[w][sel].sum())
-                diffs_to_home[w] += n
-                diff_bytes_moved[w] += payload
-                messages += n  # one diff message per page (ack piggybacked)
-                data_bytes += payload + n * (params.diff_overhead_bytes + hdr)
-                proc_time[w] += (
-                    n * params.msg_overhead_time + payload / params.bandwidth
-                )
-        written_pages = np.nonzero(writer_count)[0]
-        for w in range(nprocs):
-            wp = info.writes[w]
-            if wp.shape[0]:
-                # Invalidate every non-home copy...
-                valid[wp, :] = False
-        if written_pages.shape[0]:
-            # ...except the home's (always current)...
-            valid[written_pages, homes[written_pages]] = True
-            # ...and the sole writer's own copy when nobody else wrote.
-            for w in range(nprocs):
-                wp = info.writes[w]
-                if wp.shape[0]:
-                    sole = wp[writer_count[wp] == 1]
-                    valid[sole, w] = True
+        wpages = info.wr_pages
+        diffs = payload = np.zeros(P, dtype=np.int64)
+        if wpages.shape[0]:
+            remote = homes[wpages] != wr_procs
+            diffs = proc_sums(remote, info.wr_bounds)
+            payload = proc_sums(np.where(remote, info.wr_bytes, 0), info.wr_bounds)
+            n = int(diffs.sum())
+            messages += n  # one diff message per page (ack piggybacked)
+            data_bytes += int(payload.sum()) + n * (params.diff_overhead_bytes + hdr)
+            proc_time += diffs * params.msg_overhead_time + payload / params.bandwidth
+            writer_count = np.bincount(wpages, minlength=npages)
+            written = np.flatnonzero(writer_count)
+            # Invalidate every non-home copy, except the home's (always
+            # current) and the sole writer's own copy when nobody else wrote.
+            by_page[written] = False
+            valid[written * P + homes[written]] = True
+            sole = writer_count[wpages] == 1
+            valid[wpages[sole] * P + wr_procs[sole]] = True
+        return proc_time, messages, data_bytes, (fetches, diffs, payload)
 
-        # --- Locks and barrier.
-        locks_here = int(info.lock_acquires.sum())
-        lock_total += locks_here
-        messages += 2 * locks_here
-        data_bytes += locks_here * 2 * hdr
-        proc_time += info.lock_acquires * params.lock_time
-        proc_time += info.work * work_time
-        if nprocs > 1:
-            messages += 2 * (nprocs - 1)
-            data_bytes += 2 * (nprocs - 1) * hdr
-            barrier_cost = params.barrier_time
-        else:
-            barrier_cost = 0.0
-        epoch_time = float(proc_time.max()) + barrier_cost
-        time += epoch_time
-        if info.label:
-            phase_times[info.label] = phase_times.get(info.label, 0.0) + epoch_time
-
-    return DSMResult(
-        protocol="hlrc",
-        params=params,
-        nprocs=nprocs,
-        messages=messages,
-        data_bytes=data_bytes,
-        page_fetches=page_fetches,
-        diff_fetches=diffs_to_home,
-        diff_bytes=diff_bytes_moved,
-        barriers=len(intervals),
-        lock_acquires=lock_total,
-        time=time,
-        phase_times=phase_times,
-    )
+    return fold_intervals("hlrc", params, P, npages, intervals, interval)

@@ -11,8 +11,9 @@ Page ids here are global page indices within the trace's :class:`Layout`
 arrays in the protocol models.
 
 All processors are summarized at once, as sorted proc-major keys
-``proc << pbits | page`` built per block of whole processors; the lists of
-:class:`EpochPageInfo` are read-only views into arrays they all share.
+``proc << pbits | page`` built per block of whole processors.  An
+:class:`EpochPageInfo` keeps them as flat read-only proc-major columns
+with per-processor bounds, which the protocol folds read directly.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ...errors import SimulationInputError
+from ...errors import ConfigError, SimulationInputError
 from ...trace.events import PackedEpoch, Trace
 from ...trace.layout import DecodedEpoch, DecodeMemo, Layout, decode_memo
 from ...trace.layout import _expand_units, epoch_blocks
@@ -32,32 +33,58 @@ __all__ = ["EpochPageInfo", "build_intervals", "build_interval_ladder", "total_p
 
 @dataclass
 class EpochPageInfo:
-    """Page-level summary of one epoch.
+    """Page-level summary of one epoch, as flat proc-major columns.
 
-    Attributes (all lists indexed by processor):
-
-    * ``accesses[p]`` — sorted unique pages touched (read or write);
-    * ``writes[p]`` — sorted unique pages written;
-    * ``write_bytes[p]`` — dirtied bytes per written page, aligned with
-      ``writes[p]`` (distinct objects written x object size, capped at the
+    * ``acc_pages`` — pages touched (read or write), each processor's run
+      sorted and unique; processor ``p``'s run is
+      ``acc_pages[acc_bounds[p]:acc_bounds[p + 1]]``;
+    * ``wr_pages`` — pages written, split by ``wr_bounds`` the same way;
+    * ``wr_bytes`` — dirtied bytes per written page, aligned with
+      ``wr_pages`` (distinct objects written x object size, capped at the
       page size — a run-length-encoded diff cannot exceed the page);
+    * ``npages`` — pages in the layout the summary was built on, at its
+      page size; every page id is below it;
     * ``label`` — the phase label of the epoch;
     * ``work``, ``lock_acquires`` — carried through for the timing model.
 
-    The list entries are read-only views into arrays shared by all
-    processors of the epoch.
+    ``accesses``, ``writes`` and ``write_bytes`` are the same columns as
+    per-processor lists of read-only views.
     """
 
-    accesses: list[np.ndarray]
-    writes: list[np.ndarray]
-    write_bytes: list[np.ndarray]
+    acc_pages: np.ndarray
+    acc_bounds: tuple[int, ...]
+    wr_pages: np.ndarray
+    wr_bytes: np.ndarray
+    wr_bounds: tuple[int, ...]
+    npages: int
     label: str
     work: np.ndarray
     lock_acquires: np.ndarray
 
     @property
     def nprocs(self) -> int:
-        return len(self.accesses)
+        return len(self.acc_bounds) - 1
+
+    @property
+    def accesses(self) -> list[np.ndarray]:
+        return _split(self.acc_pages, self.acc_bounds)
+
+    @property
+    def writes(self) -> list[np.ndarray]:
+        return _split(self.wr_pages, self.wr_bounds)
+
+    @property
+    def write_bytes(self) -> list[np.ndarray]:
+        return _split(self.wr_bytes, self.wr_bounds)
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
+def _split(values: np.ndarray, bounds: tuple[int, ...]) -> list[np.ndarray]:
+    return [values[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
 
 
 def total_pages(layout: Layout, page_size: int) -> int:
@@ -136,9 +163,7 @@ class _Level(NamedTuple):
 
 
 def _level(columns: list[np.ndarray], pbits: int) -> _Level:
-    for a in columns:
-        a.flags.writeable = False
-    return _Level(*columns, pbits)
+    return _Level(*map(_read_only, columns), pbits)
 
 
 def _run_starts(keys: np.ndarray) -> np.ndarray:
@@ -208,24 +233,24 @@ def _epoch_ladder_packed(
     return _level([np.concatenate([_EMPTY, *c]) for c in (acc, wr, ub, cross)], pbits)
 
 
-def _page_info(epoch: PackedEpoch, level: _Level, page_size: int) -> EpochPageInfo:
-    """Materialize one ladder level: cap the dirty bytes at the page size
-    and split the proc-major columns into per-processor views."""
+def _page_info(
+    epoch: PackedEpoch, level: _Level, layout: Layout, page_size: int
+) -> EpochPageInfo:
+    """Materialize one ladder level: strip the processor bits from the
+    proc-major keys, cap the dirty bytes at the page size and find each
+    processor's bounds.  The bounds are kept as tuples: small numpy
+    buffers that live as long as the memo pin the malloc heap between
+    the large transient arrays of a sweep (with them, the peak RSS of a
+    warm perfbench ``geometry_sweep`` run was ~6 MB higher)."""
     pmask = (1 << level.pbits) - 1
     procs = np.arange(epoch.nprocs + 1, dtype=np.int64) << level.pbits
-    pages, wpages = level.acc & pmask, level.wr & pmask
-    wbytes = np.minimum(level.ub, page_size)
-    for a in (pages, wpages, wbytes):
-        a.flags.writeable = False
-
-    def split(keys: np.ndarray, values: np.ndarray) -> list[np.ndarray]:
-        bounds = np.searchsorted(keys, procs).tolist()
-        return [values[a:b] for a, b in zip(bounds, bounds[1:])]
-
     return EpochPageInfo(
-        accesses=split(level.acc, pages),
-        writes=split(level.wr, wpages),
-        write_bytes=split(level.wr, wbytes),
+        acc_pages=_read_only(level.acc & pmask),
+        acc_bounds=tuple(np.searchsorted(level.acc, procs).tolist()),
+        wr_pages=_read_only(level.wr & pmask),
+        wr_bytes=_read_only(np.minimum(level.ub, page_size)),
+        wr_bounds=tuple(np.searchsorted(level.wr, procs).tolist()),
+        npages=total_pages(layout, page_size),
         label=epoch.label,
         work=np.asarray(epoch.work, dtype=np.float64).copy(),
         lock_acquires=np.asarray(epoch.lock_acquires, dtype=np.int64).copy(),
@@ -237,7 +262,7 @@ def _epoch_info_packed(
 ) -> EpochPageInfo:
     """Page-level summary of one epoch (one ladder level, materialized)."""
     level = _epoch_ladder_packed(epoch, decoded, layout, page_size)
-    return _page_info(epoch, level, page_size)
+    return _page_info(epoch, level, layout, page_size)
 
 
 def _fold_ladder(level: _Level) -> _Level:
@@ -275,10 +300,10 @@ def build_interval_ladder(
     """
     sizes = sorted({int(s) for s in page_sizes})
     if not sizes:
-        raise ValueError("page_sizes must be non-empty")
+        raise ConfigError("page_sizes must be non-empty")
     for s in sizes:
         if s < 1 or s & (s - 1):
-            raise ValueError(f"page sizes must be powers of two, got {s}")
+            raise ConfigError(f"page sizes must be powers of two, got {s}")
     if layout is None:
         layout = Layout.for_trace(trace, align=sizes[-1])
     memo = decode_memo(trace)
@@ -296,7 +321,7 @@ def build_interval_ladder(
         if size in sizes:
             def _materialize(levels=levels, cap=size) -> list[EpochPageInfo]:
                 return [
-                    _page_info(epoch, level, cap)
+                    _page_info(epoch, level, layout, cap)
                     for epoch, level in zip(trace.epochs, levels)
                 ]
 

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from dataclasses import replace
 
+from ...errors import UnknownPlatformError
 from ...trace.events import Trace
 from ...trace.layout import Layout
 from ..params import CLUSTER_16, ClusterParams
@@ -49,27 +50,24 @@ def simulate_dsm_sweep(
     page_size=s))``.  Intervals are built once at the finest size and
     folded upward; each protocol then replays the shared summaries.
     """
+    protocols = tuple(protocols)
+    unknown = [name for name in protocols if name not in _PROTOCOLS]
+    if unknown:
+        raise UnknownPlatformError(
+            f"unknown DSM protocol(s) {unknown}; expected names from"
+            f" {sorted(_PROTOCOLS)}"
+        )
     sizes = [base.page_size] if page_sizes is None else [int(s) for s in page_sizes]
     ladder, layout = build_interval_ladder(trace, sizes, layout)
-    out: dict[str, dict[int, DSMResult]] = {}
-    for name in protocols:
-        try:
-            sim = _PROTOCOLS[name]
-        except KeyError:
-            raise ValueError(
-                f"unknown DSM protocol {name!r}; expected one of"
-                f" {sorted(_PROTOCOLS)}"
-            ) from None
-        out[name] = {
-            s: sim(
-                trace,
-                replace(base, page_size=s),
-                layout,
-                intervals=ladder[s],
+    return {
+        name: {
+            s: _PROTOCOLS[name](
+                trace, replace(base, page_size=s), layout, intervals=ladder[s]
             )
             for s in sizes
         }
-    return out
+        for name in protocols
+    }
 
 
 def simulate_treadmarks_sweep(

@@ -19,18 +19,22 @@ counters) and charging:
 * 2(P-1) messages per barrier, with write notices piggybacked (their bytes
   are charged, their messages are not);
 * 2 messages per lock acquisition (request forwarded to the holder).
+
+Within an interval processor ``p`` reads and writes only its own rows of
+the per-(page, processor) state, and the diffs created in the interval
+become visible only at its end, so each interval is folded for all
+processors at once over flat ``(page, proc)`` rows.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from ...errors import SimulationInputError
 from ...trace.events import Trace
 from ...trace.layout import Layout
 from ..params import CLUSTER_16, ClusterParams
-from .common import DSMResult
-from .intervals import EpochPageInfo, build_intervals, total_pages
+from .common import DSMResult, fold_intervals, proc_sums, protocol_inputs
+from .intervals import EpochPageInfo, build_intervals
 
 __all__ = ["simulate_treadmarks"]
 
@@ -43,132 +47,80 @@ def simulate_treadmarks(
     intervals: list[EpochPageInfo] | None = None,
 ) -> DSMResult:
     """Run a trace through the TreadMarks protocol model."""
-    if not isinstance(trace, Trace):
-        raise SimulationInputError(
-            f"simulate_treadmarks expects a Trace, got {type(trace).__name__}"
-        )
-    if intervals is None:
-        intervals, layout = build_intervals(trace, layout, params.page_size)
-    assert layout is not None
-    nprocs = trace.nprocs
-    npages = total_pages(layout, params.page_size)
+    intervals, layout, npages = protocol_inputs(
+        "simulate_treadmarks", trace, params, layout, intervals, build_intervals
+    )
+    P = trace.nprocs
+    hdr = params.msg_header_bytes
 
     # cum_count[g, w]  — diffs writer w has created for page g so far.
     # cum_bytes[g, w]  — their cumulative payload bytes.
-    # seen_count[g, p, w] — diffs of w on g that processor p has applied.
-    cum_count = np.zeros((npages, nprocs), dtype=np.int64)
-    cum_bytes = np.zeros((npages, nprocs), dtype=np.int64)
-    seen_count = np.zeros((npages, nprocs, nprocs), dtype=np.int64)
-    seen_bytes = np.zeros((npages, nprocs, nprocs), dtype=np.int64)
-    touched = np.zeros((npages, nprocs), dtype=bool)  # p has a copy of g
-    ever_written = np.zeros(npages, dtype=bool)
+    # Row ``g * P + p`` of seen_count/seen_bytes: the diffs of each writer
+    # on g that processor p has applied; touched[g * P + p]: p has a copy.
+    cum_count = np.zeros((npages, P), dtype=np.int64)
+    cum_bytes = np.zeros((npages, P), dtype=np.int64)
+    seen_count = np.zeros((npages * P, P), dtype=np.int64)
+    seen_bytes = np.zeros((npages * P, P), dtype=np.int64)
+    touched = np.zeros(npages * P, dtype=bool)
 
-    messages = 0
-    data_bytes = 0
-    page_fetches = np.zeros(nprocs, dtype=np.int64)
-    diff_fetches = np.zeros(nprocs, dtype=np.int64)
-    diff_bytes_moved = np.zeros(nprocs, dtype=np.int64)
-    lock_total = 0
-    time = 0.0
-    phase_times: dict[str, float] = {}
+    def interval(info: EpochPageInfo, acc_procs, wr_procs):
+        pages = info.acc_pages
+        rows = pages * P + acc_procs
+        first = ~touched[rows]
+        # --- First faults: whole-page fetch from the last writer (or the
+        # initializing processor).  Pages nobody ever wrote are replicated
+        # read-only copies of the initial data; TreadMarks still faults
+        # them in once.
+        fetches = proc_sums(first, info.acc_bounds)
+        n_first = int(fetches.sum())
+        messages = 2 * n_first
+        data_bytes = n_first * (params.page_size + 2 * hdr)
+        proc_time = fetches * params.page_fetch_time
+        if n_first:
+            # The fetched copy is current: mark all diffs applied.
+            frows, fpages = rows[first], pages[first]
+            seen_count[frows] = cum_count.take(fpages, axis=0)
+            seen_bytes[frows] = cum_bytes.take(fpages, axis=0)
+            touched[frows] = True
 
-    work_time = params.work_cycles * params.cycle_time
-    hdr = params.msg_header_bytes
-
-    for info in intervals:
-        proc_time = np.zeros(nprocs, dtype=np.float64)
-        for p in range(nprocs):
-            acc = info.accesses[p]
-            if acc.shape[0] == 0:
-                continue
-            first = ~touched[acc, p]
-            # --- First faults: whole-page fetch from the last writer (or
-            # the initializing processor).  Pages nobody ever wrote are
-            # replicated read-only copies of the initial data; TreadMarks
-            # still faults them in once.
-            n_first = int(first.sum())
-            if n_first:
-                page_fetches[p] += n_first
-                messages += 2 * n_first
-                data_bytes += n_first * (params.page_size + 2 * hdr)
-                proc_time[p] += n_first * params.page_fetch_time
-                fp = acc[first]
-                # The fetched copy is current: mark all diffs applied.
-                seen_count[fp, p, :] = cum_count[fp, :]
-                seen_bytes[fp, p, :] = cum_bytes[fp, :]
-                touched[fp, p] = True
-            # --- Re-faults: fetch pending diffs, one per lagging writer.
-            old = acc[~first]
-            if old.shape[0]:
-                pend = cum_count[old, :] - seen_count[old, p, :]  # (k, W)
-                pend[:, p] = 0  # own diffs are already local
-                lagging = pend > 0
-                n_diffs = int(lagging.sum())
-                if n_diffs:
-                    payload = int(
-                        (cum_bytes[old, :] - seen_bytes[old, p, :])[lagging].sum()
-                    )
-                    diff_fetches[p] += n_diffs
-                    diff_bytes_moved[p] += payload
-                    messages += 2 * n_diffs
-                    data_bytes += payload + n_diffs * (
-                        params.diff_overhead_bytes + 2 * hdr
-                    )
-                    # One request round per faulting page (requests to all
-                    # writers go out in parallel), plus per-message software
-                    # overhead for every diff reply, plus wire time.
-                    faulting_pages = int(lagging.any(axis=1).sum())
-                    proc_time[p] += (
-                        faulting_pages * params.diff_request_time
-                        + n_diffs * params.msg_overhead_time
-                        + payload / params.bandwidth
-                    )
-                    seen_count[old, p, :] = cum_count[old, :]
-                    seen_bytes[old, p, :] = cum_bytes[old, :]
+        # --- Re-faults: fetch pending diffs, one per lagging writer.
+        diffs = payload = np.zeros(P, dtype=np.int64)
+        rows, pages, procs = rows[~first], pages[~first], acc_procs[~first]
+        current = cum_count.take(pages, axis=0)  # (k, W)
+        lagging = current > seen_count.take(rows, axis=0)
+        lagging[np.arange(rows.shape[0]), procs] = False  # own diffs are local
+        per_row = np.count_nonzero(lagging, axis=1)
+        hit = np.flatnonzero(per_row)
+        if hit.shape[0]:
+            rows, current, lagging = rows[hit], current[hit], lagging[hit]
+            current_bytes = cum_bytes.take(pages[hit], axis=0)
+            bounds = np.searchsorted(procs[hit], np.arange(P + 1))
+            diffs = proc_sums(per_row[hit], bounds)
+            row_bytes = current_bytes - seen_bytes.take(rows, axis=0)
+            payload = proc_sums((row_bytes * lagging).sum(axis=1), bounds)
+            n_diffs = int(diffs.sum())
+            messages += 2 * n_diffs
+            data_bytes += int(payload.sum()) + n_diffs * (
+                params.diff_overhead_bytes + 2 * hdr
+            )
+            # One request round per faulting page (requests to all writers
+            # go out in parallel), plus per-message software overhead for
+            # every diff reply, plus wire time.
+            proc_time += (
+                np.diff(bounds) * params.diff_request_time
+                + diffs * params.msg_overhead_time
+                + payload / params.bandwidth
+            )
+            seen_count[rows] = current
+            seen_bytes[rows] = current_bytes
 
         # --- End of interval: writers create diffs (visible from the next
         # interval on); write notices are piggybacked on the barrier.
-        notice_count = 0
-        for w in range(nprocs):
-            wp = info.writes[w]
-            if wp.shape[0] == 0:
-                continue
-            cum_count[wp, w] += 1
-            cum_bytes[wp, w] += info.write_bytes[w]
-            ever_written[wp] = True
-            touched[wp, w] = True
-            notice_count += wp.shape[0]
-        data_bytes += notice_count * params.write_notice_bytes
+        wpages = info.wr_pages
+        cum_count[wpages, wr_procs] += 1
+        cum_bytes[wpages, wr_procs] += info.wr_bytes
+        touched[wpages * P + wr_procs] = True
+        data_bytes += wpages.shape[0] * params.write_notice_bytes
+        return proc_time, messages, data_bytes, (fetches, diffs, payload)
 
-        # --- Locks and barrier.
-        locks_here = int(info.lock_acquires.sum())
-        lock_total += locks_here
-        messages += 2 * locks_here
-        data_bytes += locks_here * 2 * hdr
-        proc_time += info.lock_acquires * params.lock_time
-        proc_time += info.work * work_time
-        if nprocs > 1:
-            messages += 2 * (nprocs - 1)
-            data_bytes += 2 * (nprocs - 1) * hdr
-            barrier_cost = params.barrier_time
-        else:
-            barrier_cost = 0.0
-        epoch_time = float(proc_time.max()) + barrier_cost
-        time += epoch_time
-        if info.label:
-            phase_times[info.label] = phase_times.get(info.label, 0.0) + epoch_time
-
-    return DSMResult(
-        protocol="treadmarks",
-        params=params,
-        nprocs=nprocs,
-        messages=messages,
-        data_bytes=data_bytes,
-        page_fetches=page_fetches,
-        diff_fetches=diff_fetches,
-        diff_bytes=diff_bytes_moved,
-        barriers=len(intervals),
-        lock_acquires=lock_total,
-        time=time,
-        phase_times=phase_times,
-    )
+    return fold_intervals("treadmarks", params, P, npages, intervals, interval)

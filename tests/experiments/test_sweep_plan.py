@@ -12,7 +12,12 @@ import json
 import numpy as np
 import pytest
 
-from repro.errors import ConfigError, UnknownAppError, UnknownPlatformError
+from repro.errors import (
+    EXIT_CONFIG,
+    ConfigError,
+    UnknownAppError,
+    UnknownPlatformError,
+)
 from repro.experiments import (
     Scale,
     SweepGrid,
@@ -23,6 +28,7 @@ from repro.experiments import (
     scaling_curve,
 )
 from repro.experiments.runner import make_app
+from repro.experiments.sweep import grid_from_dict
 from repro.machines import simulate_hardware, simulate_treadmarks
 from repro.machines.params import cluster_scaled
 from repro.runtime.faults import garble_file, truncate_file
@@ -69,6 +75,26 @@ class TestGridValidation:
     def test_bad_axis(self):
         with pytest.raises(ConfigError):
             SweepGrid(l2_bytes=(0,))
+
+    def test_page_sizes_must_be_powers_of_two(self):
+        with pytest.raises(ConfigError, match="powers of two"):
+            SweepGrid(platforms=("treadmarks",), page_sizes=(4096, 3000))
+        with pytest.raises(ConfigError, match="powers of two"):
+            grid_from_dict({"platforms": ["hlrc"], "page_sizes": [3000]})
+
+    def test_cli_rejects_page_size_before_generating(self, capsys, tmp_path):
+        from repro.cli import main
+
+        cache = tmp_path / "cache"
+        code = main([
+            "sweep", "water-spatial", "--n", "64", "--nprocs", "2",
+            "--cache-dir", str(cache), "--platform", "treadmarks",
+            "--grid", "page_size=3000",
+        ])
+        err = capsys.readouterr().err
+        assert code == EXIT_CONFIG
+        assert "powers of two" in err
+        assert not list(cache.glob("*.npt"))
 
     def test_groups_split_by_trace_and_family(self):
         groups = SweepPlan(GRID, SCALE).groups()

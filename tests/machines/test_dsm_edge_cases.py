@@ -3,7 +3,14 @@
 import numpy as np
 import pytest
 
-from repro.machines.dsm import build_intervals, simulate_hlrc, simulate_treadmarks
+from repro.errors import ConfigError, SimulationInputError, UnknownPlatformError
+from repro.machines.dsm import (
+    build_interval_ladder,
+    build_intervals,
+    simulate_dsm_sweep,
+    simulate_hlrc,
+    simulate_treadmarks,
+)
 from repro.machines.params import cluster_scaled
 from repro.trace.builder import TraceBuilder
 from repro.trace.layout import Layout
@@ -124,3 +131,70 @@ class TestLockAccounting:
             == simulate_hlrc(t, params(2)).lock_acquires
             == 7
         )
+
+
+class TestTypedInputErrors:
+    """Inputs the protocol models cannot simulate raise
+    ``SimulationInputError`` instead of an assertion, an ``IndexError`` or
+    silently wrong counts."""
+
+    def make_trace(self, nprocs=2):
+        tb = TraceBuilder(nprocs)
+        r = tb.add_region("o", 64, 64)  # one 4 KB page, four 1 KB pages
+        tb.update(0, r, np.arange(32))
+        tb.barrier()
+        tb.read(nprocs - 1, r, np.arange(64))
+        return tb.finish()
+
+    def test_intervals_without_layout(self):
+        t = self.make_trace()
+        intervals, _ = build_intervals(t, None, 4096)
+        for sim in (simulate_treadmarks, simulate_hlrc):
+            with pytest.raises(SimulationInputError, match="layout"):
+                sim(t, params(2), intervals=intervals)
+
+    @pytest.mark.parametrize("home", [-1, 2, 5])
+    def test_homes_outside_the_processors(self, home):
+        t = self.make_trace()
+        with pytest.raises(SimulationInputError, match="homes"):
+            simulate_hlrc(t, params(2), homes=np.array([home]))
+
+    @pytest.mark.parametrize("built_at", [1024, 8192])
+    def test_intervals_of_another_page_size(self, built_at):
+        """Finer intervals name pages past the layout's end; coarser ones
+        would fold into the wrong pages."""
+        t = self.make_trace()
+        layout = Layout.for_trace(t, align=8192)
+        intervals, _ = build_intervals(t, layout, built_at)
+        for sim in (simulate_treadmarks, simulate_hlrc):
+            with pytest.raises(SimulationInputError, match="pages"):
+                sim(t, params(2), layout, intervals=intervals)
+
+    def test_intervals_of_another_processor_count(self):
+        t = self.make_trace(nprocs=2)
+        layout = Layout.for_trace(t, align=4096)
+        intervals, _ = build_intervals(self.make_trace(nprocs=3), layout, 4096)
+        for sim in (simulate_treadmarks, simulate_hlrc):
+            with pytest.raises(SimulationInputError, match="processors"):
+                sim(t, params(2), layout, intervals=intervals)
+
+
+class TestSweepInputErrors:
+    def test_unknown_protocol_rejected_before_the_ladder(self, monkeypatch):
+        from repro.machines.dsm import intervals as iv
+
+        passes = []
+        real = iv._epoch_ladder_packed
+        monkeypatch.setattr(
+            iv, "_epoch_ladder_packed", lambda *a: passes.append(1) or real(*a)
+        )
+        t = TestTypedInputErrors().make_trace()
+        with pytest.raises(UnknownPlatformError, match="magic"):
+            simulate_dsm_sweep(t, params(2), (1024, 4096), ("hlrc", "magic"))
+        assert passes == []
+
+    @pytest.mark.parametrize("sizes", [(4096, 3000), (0,), ()])
+    def test_ladder_sizes(self, sizes):
+        t = TestTypedInputErrors().make_trace()
+        with pytest.raises(ConfigError):
+            build_interval_ladder(t, sizes)

@@ -13,8 +13,9 @@ only meant for the small randomized programs of the property tests.
 from __future__ import annotations
 
 import numpy as np
+from oracles.intervals import from_lists
 
-from repro.machines.dsm.intervals import EpochPageInfo
+from repro.machines.dsm.intervals import EpochPageInfo, total_pages
 
 
 def bursts(epoch, proc: int) -> list[tuple[int, bool, np.ndarray]]:
@@ -93,10 +94,11 @@ def epoch_info(epoch, layout, page_size: int) -> EpochPageInfo:
                 dtype=np.int64,
             )
         )
-    return EpochPageInfo(
+    return from_lists(
         accesses=accesses,
         writes=writes,
         write_bytes=write_bytes,
+        npages=total_pages(layout, page_size),
         label=epoch.label,
         work=np.asarray(epoch.work, dtype=np.float64).copy(),
         lock_acquires=np.asarray(epoch.lock_acquires, dtype=np.int64).copy(),

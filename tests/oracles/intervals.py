@@ -13,9 +13,11 @@ deduplicate the written ``(page, region, object)`` triples, and one
 
 from __future__ import annotations
 
+from itertools import accumulate
+
 import numpy as np
 
-from repro.machines.dsm.intervals import EpochPageInfo
+from repro.machines.dsm.intervals import EpochPageInfo, total_pages
 from repro.trace.layout import DecodedEpoch, Layout
 
 
@@ -136,12 +138,32 @@ def fold_ladder(
     return acc2, wr2, ub2, cx2
 
 
-def page_info(epoch, acc: list, wr: list, ub: list, page_size: int) -> EpochPageInfo:
+def from_lists(
+    accesses, writes, write_bytes, npages, label, work, lock_acquires
+) -> EpochPageInfo:
+    """Summary from per-processor lists of pages and dirtied bytes."""
+
+    def flat(runs):
+        out = np.concatenate([np.empty(0, np.int64), *runs]).astype(np.int64)
+        out.flags.writeable = False
+        return out, tuple(accumulate((len(r) for r in runs), initial=0))
+
+    acc_pages, acc_bounds = flat(accesses)
+    wr_pages, wr_bounds = flat(writes)
+    wr_bytes, _ = flat(write_bytes)
+    return EpochPageInfo(acc_pages, acc_bounds, wr_pages, wr_bytes, wr_bounds,
+                         npages, label, work, lock_acquires)
+
+
+def page_info(
+    epoch, acc: list, wr: list, ub: list, page_size: int, npages: int
+) -> EpochPageInfo:
     """Materialize one ladder level: cap the dirty bytes at the page size."""
-    return EpochPageInfo(
+    return from_lists(
         accesses=acc,
         writes=wr,
         write_bytes=[np.minimum(b, page_size) for b in ub],
+        npages=npages,
         label=epoch.label,
         work=np.asarray(epoch.work, dtype=np.float64).copy(),
         lock_acquires=np.asarray(epoch.lock_acquires, dtype=np.int64).copy(),
@@ -154,5 +176,6 @@ def build_intervals(trace, layout: Layout, page_size: int) -> list[EpochPageInfo
     for epoch in trace.epochs:
         decoded = decode_epoch(epoch, layout, page_size)
         acc, wr, ub, _cross = epoch_ladder(epoch, decoded, layout, page_size)
-        out.append(page_info(epoch, acc, wr, ub, page_size))
+        npages = total_pages(layout, page_size)
+        out.append(page_info(epoch, acc, wr, ub, page_size, npages))
     return out
