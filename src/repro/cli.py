@@ -420,11 +420,12 @@ def _render_sweep_rows(rows: list[dict], title: str) -> str:
 def _cmd_sweep(args) -> int:
     scale = _scale(args)
     grid = _grid_from_args(args)
-    rows = SweepPlan(grid, scale).run()
-    ngroups = len(SweepPlan(grid, scale).groups())
+    plan = SweepPlan(grid, scale)
+    rows = plan.run()
     print(_render_sweep_rows(
         rows,
-        f"Sweep: {len(rows)} point(s) from {ngroups} batched group(s)",
+        f"Sweep: {len(rows)} point(s) from {len(plan.groups())} batched"
+        " task(s)",
     ))
     return 0
 

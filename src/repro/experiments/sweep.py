@@ -11,14 +11,17 @@ The machine layer already collapses each *geometry family* to one pass:
   summaries at the finest page size and folds them up the 2x ladder.
 
 This module plans the remaining dimension: :class:`SweepPlan` takes a
-:class:`SweepGrid`, groups grid points by (trace, geometry family) —
-all points sharing a trace and a sweepable axis become one
-:class:`SweepGroup` — and dispatches each group as one batched task
-through the :mod:`repro.runtime` executor.  Workers load traces from the
-persistent cache (mmap-backed ``.npt`` columns, so the fan-out does not
-re-pickle multi-million-event traces) and return compact per-point row
-dicts over the pipe.  Completed groups checkpoint as JSON under the
-cache root; ``--resume`` skips them on the next run.
+:class:`SweepGrid` and groups grid points by trace — every platform and
+point that reads one trace becomes one :class:`SweepGroup` — and
+dispatches each group as one batched task through the
+:mod:`repro.runtime` executor.  A task loads its trace once, runs the
+Origin families, drops their decodes, and then builds one interval
+ladder that TreadMarks and HLRC both replay.  Workers load traces from
+the persistent cache (mmap-backed ``.npt`` columns, so the fan-out does
+not re-pickle multi-million-event traces) and return compact per-point
+row dicts over the pipe.  Each (trace, platform) checkpoints as JSON
+under the cache root; ``--resume`` skips it on the next run, and a task
+carries only the platforms whose checkpoints are missing.
 
 Without an installed runtime the plan runs serially in-process, sharing
 :mod:`repro.experiments.runner`'s trace memo — results are identical
@@ -32,11 +35,17 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
-from dataclasses import asdict, dataclass, field
+import numbers
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 
 from ..apps import APP_REGISTRY
-from ..errors import ConfigError, UnknownAppError, UnknownPlatformError
+from ..errors import (
+    ConfigError,
+    SimulationInputError,
+    UnknownAppError,
+    UnknownPlatformError,
+)
 from ..runtime.cache import CacheKey, TraceCache, atomic_write_text, quarantine_file
 from ..runtime.context import get_runtime
 from ..runtime.executor import Task, run_tasks
@@ -74,9 +83,18 @@ ROW_KEYS = (
 def _as_sizes(name: str, values) -> tuple[int, ...] | None:
     if values is None:
         return None
+    if (not isinstance(values, (list, tuple))
+            or not all(isinstance(v, numbers.Integral)
+                       and not isinstance(v, bool) for v in values)):
+        raise ConfigError(
+            f"SweepGrid.{name} must be a list of integers, got {values!r}"
+        )
     out = tuple(int(v) for v in values)
     if not out or any(v <= 0 for v in out):
         raise ConfigError(f"SweepGrid.{name} must be positive, got {values!r}")
+    odd = [v for v in out if v & (v - 1)]
+    if odd:
+        raise ConfigError(f"SweepGrid.{name} must be powers of two, got {odd}")
     return out
 
 
@@ -89,7 +107,8 @@ class SweepGrid:
     ``page_sizes`` applies to the DSM platforms (one folded interval
     ladder per trace).  ``versions=None`` means each app's paper
     orderings (:func:`repro.experiments.runner.versions_for`).  An axis
-    left ``None`` sweeps just the platform's default geometry.
+    left ``None`` sweeps just the platform's default geometry.  Every
+    size must be a power of two; a platform named twice counts once.
     """
 
     apps: tuple[str, ...] = ("barnes-hut",)
@@ -114,13 +133,9 @@ class SweepGrid:
             )
         if not self.apps or not self.platforms:
             raise ConfigError("SweepGrid needs at least one app and platform")
+        object.__setattr__(self, "platforms", tuple(dict.fromkeys(self.platforms)))
         for name in ("l2_bytes", "line_sizes", "page_sizes"):
             object.__setattr__(self, name, _as_sizes(name, getattr(self, name)))
-        odd = [s for s in self.page_sizes or () if s & (s - 1)]
-        if odd:
-            raise ConfigError(
-                f"SweepGrid.page_sizes must be powers of two, got {odd}"
-            )
 
 
 def grid_to_dict(grid: SweepGrid) -> dict:
@@ -128,29 +143,36 @@ def grid_to_dict(grid: SweepGrid) -> dict:
     return asdict(grid)
 
 
-def grid_from_dict(data: dict) -> SweepGrid:
+_GRID_FIELDS = tuple(f.name for f in fields(SweepGrid))
+
+
+def grid_from_dict(data) -> SweepGrid:
     """Rebuild a validated :class:`SweepGrid` from :func:`grid_to_dict`.
 
-    Raises :class:`repro.errors.ConfigError` (via the SweepGrid
-    constructor) on bad axes, unknown apps, or unknown platforms — the
-    service returns these to the submitting client verbatim.
+    Accepts only an object whose keys are SweepGrid fields, with lists
+    of names for ``apps``/``versions``/``platforms`` and lists of
+    integers for the axes (a missing or ``null`` field takes its
+    default).  Anything else, and every SweepGrid check, raises
+    :class:`repro.errors.ConfigError`, which the service returns to the
+    submitting client verbatim.
     """
-    def names(field_name, default=None):
-        v = data.get(field_name, default)
-        return None if v is None else tuple(str(x) for x in v)
-
-    def axis(field_name):
-        v = data.get(field_name)
-        return None if v is None else tuple(v)
-
-    return SweepGrid(
-        apps=names("apps", ("barnes-hut",)),
-        versions=names("versions"),
-        platforms=names("platforms", ("origin",)),
-        l2_bytes=axis("l2_bytes"),
-        line_sizes=axis("line_sizes"),
-        page_sizes=axis("page_sizes"),
-    )
+    if not isinstance(data, dict):
+        raise ConfigError(f"grid must be an object, got {type(data).__name__}")
+    unknown = sorted(set(data) - set(_GRID_FIELDS))
+    if unknown:
+        raise ConfigError(
+            f"unknown grid key(s) {unknown}; expected keys from"
+            f" {list(_GRID_FIELDS)}"
+        )
+    spec = {k: v for k, v in data.items() if v is not None}
+    for name in ("apps", "versions", "platforms"):
+        v = spec.get(name)
+        if v is None:
+            continue
+        if not isinstance(v, list) or not all(isinstance(x, str) for x in v):
+            raise ConfigError(f"grid.{name} must be a list of names, got {v!r}")
+        spec[name] = tuple(v)
+    return SweepGrid(**spec)
 
 
 # ---- group checkpoints -------------------------------------------------
@@ -198,12 +220,16 @@ def _quarantine_checkpoint(path: Path, reason: str) -> None:
 
 @dataclass(frozen=True)
 class SweepGroup:
-    """One (trace, geometry family) batch: a single worker task.
+    """One trace and the platforms it serves: a single worker task.
 
-    The whole group replays its trace once per line-size family
-    (``origin``) or once per protocol (DSM) regardless of how many grid
-    points it covers.  ``compression`` is the codec of the trace's cache
-    entry; rows do not depend on it, so it is not part of :meth:`key`.
+    ``platform`` names the group's platforms joined by ``+`` (e.g.
+    ``origin+treadmarks+hlrc``; a single name for a one-platform group).
+    The group loads its trace once, replays it once per line-size family
+    for ``origin``, and builds one interval ladder for all its DSM
+    protocols, however many grid points it covers.  Results checkpoint
+    per platform, under the keys of :meth:`per_platform`.
+    ``compression`` is the codec of the trace's cache entry; rows do not
+    depend on it, so it is not part of :meth:`key`.
     """
 
     app: str
@@ -214,16 +240,42 @@ class SweepGroup:
     page_sizes: tuple[int, ...] | None = None
     compression: str = "none"
 
+    @property
+    def platforms(self) -> tuple[str, ...]:
+        return tuple(self.platform.split("+"))
+
+    def with_platforms(self, platforms) -> "SweepGroup":
+        """This trace's group narrowed to ``platforms``, carrying only
+        the axes they sweep, so a one-platform group's key covers just
+        its own axes."""
+        platforms = tuple(platforms)
+        origin = "origin" in platforms
+        dsm = any(p != "origin" for p in platforms)
+        return replace(
+            self, platform="+".join(platforms),
+            l2_bytes=self.l2_bytes if origin else None,
+            line_sizes=self.line_sizes if origin else None,
+            page_sizes=self.page_sizes if dsm else None,
+        )
+
+    def per_platform(self) -> list["SweepGroup"]:
+        """One single-platform group per platform: the checkpoint units."""
+        return [self.with_platforms((p,)) for p in self.platforms]
+
     def points(self) -> int:
-        if self.platform == "origin":
-            return len(self.l2_bytes or (0,)) * len(self.line_sizes or (0,))
-        return len(self.page_sizes or (0,))
+        total = 0
+        for p in self.platforms:
+            if p == "origin":
+                total += len(self.l2_bytes or (0,)) * len(self.line_sizes or (0,))
+            else:
+                total += len(self.page_sizes or (0,))
+        return total
 
     def key(self, scale: Scale) -> str:
         """Stable id for executor task keys and resume checkpoints.
 
-        ``hw_scale`` shapes only the Origin's caches, so only an
-        ``origin`` group's key holds it.
+        ``hw_scale`` shapes only the Origin's caches, so only the key of
+        a group with ``origin`` holds it.
         """
         inputs = {
             "axes": [self.l2_bytes, self.line_sizes, self.page_sizes],
@@ -232,7 +284,7 @@ class SweepGroup:
             "nprocs": scale.nprocs,
             "seed": scale.seed,
         }
-        if self.platform == "origin":
+        if "origin" in self.platforms:
             inputs["hw_scale"] = scale.hw_scale
         blob = json.dumps(inputs, sort_keys=True)
         digest = hashlib.sha1(blob.encode()).hexdigest()[:10]
@@ -263,26 +315,36 @@ class SweepGroup:
 
 
 def _group_rows(trace, group: SweepGroup, scale: Scale) -> list[dict]:
-    """All grid-point rows for one group, from batched one-pass sweeps."""
+    """All grid-point rows for one group, from batched one-pass sweeps,
+    in the order of ``group.platforms``.
+
+    The Origin families run first and their decoded epochs leave the
+    trace's decode memo before the DSM ladder is built, so the group
+    never holds both.
+    """
     from ..machines.dsm import simulate_dsm_sweep
     from ..machines.hardware import simulate_hardware_sweep
     from ..machines.params import cluster_scaled
+    from ..trace.layout import decode_memo
 
-    head = {
-        "app": group.app,
-        "version": group.version,
-        "platform": group.platform,
-        "nprocs": scale.nprocs,
-    }
-    rows = []
-    if group.platform == "origin":
+    def head(platform):
+        return {
+            "app": group.app,
+            "version": group.version,
+            "platform": platform,
+            "nprocs": scale.nprocs,
+        }
+
+    rows: dict[str, list[dict]] = {p: [] for p in group.platforms}
+    if "origin" in rows:
         base = scale.hardware()
         results = simulate_hardware_sweep(
             trace, base, l2_bytes=group.l2_bytes, line_sizes=group.line_sizes
         )
+        decode_memo(trace).drop_decodes(group.line_sizes or (base.line_size,))
         for res in results:
-            rows.append({
-                **head,
+            rows["origin"].append({
+                **head("origin"),
                 "line_size": res.params.line_size,
                 "l2_bytes": res.params.l2_bytes,
                 "l2_assoc": res.params.l2_assoc,
@@ -294,36 +356,38 @@ def _group_rows(trace, group: SweepGroup, scale: Scale) -> list[dict]:
                 "coherence_misses": int(res.coherence_misses.sum()),
                 "capacity_misses": int(res.capacity_misses.sum()),
             })
-    else:
+    protocols = [p for p in group.platforms if p != "origin"]
+    if protocols:
         base = cluster_scaled(nprocs=scale.nprocs)
         sizes = group.page_sizes or (base.page_size,)
-        out = simulate_dsm_sweep(
-            trace, base, sizes, protocols=(group.platform,)
-        )[group.platform]
-        for size in sizes:
-            res = out[size]
-            rows.append({
-                **head,
-                "page_size": size,
-                "time": res.time,
-                "messages": res.messages,
-                "data_mbytes": res.data_mbytes,
-                "page_fetches": int(res.page_fetches.sum()),
-                "diff_fetches": int(res.diff_fetches.sum()),
-            })
-    return rows
+        out = simulate_dsm_sweep(trace, base, sizes, protocols=protocols)
+        for name in protocols:
+            for size in sizes:
+                res = out[name][size]
+                rows[name].append({
+                    **head(name),
+                    "page_size": size,
+                    "time": res.time,
+                    "messages": res.messages,
+                    "data_mbytes": res.data_mbytes,
+                    "page_fetches": int(res.page_fetches.sum()),
+                    "diff_fetches": int(res.diff_fetches.sum()),
+                })
+    return [row for p in group.platforms for row in rows[p]]
 
 
 def run_sweep_group(
     cache_root: str, group: SweepGroup, scale: Scale
 ) -> tuple[list[dict], tuple[int, int]]:
-    """Executor worker: run one (trace, geometry family) batch.
+    """Executor worker: run one trace's batch for every platform of
+    ``group``.
 
-    The trace is mmap-loaded from the persistent ``.npt`` cache (workers
-    never receive traces over the pipe); a cache miss — prefetch skipped
-    or cache cleared underneath us — falls back to generating in place,
-    so the task stays idempotent.  Returns small per-point row dicts,
-    plus the worker-side cache (hits, misses) for the parent's counters.
+    The trace is mmap-loaded once from the persistent ``.npt`` cache
+    (workers never receive traces over the pipe); a cache miss —
+    prefetch skipped or cache cleared underneath us — falls back to
+    generating in place, so the task stays idempotent.  Returns small
+    per-point row dicts in the order of ``group.platforms``, plus the
+    worker-side cache (hits, misses) for the parent's counters.
     """
     cache = TraceCache(cache_root)
     (trace,) = load_or_generate(cache, [group.trace_key(scale)], group.compression)
@@ -336,27 +400,42 @@ class SweepPlan:
 
     ``run()`` returns one row dict per grid point, ordered by
     (app, version, platform) then row-major over the geometry axes —
-    independent of how many workers ran the groups.
+    independent of how many workers ran the groups.  Construction checks
+    every Origin (L2 capacity, line size) point against
+    ``scale.hardware()``, so a grid the one-pass L2 sweep cannot serve
+    raises :class:`repro.errors.ConfigError` before any trace is
+    generated.
     """
 
     grid: SweepGrid
     scale: Scale = field(default_factory=Scale)
 
+    def __post_init__(self) -> None:
+        if "origin" not in self.grid.platforms:
+            return
+        from ..machines.hardware import sweep_family
+
+        base = self.scale.hardware()
+        for line_size in self.grid.line_sizes or (base.line_size,):
+            try:
+                sweep_family(base, line_size,
+                             self.grid.l2_bytes or (base.l2_bytes,))
+            except SimulationInputError as exc:
+                raise ConfigError(f"bad Origin sweep axes: {exc}") from None
+
     def groups(self, compression: str = "none") -> list[SweepGroup]:
-        """The plan's groups, each reading a trace stored with
-        ``compression``."""
-        out = []
-        for app in self.grid.apps:
-            for version in self.grid.versions or versions_for(app):
-                for platform in self.grid.platforms:
-                    if platform == "origin":
-                        axes = {"l2_bytes": self.grid.l2_bytes,
-                                "line_sizes": self.grid.line_sizes}
-                    else:
-                        axes = {"page_sizes": self.grid.page_sizes}
-                    out.append(SweepGroup(app, version, platform,
-                                          compression=compression, **axes))
-        return out
+        """The plan's tasks, one per trace, each reading a trace stored
+        with ``compression`` and carrying every platform of the grid."""
+        return [
+            SweepGroup(app, version, "+".join(self.grid.platforms),
+                       l2_bytes=self.grid.l2_bytes,
+                       line_sizes=self.grid.line_sizes,
+                       page_sizes=self.grid.page_sizes,
+                       compression=compression
+                       ).with_platforms(self.grid.platforms)
+            for app in self.grid.apps
+            for version in self.grid.versions or versions_for(app)
+        ]
 
     def run(self) -> list[dict]:
         rt = get_runtime()
@@ -367,35 +446,43 @@ class SweepPlan:
                     for row in _group_rows(trace, g, self.scale)]
 
         sweep_dir = Path(rt.cache.root) / "sweeps"
-        keys = {g: g.key(self.scale) for g in groups}
-        done: dict[str, list[dict]] = {}
+        done: dict[SweepGroup, list[dict]] = {}
         todo: list[SweepGroup] = []
-        for g, key in keys.items():
-            rows = (load_group_checkpoint(sweep_dir / f"{key}.json")
-                    if rt.resume else None)
-            if rows is not None:
-                done[key] = rows
-                log.info("sweep group %s: checkpoint hit", key)
-            else:
-                todo.append(g)
+        for g in groups:
+            missing = []
+            for part in g.per_platform():
+                key = part.key(self.scale)
+                rows = (load_group_checkpoint(sweep_dir / f"{key}.json")
+                        if rt.resume else None)
+                if rows is not None:
+                    done[part] = rows
+                    log.info("sweep group %s: checkpoint hit", key)
+                else:
+                    missing.append(part.platform)
+            if missing:
+                todo.append(g.with_platforms(missing))
 
         if todo:
             _generate_missing(g.trace_key(self.scale) for g in todo)
             tasks = [
-                Task(key=keys[g], fn=run_sweep_group,
+                Task(key=g.key(self.scale), fn=run_sweep_group,
                      args=(str(rt.cache.root), g, self.scale))
                 for g in todo
             ]
-            log.info("sweep: %d group(s) covering %d point(s) with %d job(s)",
+            log.info("sweep: %d task(s) covering %d point(s) with %d job(s)",
                      len(tasks), sum(g.points() for g in todo), rt.executor.jobs)
             results = run_tasks(tasks, rt.executor, fault_plan=rt.fault_plan)
-            for g in todo:
-                rows, (hits, misses) = results[keys[g]]
+            for g, task in zip(todo, tasks):
+                rows, (hits, misses) = results[task.key]
                 rt.cache.hits += hits
                 rt.cache.misses += misses
-                write_group_checkpoint(sweep_dir / f"{keys[g]}.json", rows)
-                done[keys[g]] = rows
-        return [row for g in groups for row in done[keys[g]]]
+                for part in g.per_platform():
+                    done[part] = [r for r in rows
+                                  if r["platform"] == part.platform]
+                    write_group_checkpoint(
+                        sweep_dir / f"{part.key(self.scale)}.json", done[part])
+        return [row for g in groups for part in g.per_platform()
+                for row in done[part]]
 
 
 _AXIS_NAMES = {

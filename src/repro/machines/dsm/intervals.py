@@ -47,8 +47,9 @@ class EpochPageInfo:
     * ``label`` — the phase label of the epoch;
     * ``work``, ``lock_acquires`` — carried through for the timing model.
 
-    ``accesses``, ``writes`` and ``write_bytes`` are the same columns as
-    per-processor lists of read-only views.
+    Every array is read-only.  ``accesses``, ``writes`` and
+    ``write_bytes`` are the same columns as per-processor lists of
+    read-only views.
     """
 
     acc_pages: np.ndarray
@@ -252,8 +253,10 @@ def _page_info(
         wr_bounds=tuple(np.searchsorted(level.wr, procs).tolist()),
         npages=total_pages(layout, page_size),
         label=epoch.label,
-        work=np.asarray(epoch.work, dtype=np.float64).copy(),
-        lock_acquires=np.asarray(epoch.lock_acquires, dtype=np.int64).copy(),
+        work=_read_only(np.asarray(epoch.work, dtype=np.float64).copy()),
+        lock_acquires=_read_only(
+            np.asarray(epoch.lock_acquires, dtype=np.int64).copy()
+        ),
     )
 
 

@@ -525,6 +525,40 @@ def simulate_hardware(
 _SWEEP_KEYS = 1 << 16
 
 
+def sweep_family(
+    base: HardwareParams, line_size: int, l2_list
+) -> tuple[int, list[int]]:
+    """The set count and each capacity's associativity of the L2 sweep
+    family at ``line_size``: the set count is pinned to the base cache's
+    geometry, so every capacity must be a multiple of the family's set
+    span.  Raises :class:`SimulationInputError` for a point the one-pass
+    sweep cannot serve."""
+    span = line_size * base.l2_assoc
+    if base.l2_bytes % span:
+        raise SimulationInputError(
+            f"line_size={line_size} does not divide the base geometry:"
+            f" l2_bytes={base.l2_bytes} is not a multiple of"
+            f" line_size*assoc={span}"
+        )
+    nsets = base.l2_bytes // span
+    if nsets & (nsets - 1):
+        raise SimulationInputError(
+            f"line_size={line_size} gives a non-power-of-two set count"
+            f" {nsets} for the base geometry"
+        )
+    set_span = nsets * line_size
+    assocs = []
+    for nbytes in l2_list:
+        if nbytes < set_span or nbytes % set_span:
+            raise SimulationInputError(
+                f"l2_bytes={nbytes} is not a positive multiple of the"
+                f" family's set span {set_span} (line_size={line_size},"
+                f" {nsets} sets)"
+            )
+        assocs.append(nbytes // set_span)
+    return nsets, assocs
+
+
 def _sweep_line_family(
     trace: Trace,
     base: HardwareParams,
@@ -554,29 +588,7 @@ def _sweep_line_family(
     iff another processor wrote its line, and the cold and coherence
     thresholds live in flat ``(proc, line)`` tables.
     """
-    span = line_size * base.l2_assoc
-    if base.l2_bytes % span:
-        raise SimulationInputError(
-            f"line_size={line_size} does not divide the base geometry:"
-            f" l2_bytes={base.l2_bytes} is not a multiple of"
-            f" line_size*assoc={span}"
-        )
-    nsets = base.l2_bytes // span
-    if nsets & (nsets - 1):
-        raise SimulationInputError(
-            f"line_size={line_size} gives a non-power-of-two set count"
-            f" {nsets} for the base geometry"
-        )
-    set_span = nsets * line_size
-    assocs = []
-    for nbytes in l2_list:
-        if nbytes < set_span or nbytes % set_span:
-            raise SimulationInputError(
-                f"l2_bytes={nbytes} is not a positive multiple of the"
-                f" family's set span {set_span} (line_size={line_size},"
-                f" {nsets} sets)"
-            )
-        assocs.append(nbytes // set_span)
+    nsets, assocs = sweep_family(base, line_size, l2_list)
     cmax = max(assocs)
     nprocs = trace.nprocs
     nepochs = len(trace.epochs)

@@ -185,6 +185,10 @@ def build_intervals_parallel(
     infos = []
     for task in tasks:  # fold in epoch order, not completion order
         infos.extend(results[task.key])
+    for info in infos:  # pickling drops numpy's read-only flag
+        for a in (info.acc_pages, info.wr_pages, info.wr_bytes, info.work,
+                  info.lock_acquires):
+            a.flags.writeable = False
     if len(infos) != E:
         raise SimulationInputError(
             f"parallel interval build returned {len(infos)} summaries for"

@@ -2,7 +2,7 @@
 
 A long-running, crash-tolerant server for sweep campaigns: clients
 submit parameter grids (``repro submit``), the server shards them into
-(trace, geometry-family) groups, runs each group through the
+(trace, platform) groups, runs each group through the
 :mod:`repro.runtime` process pool under a lease, and persists every
 state transition to an append-only checksummed journal so a crashed or
 killed server resumes exactly where it stopped — finished groups are

@@ -23,7 +23,7 @@ of the group's retry budget; past the budget the group is quarantined
 :meth:`repro.runtime.cache.TraceCache.quarantine`) so a poison group can
 fail its subscribers without wedging the service.
 
-**Dedup.**  Identical (trace, geometry-family) groups across jobs share
+**Dedup.**  Identical (trace, platform) groups across jobs share
 one :class:`~repro.service.state.GroupRecord`; one computation fans out
 to every subscriber, and a fully warm submission completes without
 scheduling anything.
@@ -239,7 +239,10 @@ class SweepEngine:
             raise ServiceError(
                 "server is draining and not accepting new submissions"
             )
-        plan_groups = SweepPlan(grid, scale).groups()
+        # Leases stay per (trace, platform): the journal's dedup keys
+        # are the checkpoint keys.
+        plan_groups = [part for g in SweepPlan(grid, scale).groups()
+                       for part in g.per_platform()]
         job_id = f"job{self.state.jobs_submitted + 1:04d}"
         groups = [{"key": g.key(scale), "spec": g.to_dict()}
                   for g in plan_groups]

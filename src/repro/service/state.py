@@ -43,7 +43,7 @@ __all__ = ["GroupRecord", "JobRecord", "ServiceState"]
 
 @dataclass
 class GroupRecord:
-    """One (trace, geometry family) unit of work and who wants it."""
+    """One (trace, platform) unit of work and who wants it."""
 
     key: str
     spec: dict            # serialized SweepGroup

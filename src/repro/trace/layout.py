@@ -14,6 +14,7 @@ original benchmarks.
 
 from __future__ import annotations
 
+import weakref
 from collections import OrderedDict
 from dataclasses import dataclass
 
@@ -298,10 +299,15 @@ class DecodeMemo:
     everything, which is what the sweep engines rely on.  Lazily decoded
     compressed traces set a bound so a long replay does not hold every
     epoch's expanded streams in memory.
+
+    The memo holds its trace weakly: the trace owns the memo
+    (:func:`decode_memo`), so a strong back-reference would make a cycle
+    that keeps every decode of a dropped trace alive until the cyclic
+    collector runs.
     """
 
     def __init__(self, trace: Trace, max_epochs: int | None = None):
-        self._trace = trace
+        self._trace = weakref.proxy(trace)
         self._geometries: dict[tuple, dict[int, DecodedEpoch]] = {}
         self._derived: dict[tuple, object] = {}
         self._lru: OrderedDict[tuple, None] = OrderedDict()
@@ -363,6 +369,16 @@ class DecodeMemo:
         else:
             self.hits += 1
         return value
+
+    def drop_decodes(self, units) -> None:
+        """Forget the decoded epochs of every geometry whose unit is in
+        ``units`` (derived products stay), so a caller done with one
+        geometry family frees its streams before decoding the next."""
+        units = set(units)
+        for gkey in [g for g in self._geometries if g[3] in units]:
+            del self._geometries[gkey]
+        for key in [k for k in self._lru if k[0][3] in units]:
+            del self._lru[key]
 
     def clear(self) -> None:
         self._geometries.clear()

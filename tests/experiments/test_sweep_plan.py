@@ -96,11 +96,81 @@ class TestGridValidation:
         assert "powers of two" in err
         assert not list(cache.glob("*.npt"))
 
+    @pytest.mark.parametrize("axes", [{"l2_bytes": (32768, 3)},
+                                      {"line_sizes": (100,)}])
+    def test_origin_axes_must_be_powers_of_two(self, axes):
+        with pytest.raises(ConfigError, match="powers of two"):
+            SweepGrid(**axes)
+
+    def test_plan_checks_origin_points_against_the_base_cache(self):
+        # SCALE's L2 is 64 KB, 2-way, 128-byte lines: a 32 KB set span.
+        SweepPlan(GRID, SCALE)
+        for axes in ({"l2_bytes": (16384,)}, {"line_sizes": (65536,)}):
+            grid = SweepGrid(apps=("moldyn",), **axes)
+            with pytest.raises(ConfigError, match="Origin sweep axes"):
+                SweepPlan(grid, SCALE)
+        # The Origin axes do not constrain a DSM-only plan.
+        SweepPlan(SweepGrid(apps=("moldyn",), platforms=("hlrc",),
+                            l2_bytes=(16384,)), SCALE)
+
+    @pytest.mark.parametrize(
+        "spec", ["line_size=100", "l2=3", "l2=2K", "line_size=8K"]
+    )
+    def test_cli_rejects_origin_axes_before_generating(
+        self, capsys, tmp_path, spec
+    ):
+        from repro.cli import main
+
+        cache = tmp_path / "cache"
+        code = main([
+            "sweep", "water-spatial", "--n", "64", "--nprocs", "2",
+            "--cache-dir", str(cache), "--grid", spec,
+        ])
+        err = capsys.readouterr().err
+        assert code == EXIT_CONFIG
+        assert err.startswith("error: ")
+        assert not list(cache.glob("*.npt"))
+
+    @pytest.mark.parametrize(
+        "data",
+        [
+            ["moldyn"],
+            "moldyn",
+            {"page_sizes": ["4k"]},
+            {"page_sizes": 4096},
+            {"l2_bytes": [1.5]},
+            {"l2_bytes": [True]},
+            {"page_sizes": [4096.0]},
+            {"apps": "moldyn"},
+            {"apps": [1]},
+            {"page_size": [4096]},
+        ],
+        ids=["list", "string", "text-size", "scalar-axis", "float", "bool",
+             "integral-float", "string-apps", "int-app", "unknown-key"],
+    )
+    def test_grid_from_dict_is_strict(self, data):
+        with pytest.raises(ConfigError):
+            grid_from_dict(data)
+
+    def test_grid_from_dict_round_trip(self):
+        from repro.experiments.sweep import grid_to_dict
+
+        wire = json.loads(json.dumps(grid_to_dict(GRID)))
+        assert grid_from_dict(wire) == GRID
+        assert grid_from_dict({"versions": None}) == SweepGrid()
+
     def test_groups_split_by_trace_and_family(self):
         groups = SweepPlan(GRID, SCALE).groups()
-        # 2 versions x 2 platforms; the origin group covers both L2 points.
-        assert len(groups) == 4
+        # One task per trace (2 versions), each carrying both platforms;
+        # its checkpoints stay one per (trace, platform).
+        assert len(groups) == 2
         assert sum(g.points() for g in groups) == 8
+        assert [g.platforms for g in groups] == [("origin", "treadmarks")] * 2
+        parts = [p for g in groups for p in g.per_platform()]
+        assert [(p.platform, p.l2_bytes, p.page_sizes) for p in parts] == [
+            ("origin", (32768, 131072), None),
+            ("treadmarks", None, (1024, 4096)),
+        ] * 2
 
 
 class TestParseGrid:
@@ -174,6 +244,89 @@ class TestExecutorDispatchAndResume:
         resumed = SweepPlan(GRID, SCALE).run()
         assert any(r["time"] == -1.0 for r in resumed)
         assert len(resumed) == len(serial)
+
+
+class TestOneTaskPerTrace:
+    """A task loads its trace once and builds one interval ladder for
+    both DSM protocols; checkpoints stay one per (trace, platform)."""
+
+    DSM = SweepGrid(
+        apps=("moldyn",),
+        versions=("original", "hilbert"),
+        platforms=("treadmarks", "hlrc"),
+        page_sizes=(1024, 4096),
+    )
+
+    def test_one_ladder_pass_per_epoch_per_trace(self, tmp_path, monkeypatch):
+        from repro.machines.dsm import intervals
+
+        serial = SweepPlan(self.DSM, SCALE).run()
+        clear_cache()
+        set_runtime(RuntimeContext(
+            cache=TraceCache(tmp_path),
+            executor=ExecutorConfig(jobs=1, task_timeout=None),
+        ))
+        real = intervals._epoch_ladder_packed
+        calls = []
+
+        def counting(epoch, *args):
+            calls.append(epoch)
+            return real(epoch, *args)
+
+        monkeypatch.setattr(intervals, "_epoch_ladder_packed", counting)
+        assert SweepPlan(self.DSM, SCALE).run() == serial
+        epochs = [len(make_app("moldyn", SCALE.config("moldyn"), v)
+                      .run().epochs) for v in ("original", "hilbert")]
+        assert len(calls) == sum(epochs)
+        assert len(set(map(id, calls))) == len(calls)
+
+    def test_origin_decodes_leave_before_the_dsm_ladder(self, monkeypatch):
+        from repro.experiments.sweep import _group_rows
+        from repro.machines import dsm
+        from repro.trace.layout import decode_memo
+
+        trace = make_app("moldyn", SCALE.config("moldyn"), "hilbert").run()
+        memo = decode_memo(trace)
+        real = dsm.simulate_dsm_sweep
+        held = []
+
+        def probe(trace, *args, **kwargs):
+            held.append(memo.distinct_geometries)
+            return real(trace, *args, **kwargs)
+
+        monkeypatch.setattr(dsm, "simulate_dsm_sweep", probe)
+        (group,) = SweepPlan(dataclasses.replace(GRID, versions=("hilbert",)),
+                             SCALE).groups()
+        rows = _group_rows(trace, group, SCALE)
+        assert [r["platform"] for r in rows] == ["origin"] * 2 + ["treadmarks"] * 2
+        assert memo.decodes > 0 and held == [0]
+
+    def test_resume_runs_only_the_missing_platform(self, tmp_path, monkeypatch):
+        import repro.experiments.sweep as sweep_mod
+
+        set_runtime(RuntimeContext(
+            cache=TraceCache(tmp_path),
+            executor=ExecutorConfig(jobs=1, task_timeout=None),
+            resume=True,
+        ))
+        baseline = SweepPlan(GRID, SCALE).run()
+        ckpts = sorted((tmp_path / "sweeps").glob("*.json"))
+        assert [p.name.split("_")[2] for p in ckpts] == [
+            "origin", "treadmarks", "origin", "treadmarks"]
+        victim = ckpts[1]
+        victim.unlink()
+        real = sweep_mod.run_sweep_group
+        ran = []
+
+        def counting(cache_root, group, scale):
+            ran.append(group.key(scale))
+            return real(cache_root, group, scale)
+
+        monkeypatch.setattr(sweep_mod, "run_sweep_group", counting)
+        clear_cache()
+        assert SweepPlan(GRID, SCALE).run() == baseline
+        assert ran == [victim.stem]
+        assert victim.exists()
 
 
 class TestMatrixThroughPlanner:

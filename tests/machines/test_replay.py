@@ -269,3 +269,22 @@ class TestIntervalsParallel:
         # The protocol model reused the installed summaries: no fresh
         # interval decode happened on this trace.
         assert decode_memo(trace).decodes == decodes_before
+
+    def test_summaries_are_read_only(self, trace_file):
+        """Workers' summaries come back pickled, which drops numpy's
+        read-only flag; the installed ones are frozen again, like a
+        serial build's."""
+        from repro.machines.dsm.intervals import build_intervals
+
+        serial, _ = build_intervals(load_trace(trace_file), None, 4096)
+        infos, _ = build_intervals_parallel(
+            trace_file, 4096, jobs=3,
+            executor=ExecutorConfig(jobs=3, task_timeout=None),
+        )
+        for info in serial + infos:
+            for a in (info.acc_pages, info.wr_pages, info.wr_bytes,
+                      info.work, info.lock_acquires):
+                assert not a.flags.writeable
+                if a.shape[0]:
+                    with pytest.raises(ValueError):
+                        a[0] = 0

@@ -6,7 +6,7 @@ import time
 
 import pytest
 
-from repro.errors import ServiceError
+from repro.errors import ConfigError, ServiceError
 from repro.experiments.sweep import SweepPlan
 from repro.service import ServiceClient, SweepServer
 from repro.service.server import split_address
@@ -107,6 +107,19 @@ def test_structured_errors_cross_the_socket(live_server):
         client.request({"op": "reboot"})
     with pytest.raises(ServiceError, match="missing field"):
         client.request({"op": "status"})
+
+
+@pytest.mark.parametrize(
+    "grid",
+    [["moldyn"], {"page_sizes": ["4k"]}, {"page_sizes": 4096},
+     {"l2_bytes": [1.5]}, {"l2_bytes": [True]}, {"volts": [3]}],
+    ids=["not-an-object", "text-size", "scalar-axis", "float", "bool",
+         "unknown-key"],
+)
+def test_bad_grid_is_a_config_error(live_server, tiny_scale, grid):
+    with pytest.raises(ConfigError):
+        live_server.client.submit(grid, tiny_scale)
+    assert live_server.engine.state.jobs_submitted == 0
 
 
 def test_drain_rejects_new_work_then_shuts_down(

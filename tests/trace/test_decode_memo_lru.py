@@ -5,6 +5,9 @@ lazily-decoded compressed traces advertise ``decode_memo_max_epochs`` so
 a long trace does not pin every decoded epoch in memory at once.
 """
 
+import gc
+import weakref
+
 import numpy as np
 
 from repro.apps import AppConfig, Moldyn
@@ -86,3 +89,40 @@ class TestMemoLRU:
         assert lazy.decode_memo_max_epochs == 64
         memo = decode_memo(lazy)
         assert memo.max_epochs == 64
+
+
+class TestMemoLifetime:
+    """The trace owns its memo and the memo holds the trace weakly, so a
+    dropped trace frees its decodes at once, without the cyclic GC."""
+
+    def test_dropped_trace_frees_its_decodes(self):
+        from repro.machines.dsm.intervals import build_interval_ladder
+
+        gc.disable()
+        try:
+            trace = make_trace()
+            layout = Layout.for_trace(trace, align=4096)
+            decoded = decode_memo(trace).epoch(layout, 128, 0)
+            ladder, _ = build_interval_ladder(trace, (1024, 4096))
+            refs = [weakref.ref(decoded.units[0]),
+                    weakref.ref(ladder[4096][0].acc_pages)]
+            del decoded, ladder
+            assert all(r() is not None for r in refs)
+            del trace
+            assert all(r() is None for r in refs)
+        finally:
+            gc.enable()
+
+    def test_drop_decodes_forgets_only_those_units(self):
+        trace = make_trace()
+        memo = DecodeMemo(trace, max_epochs=8)
+        layout = Layout.for_trace(trace, align=4096)
+        memo.epoch(layout, 128, 0)
+        memo.epoch(layout, 4096, 0)
+        memo.drop_decodes((128,))
+        decodes = memo.decodes
+        memo.epoch(layout, 4096, 0)
+        assert memo.decodes == decodes  # still cached
+        memo.epoch(layout, 128, 0)
+        assert memo.decodes == decodes + 1  # decoded again
+        assert len(memo._lru) == 2
