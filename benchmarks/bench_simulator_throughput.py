@@ -33,7 +33,7 @@ from repro.machines import (
     simulate_treadmarks,
 )
 from repro.machines.params import origin2000_scaled
-from repro.trace.layout import Layout, decode_memo
+from repro.trace.layout import Layout, decode_epoch
 
 # The loop reference lives with the tests that check the kernels against it.
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "tests"))
@@ -89,10 +89,9 @@ def _decode_streams(trace, params, layout):
     ``simulate_hardware``; pre-extracting it isolates the cache *replay*
     cost, which is what the kernel layer vectorizes.
     """
-    memo = decode_memo(trace)
     streams = []
-    for ei, epoch in enumerate(trace.epochs):
-        decoded = memo.epoch(layout, params.line_size, ei)
+    for epoch in trace.epochs:
+        decoded = decode_epoch(epoch, layout, params.line_size)
         per_proc = []
         for p in range(trace.nprocs):
             lines = decoded.units[p]
@@ -179,10 +178,10 @@ def test_kernel_replay_speedup(emit):
     The trace is decoded once; both engines then replay the identical
     line/page streams (including barrier invalidations).  Counts must
     match exactly — the speedup is only meaningful if the engines agree.
-    The batched ``simulate_hardware`` (decode memo warm, so it too times
-    replay, plus the miss classification the per-processor loop skips)
-    is recorded against the per-processor kernel replay as secondary
-    data, with the same miss counts.
+    The batched ``simulate_hardware`` (which also decodes the trace,
+    since decodes are never cached, and classifies misses, which the
+    per-processor loop skips) is recorded against the per-processor
+    kernel replay as secondary data, with the same miss counts.
     """
     trace = BarnesHut(AppConfig(n=8192, nprocs=16, iterations=2, seed=5)).run()
     params = origin2000_scaled(8, 16)

@@ -8,7 +8,7 @@ ways:
   replay per grid point, the pre-sweep-engine cost model;
 * **sweep** — ``simulate_hardware_sweep`` (every capacity read off one
   stack-distance replay per line-size family) and
-  ``simulate_treadmarks_sweep`` (interval summaries built at the finest
+  ``simulate_dsm_sweep`` for TreadMarks (interval summaries built at the finest
   page size and folded up the 2x ladder).
 
 Every grid point's counters — L2/TLB misses, invalidations, modelled
@@ -35,8 +35,8 @@ from repro.apps import AppConfig, BarnesHut
 from repro.machines import (
     simulate_hardware,
     simulate_hardware_sweep,
+    simulate_dsm_sweep,
     simulate_treadmarks,
-    simulate_treadmarks_sweep,
 )
 from repro.machines.params import cluster_scaled, origin2000_scaled
 from repro.trace.io import load_trace, save_trace
@@ -79,7 +79,9 @@ def _run_sweep(path, base, cluster):
     hw = simulate_hardware_sweep(trace, base, l2_bytes=_grid(base))
     t_hw = time.perf_counter() - t0
     t0 = time.perf_counter()
-    dsm = simulate_treadmarks_sweep(trace, cluster, PAGE_SIZES)
+    dsm = simulate_dsm_sweep(
+        trace, cluster, PAGE_SIZES, protocols=("treadmarks",)
+    )["treadmarks"]
     t_dsm = time.perf_counter() - t0
     counters = {
         **{f"l2@{r.params.l2_bytes}": _hw_counters(r) for r in hw},

@@ -113,9 +113,9 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
                              " cached traces (default 0: replay in-process);"
                              " requires --cache-dir")
     parser.add_argument("--trace-compression", default=S,
-                        choices=["none", "zlib", "lz4"],
+                        choices=["none", "zlib"],
                         help="on-disk codec for cached traces (default none:"
-                             " mmap-friendly v2; zlib/lz4 write chunked v3"
+                             " mmap-friendly v2; zlib writes chunked v3"
                              " bundles ~10-50x smaller)")
     parser.add_argument("--cache-dir", default=S, metavar="DIR",
                         help="persistent trace cache (default: $REPRO_CACHE_DIR)")

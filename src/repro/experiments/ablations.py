@@ -21,7 +21,7 @@ import numpy as np
 from ..apps import AppConfig
 from ..apps.moldyn import Moldyn
 from ..apps.barnes_hut import BarnesHut
-from ..machines.dsm import simulate_treadmarks_sweep
+from ..machines.dsm import simulate_dsm_sweep
 from ..machines.kernels import lru_kernel
 from ..machines.params import cluster_scaled
 from ..runtime.context import get_runtime
@@ -93,7 +93,9 @@ def page_size_sweep(
     for version in versions:
         app = Moldyn(AppConfig(n=n, nprocs=nprocs, iterations=iterations, seed=seed))
         app.reorder(version)
-        sweeps[version] = simulate_treadmarks_sweep(app.run(), params, sizes)
+        sweeps[version] = simulate_dsm_sweep(
+            app.run(), params, sizes, protocols=("treadmarks",)
+        )["treadmarks"]
     rows = []
     for page in sizes:
         row = {"page_size": page}

@@ -19,7 +19,7 @@ from ..machines.hardware import simulate_hardware
 from ..machines.params import ClusterParams, HardwareParams
 from ..trace.events import Trace
 from ..trace.layout import Layout
-from ..trace.stats import mean_sharers, page_sharers
+from ..trace.stats import mean_sharers, page_write_sets, sharer_counts
 from .message_passing import dsm_overhead, ideal_message_passing
 
 __all__ = ["Diagnosis", "diagnose"]
@@ -79,8 +79,9 @@ def diagnose(
     cluster = cluster or CLUSTER_16
     layout = Layout.for_trace(trace, align=max(page_size, hardware.page_size))
 
+    writers = page_write_sets(trace, layout, page_size)
     sharers = {
-        r.name: mean_sharers(page_sharers(trace, layout, i, page_size))
+        r.name: mean_sharers(sharer_counts(writers, layout, i, page_size))
         for i, r in enumerate(trace.regions)
     }
     hw = simulate_hardware(trace, hardware, layout)

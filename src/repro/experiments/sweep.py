@@ -15,8 +15,8 @@ This module plans the remaining dimension: :class:`SweepPlan` takes a
 point that reads one trace becomes one :class:`SweepGroup` — and
 dispatches each group as one batched task through the
 :mod:`repro.runtime` executor.  A task loads its trace once, runs the
-Origin families, drops their decodes, and then builds one interval
-ladder that TreadMarks and HLRC both replay.  Workers load traces from
+Origin families, and then builds one interval ladder that TreadMarks
+and HLRC both replay.  Workers load traces from
 the persistent cache (mmap-backed ``.npt`` columns, so the fan-out does
 not re-pickle multi-million-event traces) and return compact per-point
 row dicts over the pipe.  Each (trace, platform) checkpoints as JSON
@@ -316,16 +316,10 @@ class SweepGroup:
 
 def _group_rows(trace, group: SweepGroup, scale: Scale) -> list[dict]:
     """All grid-point rows for one group, from batched one-pass sweeps,
-    in the order of ``group.platforms``.
-
-    The Origin families run first and their decoded epochs leave the
-    trace's decode memo before the DSM ladder is built, so the group
-    never holds both.
-    """
+    in the order of ``group.platforms``."""
     from ..machines.dsm import simulate_dsm_sweep
     from ..machines.hardware import simulate_hardware_sweep
     from ..machines.params import cluster_scaled
-    from ..trace.layout import decode_memo
 
     def head(platform):
         return {
@@ -341,7 +335,6 @@ def _group_rows(trace, group: SweepGroup, scale: Scale) -> list[dict]:
         results = simulate_hardware_sweep(
             trace, base, l2_bytes=group.l2_bytes, line_sizes=group.line_sizes
         )
-        decode_memo(trace).drop_decodes(group.line_sizes or (base.line_size,))
         for res in results:
             rows["origin"].append({
                 **head("origin"),

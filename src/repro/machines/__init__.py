@@ -8,7 +8,6 @@
   paper's measured network constants.
 """
 
-from .coherence import MESIResult, simulate_mesi
 from .kernels import (
     SetAssocSweep,
     StreamResult,
@@ -23,9 +22,7 @@ from .dsm import (
     DSMResult,
     simulate_dsm_sweep,
     simulate_hlrc,
-    simulate_hlrc_sweep,
     simulate_treadmarks,
-    simulate_treadmarks_sweep,
 )
 from .hardware import HardwareResult, simulate_hardware, simulate_hardware_sweep
 from .params import (
@@ -55,12 +52,8 @@ __all__ = [
     "cluster_scaled",
     "simulate_hardware",
     "HardwareResult",
-    "simulate_mesi",
-    "MESIResult",
     "simulate_treadmarks",
     "simulate_hlrc",
     "simulate_dsm_sweep",
-    "simulate_treadmarks_sweep",
-    "simulate_hlrc_sweep",
     "DSMResult",
 ]

@@ -8,7 +8,7 @@ from .intervals import (
     build_intervals,
     total_pages,
 )
-from .sweep import simulate_dsm_sweep, simulate_hlrc_sweep, simulate_treadmarks_sweep
+from .sweep import simulate_dsm_sweep
 from .treadmarks import simulate_treadmarks
 
 __all__ = [
@@ -16,8 +16,6 @@ __all__ = [
     "simulate_treadmarks",
     "simulate_hlrc",
     "simulate_dsm_sweep",
-    "simulate_treadmarks_sweep",
-    "simulate_hlrc_sweep",
     "block_homes",
     "build_intervals",
     "build_interval_ladder",

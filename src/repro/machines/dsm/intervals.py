@@ -25,8 +25,8 @@ import numpy as np
 
 from ...errors import ConfigError, SimulationInputError
 from ...trace.events import PackedEpoch, Trace
-from ...trace.layout import DecodedEpoch, DecodeMemo, Layout, decode_memo
-from ...trace.layout import _expand_units, epoch_blocks
+from ...trace.layout import DecodedEpoch, DecodeMemo, Layout, _expand_units
+from ...trace.layout import decode_epoch, decode_memo, epoch_blocks
 
 __all__ = ["EpochPageInfo", "build_intervals", "build_interval_ladder", "total_pages"]
 
@@ -50,6 +50,11 @@ class EpochPageInfo:
     Every array is read-only.  ``accesses``, ``writes`` and
     ``write_bytes`` are the same columns as per-processor lists of
     read-only views.
+
+    Precondition: each processor's written pages are among its accessed
+    pages (a write is an access).  The builders guarantee it; the
+    TreadMarks model relies on it, since its first-fault pass is what
+    gives a writer its copy of a page.
     """
 
     acc_pages: np.ndarray
@@ -98,25 +103,13 @@ def build_intervals(
 ) -> tuple[list[EpochPageInfo], Layout]:
     """Summarize every epoch of ``trace`` at ``page_size`` granularity.
 
-    The summaries are built vectorized from the memoized page decode and
+    The one-size case of :func:`build_interval_ladder`: the summaries are
     cached on the trace's decode memo keyed by geometry — so running
     TreadMarks and HLRC (or repeating a sweep point) builds the intervals
     once.
     """
-    if layout is None:
-        layout = Layout.for_trace(trace, align=page_size)
-    memo = decode_memo(trace)
-    key = ("intervals", DecodeMemo.geometry_key(layout, page_size))
-
-    def _build() -> list[EpochPageInfo]:
-        return [
-            _epoch_info_packed(
-                epoch, memo.epoch(layout, page_size, ei), layout, page_size
-            )
-            for ei, epoch in enumerate(trace.epochs)
-        ]
-
-    return memo.derived(key, _build), layout
+    ladder, layout = build_interval_ladder(trace, (page_size,), layout)
+    return ladder[page_size], layout
 
 
 # ---------------------------------------------------------------------------
@@ -260,14 +253,6 @@ def _page_info(
     )
 
 
-def _epoch_info_packed(
-    epoch: PackedEpoch, decoded: DecodedEpoch, layout: Layout, page_size: int
-) -> EpochPageInfo:
-    """Page-level summary of one epoch (one ladder level, materialized)."""
-    level = _epoch_ladder_packed(epoch, decoded, layout, page_size)
-    return _page_info(epoch, level, layout, page_size)
-
-
 def _fold_ladder(level: _Level) -> _Level:
     """One 2x fold of a ladder level (size s -> 2s), sort-free: halving
     the page inside the key keeps the keys sorted, so each new page is a
@@ -290,15 +275,16 @@ def build_interval_ladder(
 ) -> tuple[dict[int, list[EpochPageInfo]], Layout]:
     """Summaries for every page size in ``page_sizes`` from one pass.
 
-    ``page_sizes`` must be powers of two; the trace is summarized once at
-    the finest size and folded upward through the 2x hierarchy, emitting
-    an :func:`build_intervals`-identical list at each requested size.
-    All sizes share one :class:`Layout` (aligned to the largest size —
-    region bases are then aligned at *every* swept size, so per-page
-    counters match what a per-size default layout would produce).  Each
-    materialized level is registered in the trace's decode memo under the
-    same key :func:`build_intervals` uses, so later per-size calls with
-    this layout are cache hits, and a later ladder whose sizes are all
+    ``page_sizes`` must be powers of two; each epoch is decoded and
+    summarized once at the finest size (the decode is dropped right
+    after) and folded upward through the 2x hierarchy, emitting one
+    summary list per requested size.  All sizes share one
+    :class:`Layout` (aligned to the largest size — region bases are then
+    aligned at *every* swept size, so per-page counters match what a
+    per-size default layout would produce).  Each materialized level is
+    registered in the trace's decode memo under ``("intervals",
+    geometry_key(layout, size))``, so later calls at that size with this
+    layout are cache hits, and a later ladder whose sizes are all
     memoized skips the finest-level pass.
     """
     sizes = sorted({int(s) for s in page_sizes})
@@ -315,8 +301,10 @@ def build_interval_ladder(
         return {s: memo.derived(k, None) for s, k in keys.items()}, layout
     finest = sizes[0]
     levels = [
-        _epoch_ladder_packed(epoch, memo.epoch(layout, finest, ei), layout, finest)
-        for ei, epoch in enumerate(trace.epochs)
+        _epoch_ladder_packed(
+            epoch, decode_epoch(epoch, layout, finest), layout, finest
+        )
+        for epoch in trace.epochs
     ]
     out: dict[int, list[EpochPageInfo]] = {}
     size = finest

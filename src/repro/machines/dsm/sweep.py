@@ -28,7 +28,7 @@ from .hlrc import simulate_hlrc
 from .intervals import build_interval_ladder
 from .treadmarks import simulate_treadmarks
 
-__all__ = ["simulate_treadmarks_sweep", "simulate_hlrc_sweep", "simulate_dsm_sweep"]
+__all__ = ["simulate_dsm_sweep"]
 
 _PROTOCOLS = {
     "treadmarks": simulate_treadmarks,
@@ -69,26 +69,3 @@ def simulate_dsm_sweep(
         for name in protocols
     }
 
-
-def simulate_treadmarks_sweep(
-    trace: Trace,
-    base: ClusterParams = CLUSTER_16,
-    page_sizes=None,
-    layout: Layout | None = None,
-) -> dict[int, DSMResult]:
-    """TreadMarks results for every page size from one interval pass."""
-    return simulate_dsm_sweep(
-        trace, base, page_sizes, protocols=("treadmarks",), layout=layout
-    )["treadmarks"]
-
-
-def simulate_hlrc_sweep(
-    trace: Trace,
-    base: ClusterParams = CLUSTER_16,
-    page_sizes=None,
-    layout: Layout | None = None,
-) -> dict[int, DSMResult]:
-    """HLRC results for every page size from one interval pass."""
-    return simulate_dsm_sweep(
-        trace, base, page_sizes, protocols=("hlrc",), layout=layout
-    )["hlrc"]

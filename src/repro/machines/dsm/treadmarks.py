@@ -119,7 +119,6 @@ def simulate_treadmarks(
         wpages = info.wr_pages
         cum_count[wpages, wr_procs] += 1
         cum_bytes[wpages, wr_procs] += info.wr_bytes
-        touched[wpages * P + wr_procs] = True
         data_bytes += wpages.shape[0] * params.write_notice_bytes
         return proc_time, messages, data_bytes, (fetches, diffs, payload)
 

@@ -47,7 +47,7 @@ effect data reordering removes.
 
 Validation: on line-granularity data-race-free traces this engine's miss
 counts equal the exact per-access MESI reference
-(:mod:`repro.machines.coherence`) exactly; on the real benchmark traces —
+(``tests/oracles/coherence.py``) exactly; on the real benchmark traces —
 which write-share lines within an epoch — the counts agree within ~10-20%
 and the original/reordered miss *ratios* within a few percent (see
 ``tests/machines/test_coherence.py``).
@@ -68,7 +68,7 @@ import numpy as np
 
 from ..errors import SimulationInputError
 from ..trace.events import PackedEpoch, Trace
-from ..trace.layout import DecodedEpoch, Layout, batch_blocks, decode_memo
+from ..trace.layout import DecodedEpoch, Layout, batch_blocks, decode_epoch
 from .kernels import (
     SetAssocSweep,
     _miss_mask,
@@ -345,12 +345,9 @@ def _replay_counters(
     touched = np.zeros(nkeys, dtype=bool)
     wrote = np.zeros(nkeys, dtype=bool)
 
-    # Decode through the per-trace memo: one pass per (epoch, geometry),
-    # shared with the DSM simulators and any sweep re-running this trace
-    # under the same line size.  A block replay decodes only its block.
-    memo = decode_memo(trace)
+    # A block replay decodes only its block.
     for ei, epoch in enumerate(trace.epochs):
-        decoded = memo.epoch(layout, params.line_size, ei, lo, hi)
+        decoded = decode_epoch(epoch, layout, params.line_size, lo, hi)
         lens = np.array([u.shape[0] for u in decoded.units[lo:hi]], dtype=np.int64)
         blocks = [(a + lo, b + lo) for a, b in batch_blocks(lens, _BATCH_KEYS)]
         if len(blocks) > 1:
@@ -565,7 +562,6 @@ def _sweep_line_family(
     line_size: int,
     l2_list: list[int],
     layout: Layout,
-    memo,
 ) -> list[HardwareResult]:
     """Sweep L2 capacities at one line size with a single replay.
 
@@ -624,7 +620,7 @@ def _sweep_line_family(
     pend_thr = np.full(nkeys, cmax, dtype=np.int64)
 
     for ei, epoch in enumerate(trace.epochs):
-        decoded = memo.epoch(layout, line_size, ei)
+        decoded = decode_epoch(epoch, layout, line_size)
         lens = np.array([u.shape[0] for u in decoded.units], dtype=np.int64)
         page_parts = []
         any_write = False
@@ -715,8 +711,7 @@ def simulate_hardware_sweep(
     one-pass miss curve exact; see ``DESIGN.md``.  The base point
     ``(base.line_size, base.l2_bytes)`` reproduces ``base`` itself.
 
-    Each distinct line size decodes the trace once through the
-    shared :class:`repro.trace.layout.DecodeMemo`; every ``l2_bytes``
+    Each distinct line size decodes the trace once; every ``l2_bytes``
     point at that line size is then read off the stack-distance curve
     instead of re-replaying.
     """
@@ -732,10 +727,7 @@ def simulate_hardware_sweep(
         raise SimulationInputError("sweep axes must be non-empty")
     if layout is None:
         layout = Layout.for_trace(trace, align=base.page_size)
-    memo = decode_memo(trace)
     results: list[HardwareResult] = []
     for line_size in line_list:
-        results.extend(
-            _sweep_line_family(trace, base, line_size, l2_list, layout, memo)
-        )
+        results.extend(_sweep_line_family(trace, base, line_size, l2_list, layout))
     return results

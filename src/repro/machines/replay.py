@@ -45,7 +45,7 @@ import numpy as np
 from ..errors import SimulationInputError
 from ..runtime.executor import ExecutorConfig, Task, run_tasks
 from ..trace.io import load_trace
-from ..trace.layout import DecodeMemo, Layout, decode_memo
+from ..trace.layout import DecodeMemo, Layout, decode_epoch, decode_memo
 from .hardware import (
     HardwareResult,
     _hardware_result,
@@ -128,17 +128,16 @@ def simulate_hardware_parallel(
 
 def _intervals_block(trace_path: str, ei_lo: int, ei_hi: int, page_size: int):
     """Worker: interval summaries for epochs ``[ei_lo, ei_hi)``."""
-    from .dsm.intervals import _epoch_info_packed
+    from .dsm.intervals import _epoch_ladder_packed, _page_info
 
     trace = load_trace(trace_path, mmap=True, validate=False)
     layout = Layout.for_trace(trace, align=page_size)
-    memo = decode_memo(trace)
-    return [
-        _epoch_info_packed(
-            trace.epochs[ei], memo.epoch(layout, page_size, ei), layout, page_size
-        )
-        for ei in range(ei_lo, ei_hi)
-    ]
+    out = []
+    for epoch in trace.epochs[ei_lo:ei_hi]:
+        decoded = decode_epoch(epoch, layout, page_size)
+        level = _epoch_ladder_packed(epoch, decoded, layout, page_size)
+        out.append(_page_info(epoch, level, layout, page_size))
+    return out
 
 
 def build_intervals_parallel(

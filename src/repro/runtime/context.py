@@ -44,7 +44,7 @@ class RuntimeContext:
     generated in-process replay serially.
 
     ``trace_compression`` selects the on-disk codec for cache stores:
-    ``"none"`` writes mmap-friendly v2 bundles, ``"zlib"``/``"lz4"`` write
+    ``"none"`` writes mmap-friendly v2 bundles, ``"zlib"`` writes
     chunked compressed v3 bundles (~10-50x smaller, lazily decoded).
     Compressed entries carry format version 3 in their cache key, so
     toggling the codec never mixes formats under one filename.  Runs,

@@ -25,8 +25,9 @@ different consistency-unit sizes (the paper's central variable).
 Epochs are *sealed*: the columns are built once (at
 :meth:`repro.trace.builder.TraceBuilder.barrier` time) and never mutated
 afterwards.  That immutability is what makes the zero-copy pipeline safe —
-simulators, the decode memo (:mod:`repro.trace.layout`), and mmap-loaded
-traces (:mod:`repro.trace.io`) all share the same buffers.
+simulators, the epoch decoder (:mod:`repro.trace.layout`), and mmap-loaded
+traces (:mod:`repro.trace.io`) all share the same buffers, and the
+summaries memoized on a trace never go stale.
 """
 
 from __future__ import annotations

@@ -39,7 +39,7 @@ columns are never stored; they are exactly
 Version 2 (uncompressed, the default) stores each big column whole in the
 directory; ``index`` at the narrowest safe width (``int32`` whenever every
 index fits, which object indices always do in practice).  Version 3
-(``save_trace(..., compression="zlib"|"lz4")``) stores them as **per-epoch
+(``save_trace(..., compression="zlib")``) stores them as **per-epoch
 compressed chunks** after the directory arrays: ``index`` delta-encoded
 (consecutive differences, small for coherent traversals), every integer
 column narrowed to its smallest dtype before compression.  Each chunk
@@ -82,11 +82,6 @@ import numpy as np
 from ..errors import ConfigError, TraceCorruptError, TraceVersionError
 from .events import PackedEpoch, RegionSpec, Trace
 
-try:  # optional codec; the container may not ship it
-    import lz4.frame as _lz4  # type: ignore[import-not-found]
-except ImportError:  # pragma: no cover - environment-dependent
-    _lz4 = None
-
 __all__ = [
     "save_trace",
     "load_trace",
@@ -104,7 +99,7 @@ _ALIGN = 64
 TRACE_SUFFIX = ".npt"
 
 #: Accepted values for ``save_trace``'s ``compression`` knob.
-COMPRESSION_CODECS = ("none", "zlib", "lz4")
+COMPRESSION_CODECS = ("none", "zlib")
 
 #: dtypes a directory array may declare; anything else is corruption.
 _ALLOWED_DTYPES = {"<i8", "<i4", "|b1", "<f8"}
@@ -258,13 +253,6 @@ def _codec_compress(codec: str):
     """The compress function for ``codec``, or a structured error."""
     if codec == "zlib":
         return lambda data: zlib.compress(data, 6)
-    if codec == "lz4":
-        if _lz4 is None:
-            raise ConfigError(
-                "trace compression 'lz4' requires the lz4 package, which is"
-                " not installed; use 'zlib' or 'none'"
-            )
-        return _lz4.compress
     raise ConfigError(
         f"unknown trace compression {codec!r}"
         f" (choose from {', '.join(COMPRESSION_CODECS)})"
@@ -275,15 +263,13 @@ def _codec_decompress(codec: str):
     if codec == "zlib":
         return zlib.decompress
     if codec == "lz4":
-        if _lz4 is None:
-            # Not corruption: the file is fine, this environment cannot
-            # read it.  ConfigError propagates instead of triggering the
-            # cache's quarantine-and-regenerate path.
-            raise ConfigError(
-                "trace file is lz4-compressed but the lz4 package is not"
-                " installed"
-            )
-        return _lz4.decompress
+        # Not corruption: older builds could write lz4 bundles, and the
+        # file is fine.  ConfigError propagates instead of triggering the
+        # cache's quarantine-and-regenerate path.
+        raise ConfigError(
+            "trace file is lz4-compressed; this build reads only zlib"
+            " bundles (re-save the trace with compression='zlib')"
+        )
     raise TraceCorruptError(f"packed trace declares unknown codec {codec!r}")
 
 
@@ -372,10 +358,9 @@ def save_trace(trace: Trace, path, compression: str = "none") -> None:
     ``.npt`` suffix, but no suffix is imposed.
 
     ``compression="none"`` (default) writes the mmap-friendly v2 bundle;
-    ``"zlib"`` (always available) or ``"lz4"`` (if the package is
-    installed) writes the chunked v3 bundle — roughly an order of
-    magnitude smaller, loaded lazily per epoch.  Unknown or unavailable
-    codecs raise :class:`repro.errors.ConfigError`.
+    ``"zlib"`` writes the chunked v3 bundle — roughly an order of
+    magnitude smaller, loaded lazily per epoch.  Unknown codecs raise
+    :class:`repro.errors.ConfigError`.
     """
     if compression not in COMPRESSION_CODECS:
         raise ConfigError(
@@ -622,14 +607,10 @@ class LazyPackedEpoch(PackedEpoch):
 class LazyTrace(Trace):
     """A v3 (compressed) trace; epochs decode their chunks on demand.
 
-    Decoded consistency-unit streams are still memoized per trace, but
-    with an LRU bound (``decode_memo_max_epochs``) so lazy replay keeps
-    its bounded-memory property instead of re-accumulating every epoch in
-    the :class:`repro.trace.layout.DecodeMemo`.
+    The chunk store keeps the last 64 decompressed epochs (LRU), and the
+    simulators never cache their consistency-unit decodes, so a lazy
+    replay holds a bounded number of epochs in memory.
     """
-
-    #: picked up by :func:`repro.trace.layout.decode_memo`
-    decode_memo_max_epochs = 64
 
     def __init__(self, nprocs: int, store: _ChunkStore):
         super().__init__(nprocs=nprocs)
@@ -776,7 +757,8 @@ def load_trace(path, mmap: bool = True, validate: bool = True) -> Trace:
     :class:`repro.errors.TraceVersionError` on a format-version mismatch or
     a file without the bundle magic (a legacy ``.npz`` archive, say).
     A missing file still raises ``FileNotFoundError``; an lz4 bundle
-    without the lz4 package raises :class:`repro.errors.ConfigError`.
+    (which older builds could write) raises
+    :class:`repro.errors.ConfigError`.
     """
     try:
         buf = _bundle_bytes(path, mmap)

@@ -14,8 +14,6 @@ original benchmarks.
 
 from __future__ import annotations
 
-import weakref
-from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
@@ -167,19 +165,16 @@ def _expand_units(
 
 
 # --------------------------------------------------------------------------
-# Per-trace decode memo
+# Decoding epochs to unit streams
 # --------------------------------------------------------------------------
 #
 # Decoding object accesses into consistency-unit streams (``units_batch``)
 # is the shared front end of every consumer: the hardware simulator decodes
 # into cache lines, the DSM interval builder into pages, ``trace.stats``
-# into whatever unit the caller asks.  A sweep over page sizes, or simply
-# running all three platforms on one trace, used to re-decode the same
-# epochs once per call.  The memo below caches decodings *per trace*, keyed
-# by the decode geometry — the region table, region placement, alignment,
-# and unit size — so total decoding work is O(distinct geometries), not
-# O(simulator calls).  The ``decodes``/``hits`` counters make that property
-# testable.
+# into whatever unit the caller asks.  Each consumer decodes an epoch,
+# uses it and drops it: no workload reads a decode twice, so decodes are
+# never cached.  What is cached, per trace, is the small product a decode
+# pass reduces to — the DSM interval summaries — in :class:`DecodeMemo`.
 
 
 @dataclass
@@ -279,82 +274,27 @@ def decode_epoch(
 
 
 class DecodeMemo:
-    """Per-trace cache of epoch decodings, keyed by decode geometry.
+    """Per-trace cache of products derived from decoding, keyed by the
+    caller.
 
-    Geometry = ``(layout.regions, layout.bases, layout.align, unit)``.  Two
-    simulator calls that agree on all four share every decoded stream; a
-    page-size sweep pays one decode per distinct page size.
+    ``derived(key, build)`` gets or builds one product: the DSM interval
+    builder stores its per-epoch page summaries under
+    ``("intervals", geometry_key(layout, page_size))``, so TreadMarks and
+    HLRC on one trace and page size share one interval build.  Geometry =
+    ``(layout.regions, layout.bases, layout.align, unit)``.  Traces are
+    sealed after construction, so entries never go stale; if you do
+    mutate a trace in place, call :meth:`clear`.
 
-    ``derived(key, build)`` additionally caches arbitrary per-geometry
-    derived products (the DSM interval builder stores its per-epoch page
-    summaries there, so TreadMarks and HLRC share one interval build).
-
-    Counters: ``decodes`` = epoch decodings actually performed, ``hits`` =
-    requests served from cache; ``distinct_geometries`` = geometry keys
-    seen.  Traces are sealed after construction, so entries never go
-    stale; if you do mutate a trace in place, call :meth:`clear`.
-
-    ``max_epochs`` bounds how many decoded epochs are retained at once
-    (LRU across all geometries); ``None`` — the default — retains
-    everything, which is what the sweep engines rely on.  Lazily decoded
-    compressed traces set a bound so a long replay does not hold every
-    epoch's expanded streams in memory.
-
-    The memo holds its trace weakly: the trace owns the memo
-    (:func:`decode_memo`), so a strong back-reference would make a cycle
-    that keeps every decode of a dropped trace alive until the cyclic
-    collector runs.
+    The memo holds no reference to its trace: the trace owns the memo
+    (:func:`decode_memo`), so a dropped trace frees its products at once.
     """
 
-    def __init__(self, trace: Trace, max_epochs: int | None = None):
-        self._trace = weakref.proxy(trace)
-        self._geometries: dict[tuple, dict[int, DecodedEpoch]] = {}
+    def __init__(self):
         self._derived: dict[tuple, object] = {}
-        self._lru: OrderedDict[tuple, None] = OrderedDict()
-        self.max_epochs = max_epochs
-        self.decodes = 0
-        self.hits = 0
-        self.evictions = 0
-
-    @property
-    def distinct_geometries(self) -> int:
-        return len(self._geometries)
 
     @staticmethod
     def geometry_key(layout: Layout, unit: int) -> tuple:
         return (layout.regions, layout.bases, layout.align, unit)
-
-    def epoch(
-        self, layout: Layout, unit: int, index: int, lo: int = 0, hi: int | None = None
-    ) -> DecodedEpoch:
-        """Decoded streams for ``trace.epochs[index]`` under this geometry.
-
-        A request for only processors ``[lo, hi)`` is served from the
-        cached whole-epoch decode if there is one; otherwise just those
-        processors are decoded, and not retained (a parallel replay
-        worker reads each epoch of its block once).
-        """
-        gkey = self.geometry_key(layout, unit)
-        per_geometry = self._geometries.setdefault(gkey, {})
-        decoded = per_geometry.get(index)
-        if decoded is None:
-            self.decodes += 1
-            epoch = self._trace.epochs[index]
-            if lo > 0 or (hi is not None and hi < epoch.nprocs):
-                return decode_epoch(epoch, layout, unit, lo, hi)
-            decoded = decode_epoch(epoch, layout, unit)
-            per_geometry[index] = decoded
-            if self.max_epochs is not None:
-                self._lru[(gkey, index)] = None
-                while len(self._lru) > self.max_epochs:
-                    (old_gkey, old_index), _ = self._lru.popitem(last=False)
-                    self._geometries[old_gkey].pop(old_index, None)
-                    self.evictions += 1
-        else:
-            self.hits += 1
-            if self.max_epochs is not None:
-                self._lru.move_to_end((gkey, index))
-        return decoded
 
     def __contains__(self, key: tuple) -> bool:
         """Whether a derived product is cached under ``key``."""
@@ -362,41 +302,18 @@ class DecodeMemo:
 
     def derived(self, key: tuple, build):
         """Get-or-build an arbitrary derived product cached on this trace."""
-        try:
-            value = self._derived[key]
-        except KeyError:
-            value = self._derived[key] = build()
-        else:
-            self.hits += 1
-        return value
-
-    def drop_decodes(self, units) -> None:
-        """Forget the decoded epochs of every geometry whose unit is in
-        ``units`` (derived products stay), so a caller done with one
-        geometry family frees its streams before decoding the next."""
-        units = set(units)
-        for gkey in [g for g in self._geometries if g[3] in units]:
-            del self._geometries[gkey]
-        for key in [k for k in self._lru if k[0][3] in units]:
-            del self._lru[key]
+        if key not in self._derived:
+            self._derived[key] = build()
+        return self._derived[key]
 
     def clear(self) -> None:
-        self._geometries.clear()
         self._derived.clear()
-        self._lru.clear()
 
 
 def decode_memo(trace: Trace) -> DecodeMemo:
-    """The decode memo attached to ``trace`` (created on first use).
-
-    Traces may declare ``decode_memo_max_epochs`` (lazily decoded
-    compressed traces do) to bound the memo's retention; everything else
-    gets the unbounded memo the sweep engines rely on.
-    """
+    """The memo of derived products attached to ``trace`` (created on
+    first use)."""
     memo = getattr(trace, "_decode_memo", None)
     if memo is None:
-        memo = DecodeMemo(
-            trace, max_epochs=getattr(trace, "decode_memo_max_epochs", None)
-        )
-        trace._decode_memo = memo
+        memo = trace._decode_memo = DecodeMemo()
     return memo

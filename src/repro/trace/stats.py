@@ -10,9 +10,8 @@ These implement the paper's diagnostic figures directly:
 plus generic helpers reused by the machine models.
 
 All helpers consume traces through ``epoch.flat(proc)`` — an O(1) view —
-and the trace-level accumulators share decoded unit streams with the
-simulators through the per-trace decode memo
-(:func:`repro.trace.layout.decode_memo`).
+or, for the trace-level accumulators, through the simulators' epoch
+decode (:func:`repro.trace.layout.decode_epoch`).
 """
 
 from __future__ import annotations
@@ -22,12 +21,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .events import PackedEpoch, Trace
-from .layout import Layout, decode_memo
+from .layout import Layout, decode_epoch
 
 __all__ = [
     "page_write_sets",
     "page_read_sets",
     "page_sharers",
+    "sharer_counts",
     "mean_sharers",
     "update_map",
     "footprint",
@@ -67,12 +67,11 @@ def proc_unit_sets(
 def _accumulate_sharers(
     trace: Trace, layout: Layout, page_size: int, writes_only: bool
 ) -> dict[int, set[int]]:
-    # Reuse the memoized full-stream decode (shared with the simulators)
-    # and filter writes on the expanded stream.
-    memo = decode_memo(trace)
+    # Decode each epoch's full streams and filter writes on the expanded
+    # stream.
     sharers: dict[int, set[int]] = {}
-    for ei, epoch in enumerate(trace.epochs):
-        decoded = memo.epoch(layout, page_size, ei)
+    for epoch in trace.epochs:
+        decoded = decode_epoch(epoch, layout, page_size)
         for p in range(trace.nprocs):
             units = decoded.units[p]
             if writes_only and units.shape[0]:
@@ -110,6 +109,15 @@ def page_sharers(
     if isinstance(region, str):
         region = trace.region_id(region)
     sets = (page_write_sets if writes_only else page_read_sets)(trace, layout, page_size)
+    return sharer_counts(sets, layout, region, page_size)
+
+
+def sharer_counts(
+    sets: dict[int, set[int]], layout: Layout, region: int, page_size: int
+) -> np.ndarray:
+    """Processors in ``sets`` (a :func:`page_write_sets` or
+    :func:`page_read_sets` map) for each page of ``region``, in address
+    order — so one set build serves every region."""
     pages = layout.region_pages(region, page_size)
     return np.array([len(sets.get(int(pg), ())) for pg in pages], dtype=np.int64)
 

@@ -280,18 +280,18 @@ class TestOneTaskPerTrace:
         assert len(calls) == sum(epochs)
         assert len(set(map(id, calls))) == len(calls)
 
-    def test_origin_decodes_leave_before_the_dsm_ladder(self, monkeypatch):
+    def test_origin_decodes_leave_before_the_dsm_ladder(
+        self, monkeypatch, decode_calls
+    ):
         from repro.experiments.sweep import _group_rows
         from repro.machines import dsm
-        from repro.trace.layout import decode_memo
 
         trace = make_app("moldyn", SCALE.config("moldyn"), "hilbert").run()
-        memo = decode_memo(trace)
         real = dsm.simulate_dsm_sweep
         held = []
 
         def probe(trace, *args, **kwargs):
-            held.append(memo.distinct_geometries)
+            held.append(sum(r() is not None for refs in decode_calls for r in refs))
             return real(trace, *args, **kwargs)
 
         monkeypatch.setattr(dsm, "simulate_dsm_sweep", probe)
@@ -299,7 +299,7 @@ class TestOneTaskPerTrace:
                              SCALE).groups()
         rows = _group_rows(trace, group, SCALE)
         assert [r["platform"] for r in rows] == ["origin"] * 2 + ["treadmarks"] * 2
-        assert memo.decodes > 0 and held == [0]
+        assert decode_calls and held == [0]
 
     def test_resume_runs_only_the_missing_platform(self, tmp_path, monkeypatch):
         import repro.experiments.sweep as sweep_mod

@@ -4,7 +4,7 @@ epoch-boundary hardware engine on data-race-free traces."""
 import numpy as np
 import pytest
 
-from repro.machines.coherence import simulate_mesi
+from oracles.coherence import simulate_mesi
 from repro.machines.hardware import simulate_hardware
 from repro.machines.params import HardwareParams
 from repro.trace.builder import TraceBuilder

@@ -13,6 +13,7 @@ page-size sweep.
 """
 
 import dataclasses
+import tempfile
 
 import numpy as np
 from hypothesis import given, settings
@@ -21,6 +22,7 @@ from hypothesis import strategies as st
 from oracles import dsm as oracle
 from repro.apps import AppConfig, BarnesHut, Moldyn
 from repro.machines.dsm import (
+    build_interval_ladder,
     build_intervals,
     simulate_dsm_sweep,
     simulate_hlrc,
@@ -28,7 +30,10 @@ from repro.machines.dsm import (
     total_pages,
 )
 from repro.machines.params import cluster_scaled
+from repro.machines.replay import build_intervals_parallel
+from repro.runtime.executor import ExecutorConfig
 from repro.trace.builder import TraceBuilder
+from repro.trace.io import save_trace
 from repro.trace.layout import Layout
 
 PAGE_SIZES = (256, 512, 1024, 2048)
@@ -114,6 +119,35 @@ def test_batched_folds_match_per_processor_folds(nprocs, seed, kinds):
         simulate_hlrc(trace, prm, homes=homes),
         oracle.simulate_hlrc(trace, prm, homes=homes),
     )
+
+
+@given(
+    nprocs=st.sampled_from([1, 2, 3, 16]),
+    seed=st.integers(0, 2**32 - 1),
+    kinds=st.lists(st.sampled_from(KINDS), min_size=2, max_size=4),
+)
+@settings(max_examples=20, deadline=None)
+def test_written_pages_are_accessed(nprocs, seed, kinds):
+    """The :class:`EpochPageInfo` precondition the TreadMarks fold relies
+    on: the serial builder, the ladder and the parallel builder list each
+    processor's written pages among its accessed pages."""
+    trace = random_trace(np.random.default_rng(seed), nprocs, kinds)
+    layout = Layout.for_trace(trace, align=PAGE_SIZES[-1])
+    builds = list(build_interval_ladder(trace, PAGE_SIZES, layout)[0].values())
+    for size in PAGE_SIZES:
+        fresh = random_trace(np.random.default_rng(seed), nprocs, kinds)
+        builds.append(build_intervals(fresh, layout, size)[0])
+    with tempfile.TemporaryDirectory() as tmp:
+        path = f"{tmp}/t.npt"
+        save_trace(trace, path)
+        serial = ExecutorConfig(jobs=1, task_timeout=None)
+        builds.append(build_intervals_parallel(
+            path, PAGE_SIZES[0], jobs=2, executor=serial
+        )[0])
+    for infos in builds:
+        for info in infos:
+            for acc, wr in zip(info.accesses, info.writes, strict=True):
+                assert np.isin(wr, acc).all()
 
 
 def test_app_traces_match_oracle():

@@ -1,6 +1,6 @@
 """Equivalence of the batched epoch interleave against the cursor walk.
 
-:func:`repro.machines.coherence._interleave` merges every processor's
+:func:`oracles.coherence._interleave` merges every processor's
 line stream with one lexsort; :func:`tests.oracles.interleave.interleave`
 is the original cursor-walk generator.  They must agree element-for-element on every
 epoch — including processors with empty streams and epochs with no
@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from repro.apps import APP_REGISTRY, AppConfig
-from repro.machines.coherence import _interleave, simulate_mesi
+from oracles.coherence import _interleave, simulate_mesi
 from repro.machines.params import HardwareParams
 from repro.trace.builder import TraceBuilder
 from repro.trace.layout import Layout

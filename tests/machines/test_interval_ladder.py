@@ -19,9 +19,7 @@ from repro.machines.dsm import (
     build_intervals,
     simulate_dsm_sweep,
     simulate_hlrc,
-    simulate_hlrc_sweep,
     simulate_treadmarks,
-    simulate_treadmarks_sweep,
 )
 from repro.machines.params import cluster_scaled
 
@@ -118,7 +116,9 @@ class TestDSMSweepEqualsStandalone:
     def test_treadmarks_points(self):
         trace = _trace(Moldyn, version="hilbert")
         base = cluster_scaled(nprocs=4)
-        out = simulate_treadmarks_sweep(trace, base, PAGE_SIZES)
+        out = simulate_dsm_sweep(
+            trace, base, PAGE_SIZES, protocols=("treadmarks",)
+        )["treadmarks"]
         for size in PAGE_SIZES:
             ref = simulate_treadmarks(trace, cluster_scaled(nprocs=4, page_size=size))
             self._assert_same(out[size], ref)
@@ -126,7 +126,7 @@ class TestDSMSweepEqualsStandalone:
     def test_hlrc_points(self):
         trace = _trace(BarnesHut)
         base = cluster_scaled(nprocs=4)
-        out = simulate_hlrc_sweep(trace, base, PAGE_SIZES)
+        out = simulate_dsm_sweep(trace, base, PAGE_SIZES, protocols=("hlrc",))["hlrc"]
         for size in PAGE_SIZES:
             ref = simulate_hlrc(trace, cluster_scaled(nprocs=4, page_size=size))
             self._assert_same(out[size], ref)

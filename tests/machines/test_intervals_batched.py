@@ -22,7 +22,7 @@ from repro.machines.dsm import build_interval_ladder, build_intervals
 from repro.machines.dsm import intervals
 from repro.trace import layout as layout_mod
 from repro.trace.builder import TraceBuilder
-from repro.trace.layout import Layout, decode_epoch, decode_memo, epoch_blocks
+from repro.trace.layout import Layout, decode_epoch, epoch_blocks
 
 PAGE_SIZES = (256, 512, 1024, 2048)
 
@@ -199,9 +199,8 @@ def test_object_crossing_sibling_boundary():
 def test_decoded_and_interval_arrays_are_read_only():
     """Processors share one buffer per block: an in-place write must fail."""
     trace = random_trace(np.random.default_rng(3), 4)
-    memo = decode_memo(trace)
     layout = Layout.for_trace(trace, align=512)
-    decoded = memo.epoch(layout, 512, 0)
+    decoded = decode_epoch(trace.epochs[0], layout, 512)
     arrays = list(decoded.units) + [c for c in decoded.counts if c is not None]
     infos, _ = build_intervals(trace, layout, 512)
     for info in infos:

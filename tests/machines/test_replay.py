@@ -176,9 +176,8 @@ class TestBlocks:
         from oracles.hardware import _proc_streams_packed
 
         from repro.machines.hardware import _mark_outside_writes
-        from repro.trace.layout import decode_memo
+        from repro.trace.layout import decode_epoch
 
-        memo = decode_memo(trace)
         lo, hi = 3, 6
         for ei, epoch in enumerate(trace.epochs):
             wrote = np.zeros(nlines << bits, dtype=bool)
@@ -186,7 +185,7 @@ class TestBlocks:
                 epoch, layout, params.line_size, bits, lo, hi, wrote
             )
             keys = np.flatnonzero(wrote)
-            decoded = memo.epoch(layout, params.line_size, ei)
+            decoded = decode_epoch(epoch, layout, params.line_size)
             for p in range(trace.nprocs):
                 _, _, written = _proc_streams_packed(
                     epoch, decoded, p, params.line_size, params.page_size, nlines
@@ -250,7 +249,7 @@ class TestIntervalsParallel:
                 assert np.array_equal(x.writes[p], y.writes[p])
                 assert np.array_equal(x.write_bytes[p], y.write_bytes[p])
 
-    def test_installs_into_memo(self, trace_file):
+    def test_installs_into_memo(self, trace_file, decode_calls):
         from repro.machines.dsm import simulate_treadmarks
         from repro.machines.params import CLUSTER_16
 
@@ -259,16 +258,14 @@ class TestIntervalsParallel:
         build_intervals_parallel(
             trace_file, CLUSTER_16.page_size, jobs=3, trace=trace
         )
-        from repro.trace.layout import decode_memo
-
-        decodes_before = decode_memo(trace).decodes
+        decodes_before = len(decode_calls)
         res = simulate_treadmarks(trace, CLUSTER_16)
         assert res.messages == serial.messages
         assert res.data_bytes == serial.data_bytes
         assert res.time == serial.time
         # The protocol model reused the installed summaries: no fresh
         # interval decode happened on this trace.
-        assert decode_memo(trace).decodes == decodes_before
+        assert len(decode_calls) == decodes_before
 
     def test_summaries_are_read_only(self, trace_file):
         """Workers' summaries come back pickled, which drops numpy's

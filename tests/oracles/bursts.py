@@ -2,7 +2,7 @@
 
 The production decoders (the decode memo, read per processor through
 :func:`oracles.hardware._proc_streams_packed`, and
-:func:`repro.machines.dsm.intervals._epoch_info_packed`) work on whole
+:func:`repro.machines.dsm.intervals._epoch_ladder_packed`) work on whole
 column slices at once.  These oracles restate the same
 quantities one burst and one object at a time, straight from the
 definitions: an object of ``size`` bytes at ``base + index * size`` covers

@@ -24,9 +24,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..trace.events import Trace
-from ..trace.layout import DecodedEpoch, Layout, decode_epoch, decode_memo
-from .params import HardwareParams
+from repro.machines.params import HardwareParams
+from repro.trace.events import Trace
+from repro.trace.layout import Layout, decode_epoch
 
 __all__ = ["MESIResult", "simulate_mesi"]
 
@@ -83,22 +83,19 @@ def _interleave(
     layout: Layout,
     line_size: int,
     nprocs: int,
-    decoded: DecodedEpoch | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Round-robin interleaving of the epoch's per-processor line streams.
 
     Returns the merged ``(procs, lines, writes)`` *columns* — int64,
     int64, bool — in interleaved order; no per-access Python tuples are
-    built.  Each processor's stream decodes with one batched unit
-    conversion (shared through ``decoded`` when the caller has a memo),
-    and the round-robin order — position ``i`` of every live stream,
+    built.  The epoch decodes with one :func:`decode_epoch` call, and the
+    round-robin order — position ``i`` of every live stream,
     processors in index order — is exactly a stable sort by (stream
     position, processor), materialized with one ``lexsort``.
     ``tests/oracles/interleave.py`` holds the cursor-walk reference this
     must match.
     """
-    if decoded is None:
-        decoded = decode_epoch(epoch, layout, line_size)
+    decoded = decode_epoch(epoch, layout, line_size)
     lines, writes, procs, pos = [], [], [], []
     for p in range(nprocs):
         u = decoded.units[p]
@@ -165,13 +162,9 @@ def simulate_mesi(
                     invalidations[q] += 1
                 sharers.discard(q)
 
-    # Line-stream decodes are shared with the other platforms through the
-    # per-trace memo.
-    memo = decode_memo(trace)
-    for ei, epoch in enumerate(trace.epochs):
-        decoded = memo.epoch(layout, params.line_size, ei)
+    for epoch in trace.epochs:
         procs_col, lines_col, writes_col = _interleave(
-            epoch, layout, params.line_size, nprocs, decoded=decoded
+            epoch, layout, params.line_size, nprocs
         )
         for p, line, is_write in zip(
             procs_col.tolist(), lines_col.tolist(), writes_col.tolist()

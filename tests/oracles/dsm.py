@@ -49,7 +49,6 @@ def simulate_treadmarks(
     seen_count = np.zeros((npages, nprocs, nprocs), dtype=np.int64)
     seen_bytes = np.zeros((npages, nprocs, nprocs), dtype=np.int64)
     touched = np.zeros((npages, nprocs), dtype=bool)  # p has a copy of g
-    ever_written = np.zeros(npages, dtype=bool)
 
     messages = 0
     data_bytes = 0
@@ -123,8 +122,6 @@ def simulate_treadmarks(
                 continue
             cum_count[wp, w] += 1
             cum_bytes[wp, w] += info.write_bytes[w]
-            ever_written[wp] = True
-            touched[wp, w] = True
             notice_count += wp.shape[0]
         data_bytes += notice_count * params.write_notice_bytes
 

@@ -28,7 +28,7 @@ from oracles.cache import LRUCache, SetAssocCache
 
 from repro.machines.hardware import HardwareResult, _tlb_epoch_misses
 from repro.machines.kernels import SetAssocSweep, collapse_runs
-from repro.trace.layout import Layout, decode_memo
+from repro.trace.layout import Layout, decode_epoch
 
 
 def _proc_streams_packed(epoch, decoded, proc, line_size, page_size, nlines):
@@ -112,11 +112,10 @@ def simulate_hardware(trace, params, layout=None):
     seen = np.zeros((nprocs, nlines), dtype=bool)
     pending_inval = np.zeros((nprocs, nlines), dtype=bool)
     touched = np.zeros(nlines, dtype=bool)
-    memo = decode_memo(trace)
 
     for ei, epoch in enumerate(trace.epochs):
         epoch_written: list[np.ndarray] = []
-        decoded = memo.epoch(layout, params.line_size, ei)
+        decoded = decode_epoch(epoch, layout, params.line_size)
         for p in range(nprocs):
             lines, pages, written = _proc_streams_packed(
                 epoch, decoded, p, params.line_size, params.page_size, nlines
@@ -224,9 +223,8 @@ def simulate_hardware_sweep(trace, base, l2_bytes, line_size=None, layout=None):
     pend_thr = np.full((nprocs, nlines), cmax, dtype=np.int64)
     touched = np.zeros(nlines, dtype=bool)
     page_chunks = []
-    memo = decode_memo(trace)
     for ei, epoch in enumerate(trace.epochs):
-        decoded = memo.epoch(layout, line_size, ei)
+        decoded = decode_epoch(epoch, layout, line_size)
         epoch_written, epoch_pages = [], []
         for p in range(nprocs):
             lines, pages, written = _proc_streams_packed(

@@ -1,6 +1,6 @@
 """Cursor-walk reference for the batched epoch interleave.
 
-:func:`repro.machines.coherence._interleave` merges every processor's
+:func:`oracles.coherence._interleave` merges every processor's
 line stream with one ``lexsort``.  This oracle restates the round-robin
 order directly — position ``i`` of every live stream, processors in
 index order — one access at a time.

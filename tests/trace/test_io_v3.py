@@ -21,7 +21,6 @@ from repro.trace.io import (
     COMPRESSION_CODECS,
     LazyTrace,
     _delta_encode,
-    _lz4,
     _narrow_int,
     load_trace,
     save_trace,
@@ -65,10 +64,8 @@ def columns_of(trace):
 
 
 class TestRoundtrip:
-    @pytest.mark.parametrize("codec", ["zlib", "lz4"])
+    @pytest.mark.parametrize("codec", ["zlib"])
     def test_columns_identical_to_v2(self, tmp_path, codec):
-        if codec == "lz4" and _lz4 is None:
-            pytest.skip("lz4 not installed")
         t = make_trace()
         p2, p3 = tmp_path / "v2.npt", tmp_path / "v3.npt"
         save_trace(t, p2)
@@ -157,7 +154,7 @@ class TestEncoding:
         assert _narrow_int(arr).dtype == dtype
 
     def test_codecs_constant(self):
-        assert COMPRESSION_CODECS == ("none", "zlib", "lz4")
+        assert COMPRESSION_CODECS == ("none", "zlib")
 
 
 class TestLazyDecode:
@@ -308,33 +305,22 @@ class TestContentCheck:
 
 
 class TestLz4Gating:
+    """lz4 is not a codec: saving with it is a configuration error, and a
+    bundle an older build wrote with it fails to load with one."""
+
     def test_save_without_lz4_raises_config_error(self, tmp_path):
-        if _lz4 is not None:
-            pytest.skip("lz4 installed; gating path not reachable")
         with pytest.raises(ConfigError, match="lz4"):
             save_trace(make_trace(nprocs=2, nobj=32, epochs=1),
                        tmp_path / "x.npt", compression="lz4")
 
-    def test_load_without_lz4_is_config_error(self, tmp_path, monkeypatch):
-        """An lz4 bundle this environment cannot decode is not corruption:
-        ``ConfigError`` propagates, so the cache does not quarantine it."""
-        import repro.trace.io as trace_io
-
+    def test_load_without_lz4_is_config_error(self, tmp_path):
+        """An lz4 bundle is not corruption: ``ConfigError`` propagates, so
+        the cache does not quarantine it."""
         p = tmp_path / "x.npt"
         save_trace(make_trace(nprocs=2, nobj=32, epochs=1), p, compression="zlib")
         blob = p.read_bytes()
         # Same byte length, so every offset in the bundle stays valid.
         p.write_bytes(blob.replace(b'"codec":"zlib"', b'"codec": "lz4"', 1))
-        monkeypatch.setattr(trace_io, "_lz4", None)
         with pytest.raises(ConfigError, match="lz4"):
             load_trace(p)
 
-    def test_lz4_roundtrip_when_available(self, tmp_path):
-        if _lz4 is None:
-            pytest.skip("lz4 not installed")
-        t = make_trace(nprocs=2, nobj=64, epochs=2)
-        p = tmp_path / "x.npt"
-        save_trace(t, p, compression="lz4")
-        t3 = load_trace(p)
-        assert np.array_equal(np.asarray(t3.epochs[0].index),
-                              np.asarray(t.epochs[0].index))

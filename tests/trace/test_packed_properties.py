@@ -16,7 +16,8 @@ from oracles.hardware import _proc_streams_packed
 
 from repro.machines import simulate_hardware, simulate_hlrc, simulate_treadmarks
 from repro.machines.dsm.intervals import (
-    _epoch_info_packed,
+    _epoch_ladder_packed,
+    _page_info,
     build_interval_ladder,
     build_intervals,
 )
@@ -24,7 +25,7 @@ from repro.machines.params import cluster_scaled, origin2000_scaled
 from repro.trace import stats
 from repro.trace.builder import TraceBuilder
 from repro.trace.io import load_trace, save_trace
-from repro.trace.layout import Layout, decode_memo
+from repro.trace.layout import DecodeMemo, Layout, decode_epoch, decode_memo
 
 
 @st.composite
@@ -132,9 +133,8 @@ def test_simulator_equivalence(ops, line_size, page_size):
     trace = build(ops)
     layout = Layout.for_trace(trace, align=4096)
     nlines = (layout.total_bytes // line_size) + 1
-    memo = decode_memo(trace)
-    for ei, epoch in enumerate(trace.epochs):
-        decoded = memo.epoch(layout, line_size, ei)
+    for epoch in trace.epochs:
+        decoded = decode_epoch(epoch, layout, line_size)
         for p in range(trace.nprocs):
             got = _proc_streams_packed(
                 epoch, decoded, p, line_size, page_size, nlines
@@ -162,14 +162,12 @@ def test_interval_equivalence(ops):
     trace = build(ops)
     sizes = (256, 512, 1024, 4096)
     layout = Layout.for_trace(trace, align=max(sizes))
-    memo = decode_memo(trace)
     for size in sizes:
         want = [oracle.epoch_info(e, layout, size) for e in trace.epochs]
         for ei, epoch in enumerate(trace.epochs):
-            got = _epoch_info_packed(
-                epoch, memo.epoch(layout, size, ei), layout, size
-            )
-            assert_info_equal(got, want[ei])
+            decoded = decode_epoch(epoch, layout, size)
+            level = _epoch_ladder_packed(epoch, decoded, layout, size)
+            assert_info_equal(_page_info(epoch, level, layout, size), want[ei])
         ladder, _ = build_interval_ladder(build(ops), sizes, layout)
         for got, w in zip(ladder[size], want, strict=True):
             assert_info_equal(got, w)
@@ -230,50 +228,36 @@ class TestDecodeMemo:
 
         return Moldyn(AppConfig(n=256, nprocs=4, iterations=2, seed=3)).run()
 
-    def test_platforms_share_one_decode(self):
+    def test_platforms_share_one_decode(self, decode_calls):
         """TreadMarks then HLRC at the same page size: the HLRC run adds no
-        decoding work (intervals come from the derived cache)."""
+        decoding work (intervals come from the memo), so the pair calls
+        ``decode_epoch`` once per epoch in total."""
         trace = self.make_trace()
-        memo = decode_memo(trace)
         simulate_treadmarks(trace, cluster_scaled(nprocs=4))
-        decodes_after_tmk = memo.decodes
-        assert decodes_after_tmk == len(trace.epochs)
-        assert memo.distinct_geometries == 1
+        assert len(decode_calls) == len(trace.epochs)
         simulate_hlrc(trace, cluster_scaled(nprocs=4))
-        assert memo.decodes == decodes_after_tmk
-        assert memo.hits > 0
+        assert len(decode_calls) == len(trace.epochs)
 
-    def test_sweep_decodes_once_per_geometry(self):
+    def test_sweep_decodes_once_per_geometry(self, decode_calls):
         """A page-size sweep decodes O(distinct geometries), not O(points)."""
         trace = self.make_trace()
-        memo = decode_memo(trace)
         sizes = (1024, 4096, 16384)
         for page in sizes:
             simulate_treadmarks(trace, cluster_scaled(nprocs=4, page_size=page))
-        assert memo.distinct_geometries == len(sizes)
-        assert memo.decodes == len(sizes) * len(trace.epochs)
+        assert len(decode_calls) == len(sizes) * len(trace.epochs)
         # Re-running the whole sweep performs zero additional decodes.
-        before = memo.decodes
+        before = len(decode_calls)
         for page in sizes:
             simulate_treadmarks(trace, cluster_scaled(nprocs=4, page_size=page))
             simulate_hlrc(trace, cluster_scaled(nprocs=4, page_size=page))
-        assert memo.decodes == before
-
-    def test_hardware_uses_memo(self):
-        trace = self.make_trace()
-        memo = decode_memo(trace)
-        params = origin2000_scaled(64, 4)
-        simulate_hardware(trace, params)
-        decodes = memo.decodes
-        assert decodes == len(trace.epochs)
-        simulate_hardware(trace, params)
-        assert memo.decodes == decodes  # second run: all hits
-        assert memo.hits > 0
+        assert len(decode_calls) == before
 
     def test_memo_clear(self):
         trace = self.make_trace()
         memo = decode_memo(trace)
         simulate_treadmarks(trace)
-        assert memo.distinct_geometries == 1
+        layout = Layout.for_trace(trace, align=4096)
+        key = ("intervals", DecodeMemo.geometry_key(layout, 4096))
+        assert key in memo
         memo.clear()
-        assert memo.distinct_geometries == 0
+        assert key not in memo
