@@ -173,14 +173,20 @@ def _epoch_ladder_packed(
 ) -> _Level:
     """Ladder level at ``page_size``, one block of processors at a time:
     accessed pages are deduplicated through one boolean ``(proc, page)``
-    table per block, written objects by one ``np.unique`` over
-    ``proc << abits | start_byte`` (regions are disjoint, so an object is
-    its start byte)."""
+    table per block, written objects through one boolean ``(proc,
+    object)`` table over global object ids (region ``r``'s objects
+    numbered from ``first_obj[r]``).  Regions sit at ascending bases, so
+    the table's nonzero order is ``(proc, start byte)`` order."""
     shift = page_size.bit_length() - 1
     pbits = _key_bits(epoch.nprocs, total_pages(layout, page_size), "pages")
-    abits = _key_bits(epoch.nprocs, layout.total_bytes, "bytes")
+    # Every object spans at least one byte, so this bounds the object
+    # table's ``(proc, object)`` slots too.
+    _key_bits(epoch.nprocs, layout.total_bytes, "bytes")
     bases = np.asarray(layout.bases, dtype=np.int64)
     osizes = layout._object_sizes()
+    nobjs = [r.num_objects for r in layout.regions]
+    first_obj = np.concatenate([[0], np.cumsum(nobjs, dtype=np.int64)])
+    nobj = int(first_obj[-1])
     offsets = np.asarray(epoch.offsets, dtype=np.int64)
     boffs = np.asarray(epoch.burst_offsets, dtype=np.int64)
     acc, wr, ub, cross = [], [], [], []
@@ -206,14 +212,17 @@ def _epoch_ladder_packed(
         breg = np.asarray(epoch.burst_region[b0:b1], dtype=np.int64)[bw]
         wlen = blen[bw]
         widx = np.asarray(epoch.index[a0:a1])[np.repeat(bw, blen)]
-        objs = np.repeat((bproc << abits) + bases[breg], wlen)
-        objs += widx * np.repeat(osizes[breg], wlen)
-        objs = np.unique(objs)
-        start = objs & ((1 << abits) - 1)
-        size = osizes[np.searchsorted(bases, start, side="right") - 1]
+        slot = np.repeat((bproc - lo) * nobj + first_obj[breg], wlen)
+        slot += widx
+        table = np.zeros((hi - lo) * nobj, dtype=bool)
+        table[slot] = True
+        proc, obj = np.divmod(np.flatnonzero(table), nobj)
+        reg = np.searchsorted(first_obj, obj, side="right") - 1
+        size = osizes[reg]
+        start = bases[reg] + (obj - first_obj[reg]) * size
         first = start >> shift
         span = ((start + size - 1) >> shift) - first
-        first += (objs >> abits) << pbits
+        first += (proc + lo) << pbits
         # Distinct objects are disjoint byte runs in (proc, start) order, so
         # their expanded page keys come out sorted: no sort is needed to sum
         # ``ub`` and ``cross`` over runs of equal keys.

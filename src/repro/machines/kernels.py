@@ -654,7 +654,10 @@ class SetAssocSweep:
     :meth:`access_stream` returns the histogram of ``g`` clamped at
     ``max_assoc`` — split by owner when the top ``owner_bits`` bits of
     the set index name one (a processor, say); miss counts are its
-    suffix sums (:meth:`curve`).  A call replays only the state of the
+    suffix sums (:meth:`curve`).  An access that repeats the previous
+    access to its set (``g = 0``) is counted without entering the
+    distance passes; on reordered traces most accesses are such repeats
+    once grouped by set.  A call replays only the state of the
     sets its keys touch, so a stream cut into blocks of ascending,
     disjoint set ranges costs no more than one call, and each block's
     state stays small.  :meth:`drop` removes the tracked keys (see
@@ -713,17 +716,24 @@ class SetAssocSweep:
     ) -> np.ndarray:
         """Replay one epoch's accesses; return the clamped-g histogram.
 
-        ``hist[v]`` counts (run-collapsed) accesses with
-        ``min(g, max_assoc) == v``; the miss count at associativity
-        ``a <= max_assoc`` is ``hist[a:].sum()``, matching a
-        ``setassoc_kernel(keys, nsets, a)`` replay.  With ``owner_bits``
-        the histogram is split by owner ``set >> (log2(nsets) -
-        owner_bits)``: shape ``(2**owner_bits, max_assoc + 1)``.
+        ``hist[v]`` counts accesses with ``min(g, max_assoc) == v``; the
+        miss count at associativity ``a <= max_assoc`` is
+        ``hist[a:].sum()``, matching a ``setassoc_kernel(keys, nsets, a)``
+        replay.  With ``owner_bits`` the histogram is split by owner
+        ``set >> (log2(nsets) - owner_bits)``: shape ``(2**owner_bits,
+        max_assoc + 1)``.
+
+        Set-local repeats — accesses whose predecessor in their set is an
+        access to the same key — are counted in bin 0 and dropped before
+        the previous-occurrence sort and the distance passes: they hit at
+        every capacity and change no recency order and no other window's
+        distinct-key count.  The first access after a tracked key is kept
+        even when it repeats that key, since its ``g`` is the key's
+        ``mdepth``.
         """
         cmax = self.max_assoc
         nown = 1 if owner_bits is None else 1 << owner_bits
-        # Collapse duplicate runs: distance-0 hits at any capacity.
-        keys = collapse_runs(np.ascontiguousarray(keys, dtype=np.int64))
+        keys = np.ascontiguousarray(keys, dtype=np.int64)
         n = keys.shape[0]
         if n == 0:
             hist = np.zeros((nown, cmax + 1), dtype=np.int64)
@@ -745,15 +755,31 @@ class SetAssocSweep:
         # the accesses in program order.
         order = np.argsort(local, kind="stable")
         combined = np.concatenate([self._keys[a:b], keys])[order]
+        # Drop the set-local repeats (equal keys share a set, so equal
+        # neighbours are always in one set's segment).
+        rep = np.zeros(m + n, dtype=bool)
+        np.equal(combined[1:], combined[:-1], out=rep[1:])
+        rep[1:] &= order[:-1] >= m
+        ends = np.cumsum(np.bincount(local, minlength=nloc))
+        # Each owner's sets are contiguous, so its accesses are one slice
+        # of the set-grouped stream.
+        tag_shift = self.nsets.bit_length() - 1
+        oshift = tag_shift - (owner_bits or 0)
+        o0, o1 = s0 >> oshift, (s1 >> oshift) + 1
+        cuts = np.clip((np.arange(o0, o1 + 1) << oshift) - s0, 0, nloc)
+        bounds = np.concatenate([[0], ends])[cuts]
+        nrep = np.concatenate([[0], np.cumsum(rep)])
+        repeats = np.diff(nrep[bounds])
+        bounds -= nrep[bounds]
+        ends -= nrep[ends]
+        order, combined = order[~rep], combined[~rep]
         md_at = np.concatenate([self._mdepth[a:b], np.zeros(n, np.int64)])[order]
         is_stream = order >= m
         seg = local[order]
-        counts = np.bincount(seg, minlength=nloc)
-        ends = np.cumsum(counts)
+        counts = np.diff(ends, prepend=0)
         # Equal keys share a set, so relabelling each key by (tag, local
         # set) keeps equality and fits the radix sort's 16 bits far more
         # often than the raw key does.
-        tag_shift = self.nsets.bit_length() - 1
         prev = _prev_occurrence((combined >> tag_shift) * nloc + seg)
         dist = _clamped_distances(prev, np.repeat(ends, counts), cmax)
         # A stream position's own mdepth is 0, so the max only lifts
@@ -762,15 +788,10 @@ class SetAssocSweep:
         g = np.where(
             is_stream, np.maximum(md_at[np.maximum(prev, 0)], dist), cmax + 1
         )
-        # Each owner's sets are contiguous, so its accesses are one slice
-        # of the set-grouped stream.
-        oshift = tag_shift - (owner_bits or 0)
-        o0, o1 = s0 >> oshift, (s1 >> oshift) + 1
-        cuts = np.clip((np.arange(o0, o1 + 1) << oshift) - s0, 0, nloc)
-        bounds = np.concatenate([[0], ends])[cuts]
         hist = np.zeros((nown, cmax + 2), dtype=np.int64)
         for o, lo, hi in zip(range(o0, o1), bounds[:-1], bounds[1:]):
             hist[o] = np.bincount(g[lo:hi], minlength=cmax + 2)
+        hist[o0:o1, 0] += repeats
         hist = hist[:, : cmax + 1]
 
         # New state: each key's last position.  In LRU-first order, a
@@ -778,7 +799,7 @@ class SetAssocSweep:
         # an un-accessed prefix key, at least its old mdepth); keys that
         # reach ``cmax`` are gone at every capacity.  First occurrences
         # mark the spare slot 0.
-        is_last = np.ones(m + n + 1, dtype=bool)
+        is_last = np.ones(prev.shape[0] + 1, dtype=bool)
         is_last[prev + 1] = False
         idx = np.flatnonzero(is_last[1:])
         lseg = seg[idx]

@@ -620,7 +620,8 @@ class LazyTrace(Trace):
 def _assemble(header: dict, data: np.ndarray) -> Trace:
     """Build the trace a parsed bundle describes over its data section.
 
-    Checks the label list, the directory arrays' shapes, the epoch-start
+    Checks the label list, the directory arrays' shapes, that work is
+    finite and non-negative and lock counts non-negative, the epoch-start
     tiling and every column's (v2) or chunk's (v3) extent, then builds
     the regions and epochs.  v2 epochs are plain :class:`PackedEpoch`
     views of the stored columns; v3 epochs are :class:`LazyPackedEpoch`
@@ -639,6 +640,12 @@ def _assemble(header: dict, data: np.ndarray) -> Trace:
         raise TraceCorruptError("packed trace offset tables have wrong shape")
     if work.shape != (E, nprocs) or locks.shape != (E, nprocs):
         raise TraceCorruptError("packed trace work/lock tables have wrong shape")
+    # No checksum covers these tables, and a bad entry would only skew the
+    # simulated time or message counts.
+    if not (np.isfinite(work) & (work >= 0)).all() or (locks < 0).any():
+        raise TraceCorruptError(
+            "packed trace work/lock tables hold negative or non-finite entries"
+        )
     for name, starts in (("epoch_access_starts", eas), ("epoch_burst_starts", ebs)):
         if starts.shape != (E + 1,):
             raise TraceCorruptError(f"packed trace {name} has wrong shape")

@@ -15,6 +15,8 @@ processor blocks of every shape the access budget can produce.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import intervals as oracle
 from repro.errors import SimulationInputError
@@ -194,6 +196,68 @@ def test_object_crossing_sibling_boundary():
     assert wr[1].tolist() == [0] and ub[1].tolist() == [680]
     assert cross[1].tolist() == [0]
     assert_matches_oracle(trace)
+
+
+def unique_written_pages(epoch, layout, page_size):
+    """``{(proc, page): (ub, cross)}`` from the written objects found by
+    one ``np.unique`` over ``proc << abits | start_byte`` (distinct
+    objects are distinct start bytes), expanded page by page."""
+    abits = layout.total_bytes.bit_length()
+    bases = np.asarray(layout.bases, dtype=np.int64)
+    osizes = layout._object_sizes()
+    objs = [np.empty(0, dtype=np.int64)]
+    for p in range(epoch.nprocs):
+        wacc = oracle._write_accesses(epoch, p)
+        if wacc is not None:
+            wregs, widx = wacc
+            objs.append((p << abits) + bases[wregs] + widx * osizes[wregs])
+    out = {}
+    for key in np.unique(np.concatenate(objs)).tolist():
+        proc, start = key >> abits, key & ((1 << abits) - 1)
+        size = int(osizes[np.searchsorted(bases, start, side="right") - 1])
+        first = start // page_size
+        for page in range(first, (start + size - 1) // page_size + 1):
+            ub, cross = out.get((proc, page), (0, 0))
+            out[proc, page] = (ub + size, cross + size * (page > first))
+    return out
+
+
+@given(
+    data=st.data(),
+    nprocs=st.integers(1, 5),
+    empty_at=st.integers(0, 3),
+)
+@settings(max_examples=40, deadline=None)
+def test_property_written_objects_match_unique_reference(data, nprocs, empty_at):
+    """The ``(proc, object)`` table finds the same written objects, in the
+    same order, as a ``np.unique`` over start bytes: with an empty region
+    among the others, 1000-byte objects over several 256-byte pages, one
+    processor, and idle processors."""
+    sizes = [("a", 40, 8), ("b", 20, 100), ("w", 6, 1000)]
+    sizes.insert(empty_at, ("e", 0, 24))
+    tb = TraceBuilder(nprocs)
+    regions = [(tb.add_region(name, n, sz), n) for name, n, sz in sizes]
+    for p in range(nprocs):
+        for r, n in regions:
+            if n == 0:
+                continue
+            idx = data.draw(st.lists(st.integers(0, n - 1), max_size=8))
+            if idx:
+                (tb.write if data.draw(st.booleans()) else tb.read)(p, r, idx)
+    tb.barrier()
+    trace = tb.finish()
+    layout = Layout.for_trace(trace, align=256)
+    epoch = trace.epochs[0]
+    level = intervals._epoch_ladder_packed(
+        epoch, decode_epoch(epoch, layout, 256), layout, 256
+    )
+    want = unique_written_pages(epoch, layout, 256)
+    pmask = (1 << level.pbits) - 1
+    got = [(k >> level.pbits, k & pmask) for k in level.wr.tolist()]
+    assert got == sorted(want)
+    assert list(zip(level.ub.tolist(), level.cross.tolist())) == [
+        want[k] for k in got
+    ]
 
 
 def test_decoded_and_interval_arrays_are_read_only():

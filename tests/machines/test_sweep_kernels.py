@@ -168,6 +168,76 @@ class TestSetAssocSweep:
         got, want = self._run_both(nsets, cmax, epochs)
         assert got == want
 
+    def test_tracked_key_reaccessed_at_call_start(self):
+        """Key 1 is the only tracked key after 2 is invalidated, but it was
+        pushed to depth 1 first: its first access in the next call misses
+        with one way, and the repeat right after it hits."""
+        epochs = [
+            (np.array([1, 2]), np.array([2])),
+            (np.array([1, 1, 3, 3, 1]), np.empty(0, dtype=np.int64)),
+        ]
+        got, want = self._run_both(1, 2, epochs)
+        assert got == want
+        assert want[1] == (5, 1)
+
+    @given(
+        data=st.data(),
+        log_sets=st.integers(0, 6),
+        cmax=st.integers(1, 5),
+        nepochs=st.integers(1, 4),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_property_owner_blocks_and_drops(self, data, log_sets, cmax, nepochs):
+        """Few keys per set over up to 64 sets, fed as production feeds
+        it: each epoch in blocks of whole owners (ascending set ranges),
+        per-owner histograms, and a drop of tracked keys after the epoch.
+        Each owner's sets are a cache of their own, so its misses and
+        invalidations must match per-capacity oracle replays of its keys
+        alone."""
+        nsets = 1 << log_sets
+        owner_bits = data.draw(st.integers(0, min(2, log_sets)))
+        nown = 1 << owner_bits
+        oshift = log_sets - owner_bits
+        nkeys = data.draw(st.integers(1, 3 * nsets))
+        assocs = range(1, cmax + 1)
+        refs = [[SetAssocCache(nsets, a) for a in assocs] for _ in range(nown)]
+        sweep = SetAssocSweep(nsets, cmax)
+
+        def owner(keys):
+            return (keys & (nsets - 1)) >> oshift
+
+        for _ in range(nepochs):
+            keys = np.array(
+                data.draw(st.lists(st.integers(0, nkeys - 1), max_size=150)),
+                dtype=np.int64,
+            )
+            cuts = sorted(set(data.draw(
+                st.lists(st.integers(1, nown - 1), max_size=3)
+            ) if nown > 1 else []))
+            for lo, hi in zip([0, *cuts], [*cuts, nown]):
+                block = keys[(owner(keys) >= lo) & (owner(keys) < hi)]
+                hist = sweep.access_stream(block, owner_bits=owner_bits or None)
+                hist = hist.reshape(-1, cmax + 1)
+                assert hist.shape == (nown, cmax + 1)
+                for o in range(nown):
+                    mine = block[owner(block) == o]
+                    assert hist[o].sum() == mine.shape[0]
+                    for a in assocs:
+                        want = refs[o][a - 1].access_stream(mine)
+                        assert hist[o, a:].sum() == want, (o, a)
+            tracked = sweep.keys
+            mask = np.array(data.draw(st.lists(
+                st.booleans(), min_size=tracked.shape[0],
+                max_size=tracked.shape[0],
+            )), dtype=bool)
+            removed, thr = sweep.drop(mask)
+            assert removed.tolist() == tracked[mask].tolist()
+            for o in range(nown):
+                mine = owner(removed) == o
+                for a in assocs:
+                    want = refs[o][a - 1].invalidate_present(removed[mine])
+                    assert (thr[mine] < a).sum() == want.shape[0], (o, a)
+
     def test_curve_from_histogram(self):
         sweep = SetAssocSweep(1, 8)
         hist = sweep.access_stream(np.array([1, 2, 3, 1, 2, 3, 1]))

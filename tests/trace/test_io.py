@@ -213,6 +213,29 @@ class TestCorruption:
         with pytest.raises(TraceCorruptError):
             load_trace(path)
 
+    @pytest.mark.parametrize("compression", ["none", "zlib"])
+    @pytest.mark.parametrize(
+        "table, value", [("locks", -1), ("work", -1.0), ("work", np.nan),
+                         ("work", np.inf)],
+    )
+    def test_bad_work_and_lock_tables(self, tmp_path, compression, table, value):
+        """The work and lock tables sit outside every checksum: a negative
+        lock count or a negative or non-finite work entry is corruption at
+        load, in both formats."""
+        from repro.trace.io import _parse_packed_header
+
+        path = tmp_path / "t.npt"
+        save_trace(make_trace(), path, compression=compression)
+        blob = bytearray(path.read_bytes())
+        header, data_start = _parse_packed_header(bytes(blob))
+        spec = header["arrays"][table]
+        off = data_start + spec["offset"] + np.dtype(spec["dtype"]).itemsize
+        bad = np.array([value], dtype=np.dtype(spec["dtype"])).tobytes()
+        blob[off : off + len(bad)] = bad
+        path.write_bytes(bytes(blob))
+        with pytest.raises(TraceCorruptError, match="work/lock"):
+            load_trace(path)
+
     def test_out_of_range_indices_packed(self, tmp_path):
         """Same invariant check on a packed bundle: scribble the index
         column with huge values, keep the structure intact."""
